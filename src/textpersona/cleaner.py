@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Sequence
 
+from .config import load_keyword_file
 from .corpus import Post
 from ._pool import parallel_map
 
@@ -78,6 +79,13 @@ class CleanResult:
 
 
 _DROPPED = CleanResult("", (), True)
+
+
+def load_rules(spam_path, templates_path) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Spam keywords and system templates; a None path keeps the default list."""
+    spam = load_keyword_file(spam_path) if spam_path else DEFAULT_SPAM_KEYWORDS
+    templates = load_keyword_file(templates_path) if templates_path else DEFAULT_SYSTEM_TEMPLATES
+    return spam, templates
 
 
 def clean(

@@ -13,8 +13,6 @@ import datetime as dt
 import json
 import logging
 import sys
-from collections import Counter
-from dataclasses import replace
 
 from . import __version__
 from . import cleaner as cleaner_mod
@@ -24,7 +22,7 @@ from . import model as model_mod
 from . import report as report_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
-from .config import RunConfig, load_keyword_file
+from .config import RunConfig
 from .errors import InputFormatError, TextPersonaError
 from .model import TRAITS
 
@@ -94,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True, help="features.csv input")
     p.add_argument("--labels", required=True, help="labels.csv input (user_id,O,C,E,A,N)")
     p.add_argument("--out", required=True, help="model.json output")
-    p.add_argument("--ridge-lambda", type=float, default=1.0, help="ridge strength")
+    p.add_argument("--ridge-lambda", type=float, default=RunConfig.ridge_lambda, help="ridge strength")
     p.set_defaults(func=cmd_fit)
 
     p = add("predict", "score users with a fitted model")
@@ -108,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="scores.csv input")
     p.add_argument("--out-csv", required=True, help="correlations.csv output")
     p.add_argument("--out-json", default=None, help="optional JSON output")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    p.add_argument("--alpha", type=float, default=RunConfig.alpha, help="significance level")
     p.set_defaults(func=cmd_correlate)
 
     p = add("contrast", "tag weights for top/bottom quantile groups of one trait")
@@ -117,8 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trait", required=True, choices=TRAITS, help="trait dimension")
     p.add_argument("--out-csv", required=True, help="tag contrast CSV output")
     p.add_argument("--out-json", default=None, help="optional JSON output")
-    p.add_argument("--quantile", type=float, default=0.25, help="polarity group share")
-    p.add_argument("--top-k", type=int, default=20, help="rows per group")
+    p.add_argument("--quantile", type=float, default=RunConfig.quantile, help="polarity group share")
+    p.add_argument("--top-k", type=int, default=RunConfig.top_k_tags, help="rows per group")
     p.set_defaults(func=cmd_contrast)
 
     p = add("demographics", "population summary table from profiles")
@@ -131,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-csv", required=True, help="demographics.csv output")
     p.add_argument("--out-json", default=None, help="optional JSON output")
-    p.add_argument("--min-age", type=int, default=10, help="lowest credible age")
-    p.add_argument("--max-age", type=int, default=47, help="highest credible age")
+    p.add_argument("--min-age", type=int, default=RunConfig.age_range[0], help="lowest credible age")
+    p.add_argument("--max-age", type=int, default=RunConfig.age_range[1], help="highest credible age")
     p.set_defaults(func=cmd_demographics)
 
     p = add("emoticons", "emoticon usage contrast between polarity groups")
@@ -141,9 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trait", required=True, choices=TRAITS, help="trait dimension")
     p.add_argument("--out-csv", required=True, help="emoticon contrast CSV output")
     p.add_argument("--out-json", default=None, help="optional JSON output")
-    p.add_argument("--min-count", type=int, default=500, help="corpus-wide usage floor")
-    p.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p.add_argument("--quantile", type=float, default=0.25, help="polarity group share")
+    p.add_argument("--min-count", type=int, default=RunConfig.emoticon_min_count, help="corpus-wide usage floor")
+    p.add_argument("--alpha", type=float, default=RunConfig.alpha, help="significance level")
+    p.add_argument("--quantile", type=float, default=RunConfig.quantile, help="polarity group share")
     p.set_defaults(func=cmd_emoticons)
 
     p = add("report", "run the whole pipeline and write an artifact bundle")
@@ -181,16 +179,7 @@ def _read_cleaned(path) -> list[tuple[str, cleaner_mod.CleanResult]]:
 
 def cmd_clean(args) -> int:
     posts, malformed = corpus_mod.load_posts(args.posts)
-    spam = (
-        load_keyword_file(args.spam_keywords)
-        if args.spam_keywords
-        else cleaner_mod.DEFAULT_SPAM_KEYWORDS
-    )
-    templates = (
-        load_keyword_file(args.templates)
-        if args.templates
-        else cleaner_mod.DEFAULT_SYSTEM_TEMPLATES
-    )
+    spam, templates = cleaner_mod.load_rules(args.spam_keywords, args.templates)
     cleaned, dropped = cleaner_mod.clean_corpus(
         posts, spam, system_templates=templates, threads=args.threads
     )
@@ -251,14 +240,14 @@ def cmd_featurize(args) -> int:
     matcher = lexicon_mod.compile_lexicon(lexicon)
     tokens_by_user = _read_tokens(args.tokens)
     features = lexicon_mod.featurize(tokens_by_user, matcher, threads=args.threads)
-    lexicon_mod.write_features_csv(features, lexicon.category_names, args.out)
+    report_mod.features_table(features, lexicon.category_names).write_csv(args.out)
     log.info("featurize: %d users, %d categories", len(features), len(lexicon.category_names))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
     features, names = lexicon_mod.read_features_csv(args.features)
-    labels = model_mod.read_labels_csv(args.labels)
+    labels = model_mod.read_scores_csv(args.labels)
     mapping = model_mod.fit(features, labels, args.ridge_lambda, category_names=names)
     model_mod.save_model(mapping, args.out)
     log.info("fit: n=%d, K=%d, lambda=%g", mapping.n_train, len(names), mapping.ridge_lambda)
@@ -305,17 +294,7 @@ def cmd_contrast(args) -> int:
 
 def cmd_demographics(args) -> int:
     profiles, _ = corpus_mod.load_profiles(args.profiles)
-    aged = []
-    for profile in profiles:
-        age = None
-        if profile.birth_date is not None:
-            try:
-                computed = corpus_mod.compute_age(profile.birth_date, args.reference_date)
-            except ValueError:
-                computed = None
-            if computed is not None and args.min_age <= computed <= args.max_age:
-                age = computed
-        aged.append(replace(profile, age=age))
+    aged = [corpus_mod.with_credible_age(p, args.reference_date, (args.min_age, args.max_age)) for p in profiles]
     table = report_mod.demographic_summary(aged)
     table.write_csv(args.out_csv)
     if args.out_json:
@@ -327,12 +306,7 @@ def cmd_demographics(args) -> int:
 def cmd_emoticons(args) -> int:
     cleaned = _read_cleaned(args.cleaned)
     scores = model_mod.read_scores_csv(args.scores)
-    usage: dict[str, dict[str, int]] = {}
-    for user_id, res in cleaned:
-        if res.emoticons:
-            bucket = usage.setdefault(user_id, {})
-            for emoticon, count in Counter(res.emoticons).items():
-                bucket[emoticon] = bucket.get(emoticon, 0) + count
+    usage = stats_mod.emoticon_usage(cleaned)
     split = stats_mod.polarity_split(
         [(uid, score.get(args.trait)) for uid, score in scores],
         args.quantile,

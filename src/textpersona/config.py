@@ -30,7 +30,7 @@ def load_keyword_file(path) -> tuple[str, ...]:
 
 @dataclass
 class RunConfig:
-    """Everything a report run needs; defaults follow the pipeline constants."""
+    """Everything a report run needs; library and CLI defaults read these fields."""
 
     reference_date: dt.date | None = None
     min_followers: int = 10

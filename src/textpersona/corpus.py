@@ -13,9 +13,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+from .config import RunConfig
 from .errors import CorpusFormatError
-
-AGE_RANGE = (10, 47)
 
 GENDERS = ("male", "female", "unknown")
 _GENDER_CODES = {"m": "male", "f": "female"}
@@ -54,9 +53,7 @@ class Post:
 
 
 class RejectReason(enum.Enum):
-    TOO_FEW_FOLLOWERS = "too_few_followers"
     AD_ACCOUNT = "ad_account"
-    INVALID_AGE = "invalid_age"
     NO_POSTS = "no_posts"
 
 
@@ -205,14 +202,26 @@ def compute_age(birth_date: dt.date, reference_date: dt.date) -> int:
     return age
 
 
+def with_credible_age(
+    profile: UserProfile, reference_date: dt.date, age_range: tuple[int, int]
+) -> UserProfile:
+    """The profile aged from birth_date; None if missing, future or outside age_range."""
+    age = None
+    if profile.birth_date is not None and profile.birth_date <= reference_date:
+        age = compute_age(profile.birth_date, reference_date)
+        if not age_range[0] <= age <= age_range[1]:
+            age = None
+    return replace(profile, age=age)
+
+
 def validate_users(
     profiles: Sequence[UserProfile],
     posts: Iterable[Post],
     *,
-    min_followers: int = 10,
-    ad_url_patterns: Sequence[str] = ("taobao",),
+    min_followers: int = RunConfig.min_followers,
+    ad_url_patterns: Sequence[str] = RunConfig.ad_url_patterns,
     reference_date: dt.date,
-    age_range: tuple[int, int] = AGE_RANGE,
+    age_range: tuple[int, int] = RunConfig.age_range,
 ) -> tuple[list[UserProfile], list[Post], ValidityReport]:
     """Apply the inclusion criteria and return the filtered corpus.
 
@@ -231,7 +240,6 @@ def validate_users(
     for post in posts:
         posts_by_user.setdefault(post.user_id, []).append(post)
     patterns = [p.lower() for p in ad_url_patterns]
-    lo, hi = age_range
 
     accepted: list[UserProfile] = []
     accepted_ids: set[str] = set()
@@ -244,15 +252,7 @@ def validate_users(
         if profile.follower_count < min_followers and _has_ad_url(own_posts, patterns):
             rejected.append((profile.user_id, RejectReason.AD_ACCOUNT))
             continue
-        age: int | None = None
-        if profile.birth_date is not None:
-            try:
-                computed = compute_age(profile.birth_date, reference_date)
-            except ValueError:
-                computed = None
-            if computed is not None and lo <= computed <= hi:
-                age = computed
-        accepted.append(replace(profile, age=age))
+        accepted.append(with_credible_age(profile, reference_date, age_range))
         accepted_ids.add(profile.user_id)
 
     kept_posts = [p for p in posts if p.user_id in accepted_ids]

@@ -56,12 +56,6 @@ class Lexicon:
     def category_names(self) -> tuple[str, ...]:
         return tuple(name for _, name in self.categories)
 
-    def name_of(self, category_id: int) -> str:
-        for cid, name in self.categories:
-            if cid == category_id:
-                return name
-        raise KeyError(category_id)
-
 
 def parse_lexicon(path) -> Lexicon:
     """Parse and validate a dictionary file; errors carry line numbers."""
@@ -284,21 +278,6 @@ def _featurize_one(item: tuple[str, Sequence[Sequence[str]]]) -> FeatureVector:
     return FeatureVector(user_id=user_id, freqs=freqs, token_count=total)
 
 
-def write_features_csv(features: Sequence[FeatureVector], category_names: Sequence[str], path) -> None:
-    """CSV with header user_id,token_count,<categories...>, 6 decimals.
-
-    The cells are rounded, but nothing is lost: every frequency is
-    count * (100 / token_count) for an integer count, and the row
-    carries token_count, so read_features_csv rebuilds the exact floats
-    that featurize() computed.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("user_id,token_count," + ",".join(category_names) + "\n")
-        for fv in features:
-            values = ",".join(f"{fv.freqs[name]:.6f}" for name in category_names)
-            fh.write(f"{fv.user_id},{fv.token_count},{values}\n")
-
-
 # a 6-decimal cell lies within half a unit in the last place of the true
 # frequency, plus the error of parsing the decimal back into a float
 _CELL_TOL = 0.5e-6 + 1e-12
@@ -308,7 +287,7 @@ _MAX_TOKEN_COUNT = 10**7
 
 
 def read_features_csv(path) -> tuple[list[FeatureVector], list[str]]:
-    """Read write_features_csv output back into exact FeatureVectors.
+    """Read report.features_table's CSV back into exact FeatureVectors.
 
     Each cell is snapped to the hit count k = round(cell * token_count /
     100) and rebuilt as k * (100 / token_count), the float featurize()

@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import InputFormatError, ModelError
 from .lexicon import FeatureVector
 
@@ -78,7 +79,7 @@ class MappingModel:
 def fit(
     features: Sequence[FeatureVector],
     labels: Sequence[tuple[str, BigFive]],
-    ridge_lambda: float = 1.0,
+    ridge_lambda: float = RunConfig.ridge_lambda,
     *,
     category_names: Sequence[str] | None = None,
 ) -> MappingModel:
@@ -306,8 +307,3 @@ def read_scores_csv(path) -> list[tuple[str, BigFive]]:
             parts = line.split(",")
             scores.append((parts[0], BigFive(*(float(v) for v in parts[1:6]))))
     return scores
-
-
-def read_labels_csv(path) -> list[tuple[str, BigFive]]:
-    """Labels share the score CSV format."""
-    return read_scores_csv(path)

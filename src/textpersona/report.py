@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -21,7 +20,7 @@ from . import lexicon as lexicon_mod
 from . import model as model_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
-from .config import RunConfig, load_keyword_file
+from .config import RunConfig
 from .errors import BundleError, PipelineError
 from .model import TRAITS, BigFive
 from .stats import (
@@ -295,16 +294,7 @@ def build_bundle(config: RunConfig, out_dir, *, threads: int = 1) -> ReportBundl
     if not profiles:
         raise BundleError("validate", PipelineError("no users left after validation"))
 
-    spam = (
-        load_keyword_file(config.spam_keywords_path)
-        if config.spam_keywords_path
-        else cleaner_mod.DEFAULT_SPAM_KEYWORDS
-    )
-    templates = (
-        load_keyword_file(config.system_templates_path)
-        if config.system_templates_path
-        else cleaner_mod.DEFAULT_SYSTEM_TEMPLATES
-    )
+    spam, templates = cleaner_mod.load_rules(config.spam_keywords_path, config.system_templates_path)
     cleaned, _ = stage(
         "clean", cleaner_mod.clean_corpus, posts, spam, system_templates=templates, threads=threads
     )
@@ -321,13 +311,7 @@ def build_bundle(config: RunConfig, out_dir, *, threads: int = 1) -> ReportBundl
     for uid, tokens in tokenized:
         if uid in tokens_by_user:
             tokens_by_user[uid].append(tokens)
-    emoticon_usage: dict[str, dict[str, int]] = {p.user_id: {} for p in profiles}
-    for uid, res in cleaned:
-        if uid in emoticon_usage and res.emoticons:
-            counts = Counter(res.emoticons)
-            bucket = emoticon_usage[uid]
-            for emoticon, count in counts.items():
-                bucket[emoticon] = bucket.get(emoticon, 0) + count
+    emoticon_usage = stats_mod.emoticon_usage(cleaned)
 
     lexicon = stage("featurize", lexicon_mod.parse_lexicon, config.lexicon_path)
     matcher = lexicon_mod.compile_lexicon(lexicon)

@@ -16,16 +16,15 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import fsum, sqrt
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
+from .cleaner import CleanResult
+from .config import RunConfig
 from .corpus import UserProfile
 from .errors import StatsError
 from .model import TRAITS, BigFive
 from .special import normal_two_sided_p, student_t_two_sided_p
 
-DEFAULT_ALPHA = 0.05
-DEFAULT_QUANTILE = 0.25
-DEFAULT_EMOTICON_MIN_COUNT = 500
 LOW_SUPPORT_GROUP_SIZE = 5
 
 # |r| at or above this is labeled a strong correlation in reports
@@ -93,7 +92,7 @@ class CorrelationResult:
 def correlation_matrix(
     features: Sequence,  # FeatureVector
     scores: Sequence[tuple[str, BigFive]],
-    alpha: float = DEFAULT_ALPHA,
+    alpha: float = RunConfig.alpha,
 ) -> list[CorrelationResult]:
     """One result per (category, trait) pair over users present in both.
 
@@ -134,7 +133,7 @@ class PolaritySplit:
 
 def polarity_split(
     scores: Sequence[tuple[str, float]],
-    quantile: float = DEFAULT_QUANTILE,
+    quantile: float = RunConfig.quantile,
     trait: str = "",
 ) -> PolaritySplit:
     """Top and bottom floor(n * quantile) users on one dimension.
@@ -167,7 +166,7 @@ class TagContrast:
 def tag_contrast(
     split: PolaritySplit,
     profiles: Sequence[UserProfile],
-    top_k: int = 20,
+    top_k: int = RunConfig.top_k_tags,
 ) -> TagContrast:
     """Tag weights per polarity group, ranked for word-cloud rendering."""
     by_id = {p.user_id: p for p in profiles}
@@ -388,11 +387,20 @@ def two_proportion_z_p(x1: int, n1: int, x2: int, n2: int) -> float:
     return normal_two_sided_p(z)
 
 
+def emoticon_usage(cleaned: Iterable[tuple[str, CleanResult]]) -> dict[str, Counter[str]]:
+    """Per-user emoticon counts over cleaned posts; users without any are absent."""
+    usage: dict[str, Counter[str]] = {}
+    for user_id, res in cleaned:
+        if res.emoticons:
+            usage.setdefault(user_id, Counter()).update(res.emoticons)
+    return usage
+
+
 def emoticon_contrast(
     split: PolaritySplit,
     emoticon_usage: Mapping[str, Mapping[str, int]],
-    min_count: int = DEFAULT_EMOTICON_MIN_COUNT,
-    alpha: float = DEFAULT_ALPHA,
+    min_count: int = RunConfig.emoticon_min_count,
+    alpha: float = RunConfig.alpha,
 ) -> EmoticonContrast:
     """Usage-share contrast between polarity groups.
 

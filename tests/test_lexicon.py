@@ -14,9 +14,9 @@ from textpersona.lexicon import (
     featurize,
     parse_lexicon,
     read_features_csv,
-    write_features_csv,
 )
 from textpersona.config import builtin_data_path
+from textpersona.report import features_table
 
 
 def write_dic(tmp_path, body):
@@ -214,7 +214,7 @@ def test_features_csv_round_trip(tmp_path):
         FeatureVector("u2", {"A": 0.0, "B": 33.333333}, 3),
     ]
     path = tmp_path / "features.csv"
-    write_features_csv(fvs, ["A", "B"], path)
+    features_table(fvs, ["A", "B"]).write_csv(path)
     back, names = read_features_csv(path)
     assert names == ["A", "B"]
     assert back[0].user_id == "u1" and back[0].token_count == 8
@@ -235,7 +235,7 @@ def test_features_csv_round_trip(tmp_path):
 def test_featurize_csv_round_trip_is_exact(tmp_path_factory, lexicon, tokens_by_user):
     features = featurize(tokens_by_user, compile_lexicon(lexicon))
     path = tmp_path_factory.getbasetemp() / "round_trip_features.csv"
-    write_features_csv(features, lexicon.category_names, path)
+    features_table(features, lexicon.category_names).write_csv(path)
     back, names = read_features_csv(path)
     assert names == list(lexicon.category_names)
     assert [(fv.user_id, fv.token_count, dict(fv.freqs)) for fv in back] == [
@@ -251,7 +251,7 @@ def test_features_csv_rebuilds_exact_frequencies_at_large_token_counts(tmp_path,
     scale = 100.0 / total
     fv = FeatureVector("u", {name: k * scale for name, k in zip(names, counts)}, total)
     path = tmp_path / "features.csv"
-    write_features_csv([fv], names, path)
+    features_table([fv], names).write_csv(path)
     (back,), _ = read_features_csv(path)
     assert back.freqs == fv.freqs and back.token_count == total
 

@@ -21,7 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from textpersona import cleaner, corpus, lexicon, model, report, segmenter, synth  # noqa: E402
+from textpersona import RunConfig, cleaner, corpus, lexicon, model, report, segmenter, synth  # noqa: E402
 
 DATA = ROOT / "src" / "textpersona" / "data"
 FIXTURE = DATA / "fixture_corpus"
@@ -67,6 +67,7 @@ def profile_record(p: corpus.UserProfile) -> dict:
 
 
 def main() -> None:
+    defaults = RunConfig()
     FIXTURE.mkdir(parents=True, exist_ok=True)
     TESTDATA.mkdir(parents=True, exist_ok=True)
 
@@ -108,14 +109,14 @@ def main() -> None:
     for uid, tokens in tokenized:
         tokens_by_user[uid].append(tokens)
     matcher = lexicon.compile_lexicon(lex)
-    lexicon.write_features_csv(
-        lexicon.featurize(tokens_by_user, matcher), lex.category_names, TESTDATA / "features_golden.csv"
+    report.features_table(lexicon.featurize(tokens_by_user, matcher), lex.category_names).write_csv(
+        TESTDATA / "features_golden.csv"
     )
 
     # fit on the written files, as `textpersona fit` does
     features, names = lexicon.read_features_csv(TESTDATA / "features_golden.csv")
     labels = model.read_scores_csv(FIXTURE / "labels.csv")
-    mapping = model.fit(features, labels, ridge_lambda=1.0, category_names=names)
+    mapping = model.fit(features, labels, ridge_lambda=defaults.ridge_lambda, category_names=names)
     model.save_model(mapping, FIXTURE / "model.json")
 
     run_config = {
@@ -141,8 +142,8 @@ def main() -> None:
     validated, _, validity = corpus.validate_users(
         list(corpus_data.profiles),
         posts,
-        min_followers=10,
-        ad_url_patterns=("taobao",),
+        min_followers=defaults.min_followers,
+        ad_url_patterns=defaults.ad_url_patterns,
         reference_date=dt.date.fromisoformat(REFERENCE_DATE),
     )
     report.demographic_summary(validated).write_csv(TESTDATA / "demographics_golden.csv")
