@@ -191,7 +191,11 @@ def predict(
     model: MappingModel,
     features: Sequence[FeatureVector],
 ) -> tuple[list[tuple[str, BigFive]], list[str]]:
-    """Score users; returns (scores, skipped degenerate user ids)."""
+    """Score users; returns (scores, skipped degenerate user ids).
+
+    Scores are rounded to the 6 decimals scores.csv publishes, so every
+    analysis of them gives the same result from the file as in process.
+    """
     scores: list[tuple[str, BigFive]] = []
     skipped: list[str] = []
     names = model.category_names
@@ -202,7 +206,7 @@ def predict(
             continue
         x = np.array([fv.freqs[name] for name in names], dtype=np.float64)
         y = x @ model.W + model.b
-        scores.append((fv.user_id, BigFive(*(float(v) for v in y))))
+        scores.append((fv.user_id, BigFive(*(round(float(v), 6) for v in y))))
     return scores, skipped
 
 

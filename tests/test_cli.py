@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from textpersona.cli import EXIT_FORMAT, EXIT_PIPELINE, EXIT_USAGE, main
-from textpersona.config import builtin_data_path
+from textpersona.config import RunConfig, builtin_data_path
+from textpersona.model import TRAITS
+from textpersona.report import build_bundle
 
 TESTDATA = Path(__file__).parent / "data"
 FIXTURE = builtin_data_path("fixture_corpus")
@@ -173,6 +175,57 @@ def test_report_deterministic_across_runs_and_threads(tmp_path):
     def snap(d):
         return {p.name: p.read_bytes() for p in sorted((tmp_path / d).iterdir())}
     assert snap("a") == snap("b") == snap("c")
+
+
+def test_staged_chain_equals_report_bundle(tmp_path):
+    """The per-stage chain writes the bundle's bytes, from the same config.
+
+    This holds on the fixture only because its validation rejects
+    nobody: the chain has no validate step, so on a corpus with rejected
+    users (user_heavy seed 1 rejects 75) its tables would differ.
+    """
+    cfg = RunConfig.from_file(FIXTURE / "run_config.json")
+    cfg.emoticon_min_count = 50  # the default 500 leaves the emoticon table empty
+    bundle = tmp_path / "bundle"
+    build_bundle(cfg, bundle)
+    assert len((bundle / "emoticon_contrast.csv").read_text(encoding="utf-8").splitlines()) > 1
+
+    chain = tmp_path / "chain"
+    chain.mkdir()
+
+    def tables(stem):
+        return ["--out-csv", chain / f"{stem}.csv", "--out-json", chain / f"{stem}.json"]
+
+    steps = [
+        ["clean", "--posts", cfg.posts_path, "--out", chain / "cleaned.jsonl",
+         "--spam-keywords", cfg.spam_keywords_path, "--templates", cfg.system_templates_path],
+        ["segment", "--cleaned", chain / "cleaned.jsonl", "--words", cfg.word_list_path,
+         "--out", chain / "tokens.jsonl"],
+        ["featurize", "--lexicon", cfg.lexicon_path, "--tokens", chain / "tokens.jsonl",
+         "--out", chain / "features.csv"],
+        ["predict", "--model", cfg.model_path, "--features", chain / "features.csv",
+         "--out", chain / "scores.csv"],
+        ["correlate", "--features", chain / "features.csv", "--scores", chain / "scores.csv",
+         *tables("correlations")],
+        ["demographics", "--profiles", cfg.profiles_path,
+         "--reference-date", cfg.reference_date.isoformat(), *tables("demographics")],
+    ]
+    for trait in TRAITS:
+        steps.append(["contrast", "--scores", chain / "scores.csv", "--profiles", cfg.profiles_path,
+                      "--trait", trait, *tables(f"tag_contrast_{trait}")])
+        steps.append(["emoticons", "--cleaned", chain / "cleaned.jsonl", "--scores", chain / "scores.csv",
+                      "--trait", trait, "--min-count", "50", *tables(f"emoticon_contrast_{trait}")])
+    for step in steps:
+        assert run(*step) == 0, step[0]
+
+    for name in ("features.csv", "scores.csv", "correlations.csv", "correlations.json",
+                 "demographics.csv", "demographics.json"):
+        assert (chain / name).read_bytes() == (bundle / name).read_bytes(), name
+    for stem in ("tag_contrast", "emoticon_contrast"):
+        per_trait = [(chain / f"{stem}_{trait}.csv").read_text(encoding="utf-8") for trait in TRAITS]
+        header = per_trait[0].splitlines(keepends=True)[0]
+        joined = header + "".join(text.removeprefix(header) for text in per_trait)
+        assert joined == (bundle / f"{stem}.csv").read_text(encoding="utf-8"), stem
 
 
 def test_usage_error_exit_1(capsys):
