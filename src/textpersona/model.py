@@ -270,23 +270,57 @@ def save_model(model: MappingModel, path) -> None:
 
 
 def load_model(path) -> MappingModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read save_model output; a malformed file raises InputFormatError naming path."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as err:  # invalid JSON or UTF-8
+        raise InputFormatError(f"{path}: not a model file: {err}") from None
+
+    def bad(problem: str) -> InputFormatError:
+        return InputFormatError(f"{path}: {problem}")
+
+    if not isinstance(doc, dict):
+        raise bad("a model file holds one JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise InputFormatError(
-            f"{path}: unsupported model format_version {doc.get('format_version')!r}"
-        )
-    W = np.array(doc["W"], dtype=np.float64)
-    b = np.array(doc["b"], dtype=np.float64)
-    names = tuple(doc["category_names"])
-    if W.shape != (len(names), len(TRAITS)) or b.shape != (len(TRAITS),):
-        raise InputFormatError(f"{path}: W/b shapes do not match category list")
+        raise bad(f"unsupported model format_version {doc.get('format_version')!r}")
+    missing = [key for key in ("category_names", "W", "b", "lambda", "n_train") if key not in doc]
+    if missing:
+        raise bad(f"model lacks {', '.join(missing)}")
+    names, W, b = doc["category_names"], doc["W"], doc["b"]
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)):
+        raise bad("category_names must be a list of strings")
+    if not (_finite_rows(W, len(names), len(TRAITS)) and _finite_rows([b], 1, len(TRAITS))):
+        raise bad(f"W must be {len(names)} x {len(TRAITS)} and b {len(TRAITS)} finite numbers")
+    if not (_finite(doc["lambda"]) and doc["lambda"] >= 0):
+        raise bad("lambda must be a finite number >= 0")
+    if not (type(doc["n_train"]) is int and doc["n_train"] >= 0):
+        raise bad("n_train must be a non-negative integer")
     return MappingModel(
-        category_names=names,
-        W=W,
-        b=b,
+        category_names=tuple(names),
+        W=np.array(W, dtype=np.float64),
+        b=np.array(b, dtype=np.float64),
         ridge_lambda=float(doc["lambda"]),
-        n_train=int(doc["n_train"]),
+        n_train=doc["n_train"],
+    )
+
+
+def _finite(value) -> bool:
+    """A JSON number within float range, not NaN or infinite (bools are not numbers)."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
+def _finite_rows(rows, n_rows: int, n_cols: int) -> bool:
+    """rows is an n_rows x n_cols list of lists of finite numbers."""
+    return (
+        isinstance(rows, list)
+        and len(rows) == n_rows
+        and all(isinstance(row, list) and len(row) == n_cols and all(map(_finite, row)) for row in rows)
     )
 
 
@@ -299,15 +333,21 @@ def write_scores_csv(scores: Sequence[tuple[str, BigFive]], path) -> None:
 
 
 def read_scores_csv(path) -> list[tuple[str, BigFive]]:
+    """Read a score (or labels) CSV; a malformed row raises InputFormatError naming path:line."""
     scores = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "user_id," + ",".join(TRAITS):
             raise InputFormatError(f"{path}: not a score CSV (header {header!r})")
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            scores.append((parts[0], BigFive(*(float(v) for v in parts[1:6]))))
+            try:
+                if len(parts) != 1 + len(TRAITS):
+                    raise ValueError(f"{len(parts)} cells, header has {1 + len(TRAITS)}")
+                scores.append((parts[0], BigFive(*(float(v) for v in parts[1:]))))
+            except ValueError as err:  # a cell count, a non-numeric or a non-finite score
+                raise InputFormatError(f"{path}:{line_no}: {err}") from None
     return scores

@@ -93,6 +93,89 @@ def test_predict_rejects_unrebuildable_features_exit_2(tmp_path, capsys, row, re
     assert f"{features}:3:" in err["error"] and reason in err["error"]
 
 
+def one_error_line(capsys, code) -> str:
+    """The error message of the single JSON line on stderr, checked for code."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    doc = json.loads(line)
+    assert doc["exit_code"] == code
+    return doc["error"]
+
+
+TINY_FEATURES = "user_id,token_count,A,B\nu0,2,50.000000,0.000000\n"
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("u1,50,50", "3 cells"),
+        ("u1,50,50,50,50,50,50", "7 cells"),
+        ("u1,abc,50,50,50,50", "abc"),
+        ("u1,50,50,nan,50,50", "finite"),
+    ],
+)
+def test_fit_rejects_malformed_labels_exit_2(tmp_path, capsys, row, reason):
+    features = tmp_path / "features.csv"
+    features.write_text(TINY_FEATURES, encoding="utf-8")
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"user_id,O,C,E,A,N\nu0,50,50,50,50,50\n{row}\n", encoding="utf-8")
+    code = run("fit", "--features", features, "--labels", labels, "--out", tmp_path / "m.json")
+    assert code == EXIT_FORMAT
+    error = one_error_line(capsys, EXIT_FORMAT)
+    assert f"{labels}:3:" in error and reason in error
+
+
+GOOD_MODEL = {
+    "format_version": 1,
+    "category_names": ["A", "B"],
+    "W": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]],
+    "b": [0, 0, 0, 0, 0],
+    "lambda": 1,
+    "n_train": 2,
+}
+
+
+def model_with(**changes) -> str:
+    return json.dumps({**GOOD_MODEL, **changes})
+
+
+def model_without(key) -> str:
+    return json.dumps({k: v for k, v in GOOD_MODEL.items() if k != key})
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (json.dumps(GOOD_MODEL)[:40], "not a model file"),  # truncated JSON
+        ("\udcff", "not a model file"),  # not UTF-8
+        ("[]", "JSON object"),
+        (model_without("W"), "lacks W"),
+        (model_without("n_train"), "lacks n_train"),
+        (model_with(category_names="AB"), "category_names"),
+        (model_with(W=[[1, 0, 0, 0, 0]]), "W must be 2 x 5"),
+        (model_with(W=[[1, 0, 0, 0, 0], [0, 1, 0, 0]]), "W must be 2 x 5"),
+        (model_with(W=[[1, 0, 0, 0, 0], [0, "1", 0, 0, 0]]), "W must be 2 x 5"),
+        (model_with(W=[[1, 0, 0, 0, 0], [0, 10**400, 0, 0, 0]]), "W must be 2 x 5"),
+        (model_with(b=[0, 0, 0, 0]), "b 5 finite"),
+        (model_with(b=[0, 0, 0, 0, float("nan")]), "b 5 finite"),
+        (model_with(b=[0, 0, 0, 0, True]), "b 5 finite"),
+        (model_with(**{"lambda": "1"}), "lambda"),
+        (model_with(**{"lambda": -1}), "lambda"),
+        (model_with(n_train=2.0), "n_train"),
+    ],
+)
+def test_predict_rejects_malformed_model_exit_2(tmp_path, capsys, text, reason):
+    model = tmp_path / "model.json"
+    model.write_bytes(text.encode("utf-8", "surrogateescape"))
+    features = tmp_path / "features.csv"
+    features.write_text(TINY_FEATURES, encoding="utf-8")
+    code = run("predict", "--model", model, "--features", features, "--out", tmp_path / "s.csv")
+    assert code == EXIT_FORMAT
+    error = one_error_line(capsys, EXIT_FORMAT)
+    assert f"{model}:" in error and reason in error
+
+
 def test_correlate(staged, tmp_path):
     out_csv = tmp_path / "corr.csv"
     out_json = tmp_path / "corr.json"
