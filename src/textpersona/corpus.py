@@ -205,7 +205,7 @@ def compute_age(birth_date: dt.date, reference_date: dt.date) -> int:
 def with_credible_age(
     profile: UserProfile, reference_date: dt.date, age_range: tuple[int, int]
 ) -> UserProfile:
-    """The profile aged from birth_date; None if missing, future or outside age_range."""
+    """The profile with its age from birth_date: None if unknown, future or outside age_range."""
     age = None
     if profile.birth_date is not None and profile.birth_date <= reference_date:
         age = compute_age(profile.birth_date, reference_date)
