@@ -15,7 +15,8 @@ dot products of the factorization) is a math.fsum, which is correctly
 rounded, and the system is solved by a pure-Python Cholesky
 factorization with forward and back substitution. Each step is thus
 either correctly rounded or a single IEEE operation, so W and b are
-bit-identical on every machine, whatever BLAS numpy is built with.
+bit-identical on every machine. predict sums x W + b the same way, so
+the scores are machine-independent too.
 
 A pivot of the factorization that is not positive, or is negligible
 next to its diagonal entry, means the centered design is (numerically)
@@ -29,12 +30,11 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 from math import fsum, sqrt
 from operator import mul
 from typing import Sequence
-
-import numpy as np
 
 from .config import RunConfig
 from .errors import InputFormatError, ModelError
@@ -67,11 +67,11 @@ class BigFive:
         return self.as_tuple()[TRAITS.index(trait)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class MappingModel:
     category_names: tuple[str, ...]
-    W: np.ndarray  # K x 5, rows follow category_names
-    b: np.ndarray  # 5-vector intercept
+    W: tuple[tuple[float, ...], ...]  # K x 5, rows follow category_names
+    b: tuple[float, ...]  # 5-vector intercept
     ridge_lambda: float
     n_train: int
 
@@ -124,8 +124,8 @@ def fit(
     b = [ym - fsum(map(mul, x_mean, w)) for ym, w in zip(y_mean, W_cols)]
     return MappingModel(
         category_names=tuple(category_names),
-        W=np.array(W_cols, dtype=np.float64).T,
-        b=np.array(b, dtype=np.float64),
+        W=tuple(zip(*W_cols)),
+        b=tuple(b),
         ridge_lambda=float(ridge_lambda),
         n_train=len(rows),
     )
@@ -199,14 +199,16 @@ def predict(
     scores: list[tuple[str, BigFive]] = []
     skipped: list[str] = []
     names = model.category_names
+    # one weight column per trait, also for a model with no categories
+    w_cols = [[row[t] for row in model.W] for t in range(len(TRAITS))]
     for fv in features:
         _check_names(names, tuple(fv.freqs.keys()))
         if fv.degenerate:
             skipped.append(fv.user_id)
             continue
-        x = np.array([fv.freqs[name] for name in names], dtype=np.float64)
-        y = x @ model.W + model.b
-        scores.append((fv.user_id, BigFive(*(round(float(v), 6) for v in y))))
+        x = [fv.freqs[name] for name in names]
+        y = (round(fsum([*map(mul, x, w_col), b_t]), 6) for w_col, b_t in zip(w_cols, model.b))
+        scores.append((fv.user_id, BigFive(*y)))
     return scores, skipped
 
 
@@ -227,12 +229,11 @@ def summarize_scores(scores: Sequence[BigFive]) -> dict[str, tuple[float, float]
     """Per-trait (mean, population standard deviation)."""
     if not scores:
         raise ModelError("cannot summarize an empty score list")
+    n = len(scores)
     out: dict[str, tuple[float, float]] = {}
-    values = np.array([s.as_tuple() for s in scores], dtype=np.float64)
-    means = values.mean(axis=0)
-    sds = values.std(axis=0, ddof=0)
-    for i, trait in enumerate(TRAITS):
-        out[trait] = (float(means[i]), float(sds[i]))
+    for trait, values in zip(TRAITS, zip(*(s.as_tuple() for s in scores))):
+        mean = fsum(values) / n
+        out[trait] = (mean, sqrt(fsum((v - mean) ** 2 for v in values) / n))
     return out
 
 
@@ -241,8 +242,7 @@ def holdout_split(user_ids: Sequence[str], test_fraction: float, seed: int) -> t
     if not 0.0 < test_fraction < 1.0:
         raise ModelError("test_fraction must be in (0, 1)")
     ids = sorted(user_ids)
-    rng = np.random.default_rng(seed)
-    rng.shuffle(ids)
+    random.Random(seed).shuffle(ids)
     n_test = max(1, int(len(ids) * test_fraction))
     return ids[n_test:], ids[:n_test]
 
@@ -298,8 +298,8 @@ def load_model(path) -> MappingModel:
         raise bad("n_train must be a non-negative integer")
     return MappingModel(
         category_names=tuple(names),
-        W=np.array(W, dtype=np.float64),
-        b=np.array(b, dtype=np.float64),
+        W=tuple(tuple(float(v) for v in row) for row in W),
+        b=tuple(float(v) for v in b),
         ridge_lambda=float(doc["lambda"]),
         n_train=doc["n_train"],
     )

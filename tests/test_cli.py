@@ -1,10 +1,14 @@
 """CLI subcommands as file transformations, with exit-code contracts."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import textpersona
 from textpersona.cli import EXIT_FORMAT, EXIT_PIPELINE, EXIT_USAGE, main
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.model import TRAITS
@@ -58,6 +62,37 @@ def test_fit_then_predict_round_trip(staged, tmp_path):
         == 0
     )
     assert model_path.read_bytes() == (FIXTURE / "model.json").read_bytes()
+
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+from textpersona.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def run_without_numpy(*argv) -> subprocess.CompletedProcess:
+    src = str(Path(textpersona.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, *map(str, argv)], env=env, capture_output=True, text=True
+    )
+
+
+def test_pipeline_runs_without_numpy(tmp_path):
+    """Only synth uses numpy: report and fit give the golden bytes without it."""
+    done = run_without_numpy("report", "--config", FIXTURE / "run_config.json", "--out-dir", tmp_path / "bundle")
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "bundle" / "scores.csv").read_bytes() == (TESTDATA / "scores_golden.csv").read_bytes()
+    done = run_without_numpy(
+        "fit",
+        "--features", TESTDATA / "features_golden.csv",
+        "--labels", FIXTURE / "labels.csv",
+        "--out", tmp_path / "model.json",
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "model.json").read_bytes() == (FIXTURE / "model.json").read_bytes()
 
 
 @pytest.mark.parametrize(
