@@ -153,8 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_cleaned(path) -> list[tuple[str, cleaner_mod.CleanResult]]:
-    rows = []
+def _read_jsonl(path, str_keys: tuple[str, ...], list_key: str):
+    """Yield each record of a CLI interchange file.
+
+    A line that is not a JSON object with strings under str_keys and a
+    list of strings under list_key raises InputFormatError naming path:line.
+    """
+    shape = f"a JSON object with strings {', '.join(str_keys)} and a list of strings {list_key}"
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -162,19 +167,28 @@ def _read_cleaned(path) -> list[tuple[str, cleaner_mod.CleanResult]]:
                 continue
             try:
                 rec = json.loads(line)
-                rows.append(
-                    (
-                        rec["user_id"],
-                        cleaner_mod.CleanResult(
-                            clean_text=rec["clean_text"],
-                            emoticons=tuple(rec["emoticons"]),
-                            dropped=False,
-                        ),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
-                raise InputFormatError(f"{path} line {line_no}: {err}") from err
-    return rows
+            except json.JSONDecodeError as err:
+                raise InputFormatError(f"{path}:{line_no}: {err}") from None
+            if not (
+                isinstance(rec, dict)
+                and all(isinstance(rec.get(key), str) for key in str_keys)
+                and isinstance(rec.get(list_key), list)
+                and all(isinstance(item, str) for item in rec[list_key])
+            ):
+                raise InputFormatError(f"{path}:{line_no}: a record must be {shape}")
+            yield rec
+
+
+def _read_cleaned(path) -> list[tuple[str, cleaner_mod.CleanResult]]:
+    return [
+        (
+            rec["user_id"],
+            cleaner_mod.CleanResult(
+                clean_text=rec["clean_text"], emoticons=tuple(rec["emoticons"]), dropped=False
+            ),
+        )
+        for rec in _read_jsonl(path, ("user_id", "clean_text"), "emoticons")
+    ]
 
 
 def cmd_clean(args) -> int:
@@ -222,16 +236,8 @@ def cmd_segment(args) -> int:
 
 def _read_tokens(path) -> dict[str, list[list[str]]]:
     by_user: dict[str, list[list[str]]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                by_user.setdefault(rec["user_id"], []).append(list(rec["tokens"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
-                raise InputFormatError(f"{path} line {line_no}: {err}") from err
+    for rec in _read_jsonl(path, ("user_id",), "tokens"):
+        by_user.setdefault(rec["user_id"], []).append(rec["tokens"])
     return by_user
 
 

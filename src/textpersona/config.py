@@ -70,21 +70,51 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "RunConfig":
+        """Config from a JSON object; an unknown key or a mistyped value raises InputFormatError."""
+        if not isinstance(doc, dict):
+            raise InputFormatError("a run config is one JSON object")
         known = {f.name for f in fields(cls)}
         cfg = cls()
         for key, value in doc.items():
             if key not in known:
                 raise InputFormatError(f"unknown config key {key!r}")
-            if key == "reference_date" and value is not None:
-                value = dt.date.fromisoformat(value)
-            elif key in ("age_range", "ad_url_patterns") and value is not None:
-                value = tuple(value)
-            elif key in cls._PATH_KEYS and value is not None and base_dir is not None:
+            try:
+                value = cls._parse_value(key, value)
+            except ValueError as err:
+                raise InputFormatError(f"config key {key!r}: {err}") from None
+            if key in cls._PATH_KEYS and value is not None and base_dir is not None:
                 # relative paths in a config file resolve against the file
                 p = Path(value)
                 value = str(p if p.is_absolute() else base_dir / p)
             setattr(cfg, key, value)
         return cfg
+
+    @classmethod
+    def _parse_value(cls, key: str, value):
+        """value as the field holds it, or ValueError saying what JSON value it must be."""
+
+        def require(ok: bool, what: str) -> None:
+            if not ok:
+                raise ValueError(f"must be {what}, got {json.dumps(value, ensure_ascii=False)}")
+
+        if key in cls._PATH_KEYS:
+            require(value is None or isinstance(value, str), "a path string or null")
+        elif key == "reference_date":
+            require(value is None or isinstance(value, str), "an ISO date string or null")
+            return None if value is None else dt.date.fromisoformat(value)
+        elif key == "age_range":
+            require(isinstance(value, list) and len(value) == 2 and all(type(v) is int for v in value),
+                    "a list of two integers")
+            return tuple(value)
+        elif key == "ad_url_patterns":
+            require(isinstance(value, list) and all(isinstance(v, str) for v in value),
+                    "a list of strings")
+            return tuple(value)
+        elif isinstance(getattr(cls, key), int):  # min_followers, emoticon_min_count, top_k_tags
+            require(type(value) is int, "an integer")
+        else:
+            require(type(value) in (int, float), "a number")
+        return value
 
     def to_jsonable(self) -> dict:
         doc = {}

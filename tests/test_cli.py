@@ -211,6 +211,77 @@ def test_predict_rejects_malformed_model_exit_2(tmp_path, capsys, text, reason):
     assert f"{model}:" in error and reason in error
 
 
+
+
+GOOD_CLEANED = {"user_id": "u0", "clean_text": "x", "emoticons": []}
+GOOD_TOKENS = {"user_id": "u0", "tokens": ["x"]}
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("segment", "{not json"),
+        ("segment", "[]"),
+        ("segment", json.dumps({**GOOD_CLEANED, "clean_text": 5})),
+        ("segment", json.dumps({**GOOD_CLEANED, "user_id": None})),
+        ("segment", json.dumps({"user_id": "u1", "clean_text": "x"})),
+        ("emoticons", json.dumps({**GOOD_CLEANED, "emoticons": "[心]"})),
+        ("emoticons", json.dumps({**GOOD_CLEANED, "emoticons": [1]})),
+        ("featurize", json.dumps({**GOOD_TOKENS, "tokens": [1, 2]})),
+        ("featurize", json.dumps({**GOOD_TOKENS, "tokens": "ab"})),
+        ("featurize", json.dumps({"tokens": ["x"]})),
+    ],
+)
+def test_interchange_readers_reject_mistyped_records_exit_2(tmp_path, capsys, command, line):
+    good = GOOD_TOKENS if command == "featurize" else GOOD_CLEANED
+    records = tmp_path / "records.jsonl"
+    records.write_text(json.dumps(good) + "\n" + line + "\n", encoding="utf-8")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("user_id,O,C,E,A,N\nu0,50,50,50,50,50\n", encoding="utf-8")
+    argv = {
+        "segment": ["--cleaned", records, "--words", WORDLIST, "--out", tmp_path / "t.jsonl"],
+        "emoticons": ["--cleaned", records, "--scores", scores, "--trait", "O",
+                      "--out-csv", tmp_path / "e.csv"],
+        "featurize": ["--lexicon", LEXICON, "--tokens", records, "--out", tmp_path / "f.csv"],
+    }[command]
+    assert run(command, *argv) == EXIT_FORMAT
+    assert f"{records}:2:" in one_error_line(capsys, EXIT_FORMAT)
+
+
+def fixture_config(**changes) -> str:
+    """The fixture run config, paths made absolute, with changes applied."""
+    doc = json.loads((FIXTURE / "run_config.json").read_text(encoding="utf-8"))
+    doc = {key: str(FIXTURE / value) if key.endswith("_path") else value for key, value in doc.items()}
+    return json.dumps({**doc, **changes})
+
+
+@pytest.mark.parametrize(
+    "changes, reason",
+    [
+        (None, "one JSON object"),  # the document is [], not an object
+        ({"age_range": 5}, "'age_range': must be a list of two integers"),
+        ({"age_range": [10]}, "'age_range'"),
+        ({"age_range": ["10", "47"]}, "'age_range'"),
+        ({"reference_date": 5}, "'reference_date': must be an ISO date"),
+        ({"reference_date": "June 2018"}, "'reference_date'"),
+        ({"alpha": "x"}, "'alpha': must be a number"),
+        ({"quantile": True}, "'quantile'"),
+        ({"min_followers": "10"}, "'min_followers': must be an integer"),
+        ({"top_k_tags": 20.0}, "'top_k_tags'"),
+        ({"ad_url_patterns": "taobao"}, "'ad_url_patterns': must be a list of strings"),
+        ({"ad_url_patterns": [1]}, "'ad_url_patterns'"),
+        ({"model_path": 5}, "'model_path': must be a path"),
+    ],
+    ids=str,
+)
+def test_report_rejects_mistyped_config_exit_2(tmp_path, capsys, changes, reason):
+    config = tmp_path / "config.json"
+    config.write_text("[]" if changes is None else fixture_config(**changes), encoding="utf-8")
+    code = run("report", "--config", config, "--out-dir", tmp_path / "bundle")
+    assert code == EXIT_FORMAT
+    assert reason in one_error_line(capsys, EXIT_FORMAT)
+
+
 def test_correlate(staged, tmp_path):
     out_csv = tmp_path / "corr.csv"
     out_json = tmp_path / "corr.json"
