@@ -30,8 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import LexiconParseError
+from ._csvio import read_csv
 from ._pool import parallel_map
+from .errors import LexiconParseError
 
 # reserved trie key holding the categories of patterns that end at a node;
 # real edges are single characters, so the empty string can never collide
@@ -297,20 +298,16 @@ def read_features_csv(path) -> tuple[list[FeatureVector], list[str]]:
     zero-token row, or a cell farther from the lattice than 6-decimal
     rounding allows.
     """
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[:2] != ["user_id", "token_count"]:
-            raise LexiconParseError(f"{path}: not a feature CSV (header {header[:2]})")
-        names = header[2:]
-        features = []
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                features.append(_parse_feature_row(line.split(","), names))
-            except ValueError as err:
-                raise LexiconParseError(f"{path}:{line_no}: {err}") from None
+    header, rows = read_csv(path)
+    if header[:2] != ["user_id", "token_count"]:
+        raise LexiconParseError(f"{path}: not a feature CSV (header {header[:2]})")
+    names = header[2:]
+    features = []
+    for line_no, parts in rows:
+        try:
+            features.append(_parse_feature_row(parts, names))
+        except ValueError as err:
+            raise LexiconParseError(f"{path}:{line_no}: {err}") from None
     return features, names
 
 

@@ -36,6 +36,7 @@ from math import fsum, sqrt
 from operator import mul
 from typing import Sequence
 
+from ._csvio import read_csv, write_csv
 from .config import RunConfig
 from .errors import InputFormatError, ModelError
 from .lexicon import FeatureVector
@@ -326,28 +327,21 @@ def _finite_rows(rows, n_rows: int, n_cols: int) -> bool:
 
 def write_scores_csv(scores: Sequence[tuple[str, BigFive]], path) -> None:
     """CSV 'user_id,O,C,E,A,N' with 6-decimal scores."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("user_id," + ",".join(TRAITS) + "\n")
-        for user_id, score in scores:
-            fh.write(user_id + "," + ",".join(f"{v:.6f}" for v in score.as_tuple()) + "\n")
+    rows = ((user_id, *(f"{v:.6f}" for v in score.as_tuple())) for user_id, score in scores)
+    write_csv(path, ("user_id", *TRAITS), rows)
 
 
 def read_scores_csv(path) -> list[tuple[str, BigFive]]:
     """Read a score (or labels) CSV; a malformed row raises InputFormatError naming path:line."""
+    header, rows = read_csv(path)
+    if header != ["user_id", *TRAITS]:
+        raise InputFormatError(f"{path}: not a score CSV (header {','.join(header)!r})")
     scores = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "user_id," + ",".join(TRAITS):
-            raise InputFormatError(f"{path}: not a score CSV (header {header!r})")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) != 1 + len(TRAITS):
-                    raise ValueError(f"{len(parts)} cells, header has {1 + len(TRAITS)}")
-                scores.append((parts[0], BigFive(*(float(v) for v in parts[1:]))))
-            except ValueError as err:  # a cell count, a non-numeric or a non-finite score
-                raise InputFormatError(f"{path}:{line_no}: {err}") from None
+    for line_no, parts in rows:
+        try:
+            if len(parts) != 1 + len(TRAITS):
+                raise ValueError(f"{len(parts)} cells, header has {1 + len(TRAITS)}")
+            scores.append((parts[0], BigFive(*(float(v) for v in parts[1:]))))
+        except ValueError as err:  # a cell count, a non-numeric or a non-finite score
+            raise InputFormatError(f"{path}:{line_no}: {err}") from None
     return scores

@@ -20,6 +20,7 @@ from . import lexicon as lexicon_mod
 from . import model as model_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
+from ._csvio import write_csv
 from .config import RunConfig
 from .errors import BundleError, PipelineError
 from .model import TRAITS, BigFive
@@ -59,10 +60,7 @@ class Table:
     rows: tuple[tuple, ...]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(fmt(v) for v in row) + "\n")
+        write_csv(path, self.columns, ([fmt(v) for v in row] for row in self.rows))
 
     def write_json(self, path) -> None:
         doc = {

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textpersona.errors import ModelError
 from textpersona.lexicon import FeatureVector
@@ -13,8 +15,10 @@ from textpersona.model import (
     holdout_split,
     load_model,
     predict,
+    read_scores_csv,
     save_model,
     summarize_scores,
+    write_scores_csv,
 )
 
 CATS = [f"cat{i}" for i in range(30)]
@@ -263,6 +267,22 @@ def test_model_json_round_trip_bit_exact(tmp_path):
     path2 = tmp_path / "model2.json"
     save_model(back, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+
+@given(
+    st.lists(
+        st.tuples(st.text(), st.lists(st.integers(-10**12, 10**12), min_size=5, max_size=5)),
+        max_size=5,
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_scores_csv_round_trips_any_user_id(tmp_path_factory, rows):
+    """Ids with commas, quotes or line breaks come back whole; 6-decimal scores exactly."""
+    scores = [(uid, BigFive(*(k / 10**6 for k in micros))) for uid, micros in rows]
+    path = tmp_path_factory.getbasetemp() / "round_trip_scores.csv"
+    write_scores_csv(scores, path)
+    assert read_scores_csv(path) == scores
 
 
 def test_fit_deterministic_under_input_order():

@@ -1,10 +1,13 @@
 """Artifact tables and bundle determinism."""
 
+import csv
 import datetime as dt
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.corpus import UserProfile, load_corpus, validate_users
@@ -42,6 +45,21 @@ def test_table_csv_and_json(tmp_path):
     assert doc["columns"] == ["a", "b"]
     assert doc["rows"] == [[1, 2.5], [None, False]]
     assert doc["schema_version"] == 1
+
+
+
+@given(
+    st.tuples(st.text(), st.text()),
+    st.lists(st.tuples(st.text(), st.text() | st.none() | st.floats(allow_nan=False)), max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_table_csv_round_trips_any_unicode(tmp_path_factory, columns, rows):
+    """Commas, quotes and line breaks in ids or tags come back as the same cells."""
+    path = tmp_path_factory.getbasetemp() / "round_trip_table.csv"
+    Table("t", columns, tuple(rows)).write_csv(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        back = list(csv.reader(fh))
+    assert back == [list(columns), *([fmt(v) for v in row] for row in rows)]
 
 
 def test_demographic_summary_two_users():
