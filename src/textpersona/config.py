@@ -64,7 +64,7 @@ class RunConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as err:
+            except ValueError as err:  # invalid JSON or UTF-8
                 raise InputFormatError(f"{path}: invalid config JSON: {err}") from err
         return cls.from_dict(doc, base_dir=Path(path).parent)
 

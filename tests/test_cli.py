@@ -256,9 +256,10 @@ def fixture_config(**changes) -> str:
 
 
 @pytest.mark.parametrize(
-    "changes, reason",
+    "doc, reason",
     [
-        (None, "one JSON object"),  # the document is [], not an object
+        ("[]", "one JSON object"),
+        ('{"alpha": 0.1\udcff}', "invalid config"),  # not UTF-8
         ({"age_range": 5}, "'age_range': must be a list of two integers"),
         ({"age_range": [10]}, "'age_range'"),
         ({"age_range": ["10", "47"]}, "'age_range'"),
@@ -274,9 +275,11 @@ def fixture_config(**changes) -> str:
     ],
     ids=str,
 )
-def test_report_rejects_mistyped_config_exit_2(tmp_path, capsys, changes, reason):
+def test_report_rejects_mistyped_config_exit_2(tmp_path, capsys, doc, reason):
+    """doc is the config file's text, or the changes to make to the fixture config."""
+    text = doc if isinstance(doc, str) else fixture_config(**doc)
     config = tmp_path / "config.json"
-    config.write_text("[]" if changes is None else fixture_config(**changes), encoding="utf-8")
+    config.write_bytes(text.encode("utf-8", "surrogateescape"))
     code = run("report", "--config", config, "--out-dir", tmp_path / "bundle")
     assert code == EXIT_FORMAT
     assert reason in one_error_line(capsys, EXIT_FORMAT)
