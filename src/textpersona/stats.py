@@ -7,8 +7,8 @@ aggregation, and emoticon proportion contrasts (two-proportion z-test).
 
 Everything is a pure function over immutable inputs with deterministic
 ordering: ties break on ascending user_id, output rows carry a fixed
-sort, and sums use math.fsum so results do not depend on numpy
-reduction order.
+sort, and sums use math.fsum, which is correctly rounded, so results
+do not depend on summation order.
 """
 
 from __future__ import annotations
