@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 from ._csvio import read_csv
@@ -233,33 +234,16 @@ def featurize(
     sorted by user_id.
     """
     items = sorted(tokens_by_user.items())
-    return parallel_map(
-        _featurize_one,
-        items,
-        threads=threads,
-        chunksize=32,
-        initializer=_init_featurize_worker,
-        initargs=(matcher,),
-    )
+    # the lookup memo is this call's own dict; each worker gets its own copy
+    return parallel_map(partial(_featurize_one, matcher, {}), items, threads=threads, chunksize=32)
 
 
-_worker_matcher: CompiledMatcher | None = None
-
-
-def _init_featurize_worker(matcher: CompiledMatcher) -> None:
-    global _worker_matcher, _lookup_cache
-    _worker_matcher = matcher
-    _lookup_cache = {}
-
-
-_lookup_cache: dict[str, frozenset[int]] = {}
-
-
-def _featurize_one(item: tuple[str, Sequence[Sequence[str]]]) -> FeatureVector:
+def _featurize_one(
+    matcher: CompiledMatcher,
+    cache: dict[str, frozenset[int]],
+    item: tuple[str, Sequence[Sequence[str]]],
+) -> FeatureVector:
     user_id, token_lists = item
-    matcher = _worker_matcher
-    assert matcher is not None
-    cache = _lookup_cache
     counts: dict[int, int] = {}
     total = 0
     for tokens in token_lists:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from ._pool import parallel_map
@@ -108,24 +109,5 @@ def segment_corpus(
 ) -> list[tuple[str, list[str]]]:
     """Segment (user_id, clean_text) pairs, preserving order."""
     texts = [text for _, text in cleaned]
-    token_lists = parallel_map(
-        _segment_one,
-        texts,
-        threads=threads,
-        initializer=_init_segment_worker,
-        initargs=(word_list,),
-    )
+    token_lists = parallel_map(partial(segment, word_list=word_list), texts, threads=threads)
     return [(user_id, tokens) for (user_id, _), tokens in zip(cleaned, token_lists)]
-
-
-_worker_word_list: WordList | None = None
-
-
-def _init_segment_worker(word_list: WordList) -> None:
-    global _worker_word_list
-    _worker_word_list = word_list
-
-
-def _segment_one(text: str) -> list[str]:
-    assert _worker_word_list is not None
-    return segment(text, _worker_word_list)
