@@ -166,8 +166,8 @@ def _read_jsonl(path, str_keys: tuple[str, ...], list_key: str):
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as err:
+                rec = corpus_mod.parse_json_line(line)
+            except ValueError as err:
                 raise InputFormatError(f"{path}:{line_no}: {err}") from None
             if not (
                 isinstance(rec, dict)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import datetime as dt
 import enum
 import json
+import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -20,6 +21,9 @@ GENDERS = ("male", "female", "unknown")
 _GENDER_CODES = {"m": "male", "f": "female"}
 
 MAX_TAGS = 10
+
+# only a \ud800-\udfff escape can put a surrogate into a decoded JSON string
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 @dataclass(frozen=True)
@@ -142,6 +146,21 @@ def _parse_post(record: dict) -> Post:
     )
 
 
+def parse_json_line(line: str):
+    """One JSONL record; a string holding a lone surrogate raises ValueError.
+
+    An escaped surrogate pair decodes to one character and is fine. A lone
+    one cannot be encoded as UTF-8, so no artifact could carry it.
+    """
+    record = json.loads(line)
+    if _SURROGATE_ESCAPE.search(line):
+        try:
+            json.dumps(record, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("a string holds a lone surrogate, which UTF-8 cannot encode") from None
+    return record
+
+
 def _load_jsonl(path, parse):
     records = []
     malformed = 0
@@ -153,8 +172,8 @@ def _load_jsonl(path, parse):
                 continue
             total += 1
             try:
-                records.append(parse(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError):
+                records.append(parse(parse_json_line(line)))
+            except (KeyError, ValueError, TypeError):
                 malformed += 1
     if total and malformed * 2 > total:
         raise CorpusFormatError(

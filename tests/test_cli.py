@@ -248,6 +248,61 @@ def test_interchange_readers_reject_mistyped_records_exit_2(tmp_path, capsys, co
     assert f"{records}:2:" in one_error_line(capsys, EXIT_FORMAT)
 
 
+@pytest.mark.parametrize(
+    "command, record",
+    [
+        ("segment", {**GOOD_CLEANED, "clean_text": "好\udcff"}),
+        ("segment", {**GOOD_CLEANED, "user_id": "\udcff"}),
+        ("emoticons", {**GOOD_CLEANED, "emoticons": ["\ud83d"]}),
+        ("featurize", {**GOOD_TOKENS, "tokens": ["\ude00"]}),
+    ],
+    ids=["clean_text", "user_id", "emoticon", "token"],
+)
+def test_interchange_readers_reject_lone_surrogates_exit_2(tmp_path, capsys, command, record):
+    line = json.dumps(record)  # the surrogate is written as a \u escape
+    test_interchange_readers_reject_mistyped_records_exit_2(tmp_path, capsys, command, line)
+
+
+def test_interchange_reader_accepts_escaped_surrogate_pair(tmp_path):
+    cleaned = tmp_path / "cleaned.jsonl"
+    # U+20000, a CJK ideograph outside the BMP, is escaped as a surrogate pair
+    cleaned.write_text(json.dumps({**GOOD_CLEANED, "clean_text": "好\U00020000"}) + "\n", encoding="utf-8")
+    assert "\\ud840\\udc00" in cleaned.read_text(encoding="utf-8")
+    tokens = tmp_path / "tokens.jsonl"
+    assert run("segment", "--cleaned", cleaned, "--words", WORDLIST, "--out", tokens) == 0
+    assert json.loads(tokens.read_text(encoding="utf-8"))["tokens"] == ["好", "\U00020000"]
+
+
+def with_lone_surrogates(tmp_path) -> tuple[Path, Path]:
+    """The fixture's profiles and posts with lone surrogates in four records' strings."""
+    profiles = [json.loads(line) for line in (FIXTURE / "profiles.jsonl").read_text(encoding="utf-8").splitlines()]
+    posts = [json.loads(line) for line in (FIXTURE / "posts.jsonl").read_text(encoding="utf-8").splitlines()]
+    profiles[0]["user_id"] = "\udcff"
+    profiles[1]["tags"][0] = "\ud800"
+    posts[0]["user_id"] = "\udcff"
+    posts[-1]["text"] += "\ude00"
+    paths = tmp_path / "profiles.jsonl", tmp_path / "posts.jsonl"
+    for path, records in zip(paths, (profiles, posts)):
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("command", ["clean", "contrast", "report"])
+def test_lone_surrogate_in_corpus_is_a_skipped_line(staged, tmp_path, capsys, command):
+    profiles, posts = with_lone_surrogates(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(fixture_config(profiles_path=str(profiles), posts_path=str(posts)), encoding="utf-8")
+    argv = {
+        "clean": ["--posts", posts, "--out", tmp_path / "cleaned.jsonl"],
+        "contrast": ["--scores", staged / "scores.csv", "--profiles", profiles, "--trait", "N",
+                     "--out-csv", tmp_path / "tags.csv"],
+        "report": ["--config", config, "--out-dir", tmp_path / "bundle"],
+    }[command]
+    assert run(command, *argv) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "exit_code" not in err
+
+
 def fixture_config(**changes) -> str:
     """The fixture run config, paths made absolute, with changes applied."""
     doc = json.loads((FIXTURE / "run_config.json").read_text(encoding="utf-8"))

@@ -96,6 +96,42 @@ def test_too_many_tags_is_malformed(tmp_path):
     assert summary.malformed_lines == 1
 
 
+LONE = "\udcff"
+
+
+@pytest.mark.parametrize(
+    "profile, post",
+    [
+        (profile_rec(LONE), post_rec("u0")),
+        (profile_rec("u1", tags=["读书", LONE]), post_rec("u0")),
+        (profile_rec("u1", location="\ud800"), post_rec("u0")),
+        (profile_rec("u1", **{LONE: 1}), post_rec("u0")),  # in a key
+        (profile_rec("u1"), post_rec(LONE)),
+        (profile_rec("u1"), post_rec("u0", text="好" + "\ud83d")),  # high half only
+        (profile_rec("u1"), post_rec("u0", text="\ude00\ud83d")),  # halves reversed
+    ],
+    ids=["user_id", "tag", "location", "key", "post user_id", "high half", "reversed pair"],
+)
+def test_lone_surrogate_record_is_malformed(tmp_path, profile, post):
+    ppath, spath = tmp_path / "p.jsonl", tmp_path / "s.jsonl"
+    # json.dumps writes each surrogate as a \u escape, as a producer's file would
+    write_jsonl(ppath, [json.dumps(profile_rec("u0")), json.dumps(profile)])
+    write_jsonl(spath, [json.dumps(post_rec("u0")), json.dumps(post)])
+    profiles, posts, summary = load_corpus(ppath, spath)
+    assert summary.malformed_lines == 1
+    assert len(profiles) + len(posts) == 3
+
+
+@pytest.mark.parametrize("escaped", ['"\\ud83d\\ude00"', '"\\uD83D\\uDE00"'])
+def test_escaped_surrogate_pair_loads(tmp_path, escaped):
+    ppath, spath = tmp_path / "p.jsonl", tmp_path / "s.jsonl"
+    write_jsonl(ppath, [profile_rec("u0")])
+    write_jsonl(spath, ['{"user_id": "u0", "text": ' + escaped + "}"])
+    _, posts, summary = load_corpus(ppath, spath)
+    assert summary.malformed_lines == 0
+    assert posts[0].text == "😀"
+
+
 def test_gender_codes(tmp_path):
     ppath, spath = tmp_path / "p.jsonl", tmp_path / "s.jsonl"
     write_jsonl(
