@@ -93,7 +93,6 @@ def clean(
     spam_keywords: Sequence[str],
     *,
     system_templates: Sequence[str] = DEFAULT_SYSTEM_TEMPLATES,
-    marker_words: Sequence[str] = DEFAULT_MARKER_WORDS,
 ) -> CleanResult:
     """Apply the cleaning rules to one raw post."""
     lowered = text.lower()
@@ -105,7 +104,7 @@ def clean(
             return _DROPPED
 
     s = text
-    for marker in marker_words:
+    for marker in DEFAULT_MARKER_WORDS:
         s = s.replace(marker, " ")
     s = _GEO_RE.sub(" ", s)
     s = _URL_RE.sub(" ", s)
@@ -125,7 +124,6 @@ def clean_corpus(
     spam_keywords: Sequence[str],
     *,
     system_templates: Sequence[str] = DEFAULT_SYSTEM_TEMPLATES,
-    marker_words: Sequence[str] = DEFAULT_MARKER_WORDS,
     threads: int = 1,
 ) -> tuple[list[tuple[str, CleanResult]], int]:
     """Clean every post, preserving order; dropped posts are counted out.
@@ -139,7 +137,6 @@ def clean_corpus(
         clean,
         spam_keywords=tuple(spam_keywords),
         system_templates=tuple(system_templates),
-        marker_words=tuple(marker_words),
     )
     results = parallel_map(fn, [p.text for p in posts], threads=threads)
     kept: list[tuple[str, CleanResult]] = []

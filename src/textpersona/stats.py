@@ -269,17 +269,13 @@ DEFAULT_INTRO_BINS = ((1, 10), (11, 20), (21, 30), (31, 40), (41, 50), (51, 60),
 BINNINGS = ("age_year", "school_count", "introduction_length")
 
 
-def binned_trend(
-    users: Sequence[ScoredUser],
-    binning: str,
-    bin_spec: Sequence[tuple[int, int]] | None = None,
-) -> TrendResult:
+def binned_trend(users: Sequence[ScoredUser], binning: str) -> TrendResult:
     """Mean scores per bin, ascending bin order, empty bins omitted.
 
     age_year bins on each integer age, school_count on the number of
-    schools shared, introduction_length on configurable inclusive
-    character ranges (users without an introduction are excluded and
-    counted).
+    schools shared, introduction_length on the inclusive character
+    ranges of DEFAULT_INTRO_BINS (users without an introduction, or with
+    one longer than the last range, are excluded and counted).
     """
     if binning not in BINNINGS:
         raise StatsError(f"unknown binning {binning!r}; supported: {', '.join(BINNINGS)}")
@@ -287,16 +283,12 @@ def binned_trend(
     excluded = 0
 
     if binning == "introduction_length":
-        bins = tuple(bin_spec) if bin_spec is not None else DEFAULT_INTRO_BINS
-        for lo, hi in bins:
-            if lo > hi:
-                raise StatsError(f"bad introduction_length bin ({lo}, {hi})")
         for profile, score in users:
             if not profile.introduction:
                 excluded += 1
                 continue
             length = len(profile.introduction)
-            for lo, hi in bins:
+            for lo, hi in DEFAULT_INTRO_BINS:
                 if lo <= length <= hi:
                     buckets.setdefault((lo, f"{lo}-{hi}"), []).append(score)
                     break
