@@ -19,6 +19,7 @@ from functools import partial
 from typing import Iterable, Sequence
 
 from ._pool import parallel_map
+from .config import load_keyword_file
 
 _ASCII_ALNUM = frozenset(
     "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -58,14 +59,7 @@ class WordList:
 
 def load_word_list(path) -> WordList:
     """One word per line, UTF-8; '#' at line start comments the line out."""
-    words = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            words.append(line)
-    return WordList.from_words(words)
+    return WordList.from_words(load_keyword_file(path))
 
 
 def segment(text: str, word_list: WordList) -> list[str]:
