@@ -173,7 +173,7 @@ def _load_jsonl(path, parse):
             total += 1
             try:
                 records.append(parse(parse_json_line(line)))
-            except (KeyError, ValueError, TypeError):
+            except (KeyError, ValueError, TypeError, OverflowError):
                 malformed += 1
     if total and malformed * 2 > total:
         raise CorpusFormatError(

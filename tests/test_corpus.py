@@ -96,6 +96,15 @@ def test_too_many_tags_is_malformed(tmp_path):
     assert summary.malformed_lines == 1
 
 
+def test_infinite_follower_count_is_malformed(tmp_path):
+    ppath, spath = tmp_path / "p.jsonl", tmp_path / "s.jsonl"
+    write_jsonl(ppath, [profile_rec("u1", follower_count=float("inf")), profile_rec("u2")])
+    write_jsonl(spath, [post_rec("u2")])
+    profiles, _, summary = load_corpus(ppath, spath)
+    assert [p.user_id for p in profiles] == ["u2"]
+    assert summary.malformed_lines == 1
+
+
 LONE = "\udcff"
 
 
