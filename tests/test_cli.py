@@ -266,7 +266,8 @@ def test_interchange_readers_reject_lone_surrogates_exit_2(tmp_path, capsys, com
 def test_interchange_reader_accepts_escaped_surrogate_pair(tmp_path):
     cleaned = tmp_path / "cleaned.jsonl"
     # U+20000, a CJK ideograph outside the BMP, is escaped as a surrogate pair
-    cleaned.write_text(json.dumps({**GOOD_CLEANED, "clean_text": "好\U00020000"}) + "\n", encoding="utf-8")
+    record = {**GOOD_CLEANED, "clean_text": "好\U00020000"}
+    cleaned.write_text(json.dumps(record) + "\n", encoding="utf-8")
     assert "\\ud840\\udc00" in cleaned.read_text(encoding="utf-8")
     tokens = tmp_path / "tokens.jsonl"
     assert run("segment", "--cleaned", cleaned, "--words", WORDLIST, "--out", tokens) == 0
@@ -275,8 +276,10 @@ def test_interchange_reader_accepts_escaped_surrogate_pair(tmp_path):
 
 def with_lone_surrogates(tmp_path) -> tuple[Path, Path]:
     """The fixture's profiles and posts with lone surrogates in four records' strings."""
-    profiles = [json.loads(line) for line in (FIXTURE / "profiles.jsonl").read_text(encoding="utf-8").splitlines()]
-    posts = [json.loads(line) for line in (FIXTURE / "posts.jsonl").read_text(encoding="utf-8").splitlines()]
+    profiles, posts = (
+        [json.loads(line) for line in (FIXTURE / name).read_text(encoding="utf-8").splitlines()]
+        for name in ("profiles.jsonl", "posts.jsonl")
+    )
     profiles[0]["user_id"] = "\udcff"
     profiles[1]["tags"][0] = "\ud800"
     posts[0]["user_id"] = "\udcff"
@@ -291,7 +294,9 @@ def with_lone_surrogates(tmp_path) -> tuple[Path, Path]:
 def test_lone_surrogate_in_corpus_is_a_skipped_line(staged, tmp_path, capsys, command):
     profiles, posts = with_lone_surrogates(tmp_path)
     config = tmp_path / "config.json"
-    config.write_text(fixture_config(profiles_path=str(profiles), posts_path=str(posts)), encoding="utf-8")
+    config.write_text(
+        fixture_config(profiles_path=str(profiles), posts_path=str(posts)), encoding="utf-8"
+    )
     argv = {
         "clean": ["--posts", posts, "--out", tmp_path / "cleaned.jsonl"],
         "contrast": ["--scores", staged / "scores.csv", "--profiles", profiles, "--trait", "N",

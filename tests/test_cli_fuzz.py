@@ -36,7 +36,8 @@ COMMANDS = {
     "correlate": (["--features", "{features}", "--scores", "{scores}", "--out-csv", "{out}/c.csv",
                    "--out-json", "{out}/c.json"], ["features", "scores"]),
     "contrast": (["--scores", "{scores}", "--profiles", "{profiles}", "--trait", "N",
-                  "--out-csv", "{out}/t.csv", "--out-json", "{out}/t.json"], ["scores", "profiles"]),
+                  "--out-csv", "{out}/t.csv", "--out-json", "{out}/t.json"],
+                 ["scores", "profiles"]),
     "demographics": (["--profiles", "{profiles}", "--reference-date", "2018-06-01",
                       "--out-csv", "{out}/d.csv", "--out-json", "{out}/d.json"], ["profiles"]),
     "emoticons": (["--cleaned", "{cleaned}", "--scores", "{scores}", "--trait", "O",
@@ -151,7 +152,9 @@ def invalid_utf8(draw, data):
     return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xb3\xbf"])) + data[at:]
 
 
-MUTATIONS = [truncate, drop_line, swap_type, non_finite, reverse_header, add_cell, empty, invalid_utf8]
+MUTATIONS = [
+    truncate, drop_line, swap_type, non_finite, reverse_header, add_cell, empty, invalid_utf8
+]
 
 
 @st.composite

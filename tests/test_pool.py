@@ -13,7 +13,7 @@ N = 500
 def _run_pair(fn, args_a, args_b):
     """Call fn(*args_a) and fn(*args_b) from two threads started together."""
     results = [None, None]
-    barrier = threading.Barrier(2)
+    barrier = threading.Barrier(2, timeout=30)
 
     def run(slot, args):
         barrier.wait()
@@ -23,7 +23,8 @@ def _run_pair(fn, args_a, args_b):
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=60)
+        assert not t.is_alive()
     return results
 
 
