@@ -10,7 +10,6 @@ keep no module state, so calls from concurrent threads stay independent.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -37,5 +36,7 @@ def parallel_map(
 ) -> list[R]:
     if threads <= 1 or len(items) < 2 * chunksize:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads, initializer=_install, initargs=(fn,)) as pool:
         return list(pool.map(_call, items, chunksize=chunksize))

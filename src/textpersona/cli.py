@@ -71,21 +71,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="cleaned.jsonl output")
     p.add_argument("--spam-keywords", default=None, help="spam keyword file (one per line)")
     p.add_argument("--templates", default=None, help="system template file (one per line)")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_clean)
 
     p = add("segment", "tokenize cleaned text by forward maximum matching")
     p.add_argument("--cleaned", required=True, help="cleaned.jsonl input")
     p.add_argument("--words", required=True, help="word list file")
     p.add_argument("--out", required=True, help="tokens.jsonl output")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_segment)
 
     p = add("featurize", "compute per-user category frequency vectors")
     p.add_argument("--lexicon", required=True, help="category dictionary (.dic)")
     p.add_argument("--tokens", required=True, help="tokens.jsonl input")
     p.add_argument("--out", required=True, help="features.csv output")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_featurize)
 
     p = add("fit", "fit the frequency-to-score mapping matrix")
@@ -147,7 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("report", "run the whole pipeline and write an artifact bundle")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--out-dir", required=True, help="bundle output directory")
-    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_report)
 
     return parser
@@ -194,9 +190,7 @@ def _read_cleaned(path) -> list[tuple[str, cleaner_mod.CleanResult]]:
 def cmd_clean(args) -> int:
     posts, malformed = corpus_mod.load_posts(args.posts)
     spam, templates = cleaner_mod.load_rules(args.spam_keywords, args.templates)
-    cleaned, dropped = cleaner_mod.clean_corpus(
-        posts, spam, system_templates=templates, threads=args.threads
-    )
+    cleaned, dropped = cleaner_mod.clean_corpus(posts, spam, system_templates=templates)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for user_id, res in cleaned:
             fh.write(
@@ -221,9 +215,7 @@ def cmd_clean(args) -> int:
 def cmd_segment(args) -> int:
     cleaned = _read_cleaned(args.cleaned)
     word_list = segmenter_mod.load_word_list(args.words)
-    tokenized = segmenter_mod.segment_corpus(
-        [(uid, res.clean_text) for uid, res in cleaned], word_list, threads=args.threads
-    )
+    tokenized = segmenter_mod.segment_corpus([(uid, res.clean_text) for uid, res in cleaned], word_list)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for user_id, tokens in tokenized:
             fh.write(
@@ -245,7 +237,7 @@ def cmd_featurize(args) -> int:
     lexicon = lexicon_mod.parse_lexicon(args.lexicon)
     matcher = lexicon_mod.compile_lexicon(lexicon)
     tokens_by_user = _read_tokens(args.tokens)
-    features = lexicon_mod.featurize(tokens_by_user, matcher, threads=args.threads)
+    features = lexicon_mod.featurize(tokens_by_user, matcher)
     report_mod.features_table(features, lexicon.category_names).write_csv(args.out)
     log.info("featurize: %d users, %d categories", len(features), len(lexicon.category_names))
     return EXIT_OK
@@ -331,7 +323,7 @@ def cmd_emoticons(args) -> int:
 
 def cmd_report(args) -> int:
     config = RunConfig.from_file(args.config)
-    bundle = report_mod.build_bundle(config, args.out_dir, threads=args.threads)
+    bundle = report_mod.build_bundle(config, args.out_dir)
     log.info("report: %d artifacts in %s", len(bundle.artifacts), bundle.out_dir)
     return EXIT_OK
 

@@ -3,7 +3,7 @@
 Every artifact is a CSV plus an equivalent JSON document. Numeric cells
 are written with 6 decimal places, undefined values as an empty CSV
 cell / JSON null, and all row orders are fixed, so a bundle built twice
-from the same inputs is byte-identical (regardless of worker count).
+from the same inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class ReportBundle:
     manifest_path: Path
 
 
-def build_bundle(config: RunConfig, out_dir, *, threads: int = 1) -> ReportBundle:
+def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     """Run the full pipeline and write every artifact plus manifest.json.
 
     Stages: load -> validate -> clean -> segment -> featurize ->
@@ -293,18 +293,11 @@ def build_bundle(config: RunConfig, out_dir, *, threads: int = 1) -> ReportBundl
         raise BundleError("validate", PipelineError("no users left after validation"))
 
     spam, templates = cleaner_mod.load_rules(config.spam_keywords_path, config.system_templates_path)
-    cleaned, _ = stage(
-        "clean", cleaner_mod.clean_corpus, posts, spam, system_templates=templates, threads=threads
-    )
+    cleaned, _ = stage("clean", cleaner_mod.clean_corpus, posts, spam, system_templates=templates)
 
     word_list = stage("segment", segmenter_mod.load_word_list, config.word_list_path)
-    tokenized = stage(
-        "segment",
-        segmenter_mod.segment_corpus,
-        [(uid, res.clean_text) for uid, res in cleaned],
-        word_list,
-        threads=threads,
-    )
+    texts = [(uid, res.clean_text) for uid, res in cleaned]
+    tokenized = stage("segment", segmenter_mod.segment_corpus, texts, word_list)
     tokens_by_user: dict[str, list[list[str]]] = {p.user_id: [] for p in profiles}
     for uid, tokens in tokenized:
         if uid in tokens_by_user:
@@ -313,7 +306,7 @@ def build_bundle(config: RunConfig, out_dir, *, threads: int = 1) -> ReportBundl
 
     lexicon = stage("featurize", lexicon_mod.parse_lexicon, config.lexicon_path)
     matcher = lexicon_mod.compile_lexicon(lexicon)
-    features = stage("featurize", lexicon_mod.featurize, tokens_by_user, matcher, threads=threads)
+    features = stage("featurize", lexicon_mod.featurize, tokens_by_user, matcher)
 
     mapping = stage("predict", model_mod.load_model, config.model_path)
     scores, _skipped = stage("predict", model_mod.predict, mapping, features)

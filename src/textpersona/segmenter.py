@@ -14,9 +14,9 @@ and the greedy choice makes the output a deterministic function of
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from ._pool import parallel_map
 from .config import load_keyword_file
@@ -43,18 +43,20 @@ class WordList:
     """Immutable segmentation dictionary."""
 
     words: frozenset[str]
-    max_len: int
+    lengths: Mapping[str, tuple[int, ...]] = field(compare=False)
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "WordList":
         wordset = frozenset(words)
+        by_first: dict[str, set[int]] = {}
         for word in wordset:
             if not word:
                 raise ValueError("empty word in word list")
             if any(_is_separator(ch) for ch in word):
                 raise ValueError(f"word {word!r} contains whitespace or punctuation")
-        max_len = max((len(w) for w in wordset), default=0)
-        return cls(words=wordset, max_len=max_len)
+            if len(word) > 1:
+                by_first.setdefault(word[0], set()).add(len(word))
+        return cls(wordset, {ch: tuple(sorted(sizes, reverse=True)) for ch, sizes in by_first.items()})
 
 
 def load_word_list(path) -> WordList:
@@ -66,7 +68,7 @@ def segment(text: str, word_list: WordList) -> list[str]:
     """Tokenize cleaned text by forward maximum matching."""
     tokens: list[str] = []
     words = word_list.words
-    max_len = word_list.max_len
+    lengths_of = word_list.lengths
     n = len(text)
     i = 0
     while i < n:
@@ -81,15 +83,12 @@ def segment(text: str, word_list: WordList) -> list[str]:
             tokens.append(text[i:j])
             i = j
             continue
-        matched = False
-        for length in range(min(max_len, n - i), 1, -1):
-            candidate = text[i : i + length]
-            if candidate in words:
-                tokens.append(candidate)
+        for length in lengths_of.get(ch, ()):
+            if length <= n - i and text[i : i + length] in words:
+                tokens.append(text[i : i + length])
                 i += length
-                matched = True
                 break
-        if not matched:
+        else:
             tokens.append(ch)
             i += 1
     return tokens

@@ -134,12 +134,6 @@ def test_build_bundle_deterministic(tmp_path):
     assert _bundle_bytes(tmp_path / "a") == _bundle_bytes(tmp_path / "b")
 
 
-def test_build_bundle_threads_do_not_change_output(tmp_path):
-    build_bundle(fixture_config(), tmp_path / "a", threads=1)
-    build_bundle(fixture_config(), tmp_path / "b", threads=2)
-    assert _bundle_bytes(tmp_path / "a") == _bundle_bytes(tmp_path / "b")
-
-
 def test_build_bundle_zero_users_fails_at_validate(tmp_path):
     profiles = tmp_path / "profiles.jsonl"
     posts = tmp_path / "posts.jsonl"

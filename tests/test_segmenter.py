@@ -69,7 +69,7 @@ def test_load_word_list(tmp_path):
     path.write_text("# comment\n今天\n不错\n\n天气\n", encoding="utf-8")
     word_list = load_word_list(path)
     assert word_list.words == frozenset({"今天", "不错", "天气"})
-    assert word_list.max_len == 2
+    assert word_list.lengths == {"今": (2,), "不": (2,), "天": (2,)}
 
 
 _CJK_CHARS = "今天不错心情好坏开末的测试话语天气"
@@ -139,7 +139,8 @@ def test_reference_fmm_cross_check():
     """Independent minimal FMM (no ASCII/separator special cases) agrees
     on pure-CJK input."""
 
-    def reference_fmm(text, words, max_len):
+    def reference_fmm(text, words):
+        max_len = max(map(len, words))
         out = []
         i = 0
         while i < len(text):
@@ -153,6 +154,4 @@ def test_reference_fmm_cross_check():
 
     word_list = wl("今天", "天气", "不错", "今天天气")
     for text in ("今天天气不错", "天天气", "错不错今天气"):
-        assert segment(text, word_list) == reference_fmm(
-            text, word_list.words, word_list.max_len
-        )
+        assert segment(text, word_list) == reference_fmm(text, word_list.words)
