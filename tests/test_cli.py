@@ -95,6 +95,28 @@ def test_pipeline_runs_without_numpy(tmp_path):
     assert (tmp_path / "model.json").read_bytes() == (FIXTURE / "model.json").read_bytes()
 
 
+POOL_MODULES = """
+import sys
+from textpersona.cli import main
+code = main(sys.argv[1:])
+print(sorted({"multiprocessing", "concurrent.futures.process"} & set(sys.modules)))
+sys.exit(code)
+"""
+
+
+def test_report_loads_no_process_pool_machinery(tmp_path):
+    """A serial run imports neither multiprocessing nor the process pool."""
+    src = str(Path(textpersona.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_MODULES, "report", "--config", str(FIXTURE / "run_config.json"),
+         "--out-dir", str(tmp_path / "bundle")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "row, reason",
     [

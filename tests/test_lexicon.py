@@ -208,6 +208,21 @@ def test_featurize_sorted_by_user_id():
     assert [fv.user_id for fv in out] == ["a", "b", "c"]
 
 
+def test_featurize_parallel_matches_serial():
+    """Two workers give the serial vectors, above the 64-user serial cut-off."""
+    lex = lex_of(
+        LexiconEntry("好", False, frozenset({1})),
+        LexiconEntry("坏", True, frozenset({2, 3})),
+    )
+    matcher = compile_lexicon(lex)
+    tokens_by_user = {
+        f"u{i:03d}": [["好", "坏事", "平"][: 1 + i % 3] * (1 + i % 4), ["坏"] * (i % 5)] for i in range(200)
+    }
+    serial = featurize(tokens_by_user, matcher, threads=1)
+    assert featurize(tokens_by_user, matcher, threads=2) == serial
+    assert len({fv.freqs["C2"] for fv in serial}) > 5
+
+
 def test_features_csv_round_trip(tmp_path):
     fvs = [
         FeatureVector("u1", {"A": 12.5, "B": 0.0}, 8),

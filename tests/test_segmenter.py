@@ -126,6 +126,62 @@ def test_adding_word_never_shortens_first_covered_token(case, length):
     assert len(after[0]) >= len(before[0])
 
 
+def descending_length_fmm(text, words):
+    """Reference segmenter: at each position it tries every length from the
+    longest word's down to 2, with segment()'s ASCII-run and separator rules."""
+    max_len = max(map(len, words), default=0)
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace() or unicodedata.category(ch)[0] in ("P", "S"):
+            i += 1
+            continue
+        if ch.isascii() and ch.isalnum():
+            j = i + 1
+            while j < len(text) and text[j].isascii() and text[j].isalnum():
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+            continue
+        for length in range(min(max_len, len(text) - i), 1, -1):
+            if text[i : i + length] in words:
+                break
+        else:
+            length = 1
+        tokens.append(text[i : i + length])
+        i += length
+    return tokens
+
+
+_SMALL_CJK = "今天不错心情好"
+
+
+@st.composite
+def word_lists_and_texts(draw):
+    """Word lists with prefixes of other words, single characters and words
+    longer than the text; texts mixing CJK, ASCII runs, separators and words."""
+    words = set(draw(st.lists(st.text(alphabet=_SMALL_CJK, min_size=1, max_size=12), max_size=12)))
+    for word in list(words):
+        if len(word) > 1 and draw(st.booleans()):
+            words.add(word[: draw(st.integers(1, len(word) - 1))])
+    pieces = st.one_of(
+        st.sampled_from(_SMALL_CJK),
+        st.text(alphabet="aZ09", min_size=1, max_size=3),
+        st.sampled_from([" ", "，", "!", "+", "\n"]),
+        *([st.sampled_from(sorted(words))] if words else []),
+    )
+    text = "".join(draw(st.lists(pieces, max_size=20)))
+    return WordList.from_words(words), text
+
+
+@given(word_lists_and_texts())
+@settings(max_examples=500, deadline=None)
+def test_segment_equals_descending_length_reference(case):
+    word_list, text = case
+    assert segment(text, word_list) == descending_length_fmm(text, word_list.words)
+
+
 def test_segment_corpus_order_and_parallel():
     word_list = wl("今天", "不错", "天气")
     cleaned = [(f"u{i % 5}", "今天天气不错" * (1 + i % 3)) for i in range(400)]
