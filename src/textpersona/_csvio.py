@@ -11,6 +11,7 @@ import csv
 from types import SimpleNamespace
 from typing import Iterable, Sequence
 
+from ._textio import utf8_lines
 from .errors import InputFormatError
 
 
@@ -27,11 +28,10 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Non
 
 def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     """The header's cells and the (line number, cells) of each non-blank row."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            rows = [(reader.line_num, row) for row in reader if row]
-        except csv.Error as err:  # e.g. a cell beyond csv.field_size_limit()
-            raise InputFormatError(f"{path}:{reader.line_num}: {err}") from None
+    reader = csv.reader(line for _, line in utf8_lines(path, newline=""))
+    try:
+        header = next(reader, [])
+        rows = [(reader.line_num, row) for row in reader if row]
+    except csv.Error as err:  # e.g. a cell beyond csv.field_size_limit()
+        raise InputFormatError(f"{path}:{reader.line_num}: {err}") from None
     return header, rows

@@ -22,8 +22,9 @@ from . import model as model_mod
 from . import report as report_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
+from ._textio import open_text
 from .config import RunConfig
-from .errors import InputFormatError, TextPersonaError
+from .errors import BundleError, InputFormatError, TextPersonaError
 from .model import TRAITS
 
 log = logging.getLogger("textpersona")
@@ -156,7 +157,7 @@ def _read_jsonl(path, str_keys: tuple[str, ...], list_key: str):
     list of strings under list_key raises InputFormatError naming path:line.
     """
     shape = f"a JSON object with strings {', '.join(str_keys)} and a list of strings {list_key}"
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -338,12 +339,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except InputFormatError as err:
-        print(json.dumps({"error": str(err), "exit_code": EXIT_FORMAT}, ensure_ascii=False), file=sys.stderr)
-        return EXIT_FORMAT
     except (TextPersonaError, OSError, ValueError) as err:
-        print(json.dumps({"error": str(err), "exit_code": EXIT_PIPELINE}, ensure_ascii=False), file=sys.stderr)
-        return EXIT_PIPELINE
+        # a report stage that failed on unreadable input is a format error too
+        cause = err.cause if isinstance(err, BundleError) else err
+        code = EXIT_FORMAT if isinstance(cause, InputFormatError) else EXIT_PIPELINE
+        print(json.dumps({"error": str(err), "exit_code": code}, ensure_ascii=False), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

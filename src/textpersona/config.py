@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
+from ._textio import utf8_lines
 from .errors import InputFormatError
 
 
@@ -19,12 +20,11 @@ def builtin_data_path(*parts: str) -> Path:
 def load_keyword_file(path) -> tuple[str, ...]:
     """One entry per line, UTF-8; '#' at line start marks a comment."""
     entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            entries.append(line)
+    for _, line in utf8_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        entries.append(line)
     return tuple(entries)
 
 

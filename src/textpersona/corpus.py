@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
+from ._textio import check_utf8, open_text
 from .config import RunConfig
 from .errors import CorpusFormatError
 
@@ -147,11 +148,14 @@ def _parse_post(record: dict) -> Post:
 
 
 def parse_json_line(line: str):
-    """One JSONL record; a string holding a lone surrogate raises ValueError.
+    """One JSONL record from a line read by _textio.open_text.
 
-    An escaped surrogate pair decodes to one character and is fine. A lone
-    one cannot be encoded as UTF-8, so no artifact could carry it.
+    A line that was not UTF-8, or a string holding a lone surrogate,
+    raises ValueError. An escaped surrogate pair decodes to one character
+    and is fine. A lone one cannot be encoded as UTF-8, so no artifact
+    could carry it.
     """
+    check_utf8(line)
     record = json.loads(line)
     if _SURROGATE_ESCAPE.search(line):
         try:
@@ -165,7 +169,7 @@ def _load_jsonl(path, parse):
     records = []
     malformed = 0
     total = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:

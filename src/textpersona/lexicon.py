@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 
 from ._csvio import read_csv
 from ._pool import parallel_map
+from ._textio import utf8_lines
 from .errors import LexiconParseError
 
 # reserved trie key holding the categories of patterns that end at a node;
@@ -60,7 +61,7 @@ class Lexicon:
 
 
 def parse_lexicon(path) -> Lexicon:
-    """Parse and validate a dictionary file; errors carry line numbers."""
+    """Parse and validate a dictionary file; errors carry the path and line number."""
     categories: list[tuple[int, str]] = []
     seen_ids: set[int] = set()
     seen_names: set[str] = set()
@@ -68,84 +69,84 @@ def parse_lexicon(path) -> Lexicon:
     seen_patterns: set[tuple[str, bool]] = set()
     in_header = False
     header_done = False
+    fail = partial(LexiconParseError, path=path)
 
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "%":
-                if not in_header and not header_done:
-                    in_header = True
-                elif in_header:
-                    in_header = False
-                    header_done = True
-                else:
-                    raise LexiconParseError("unexpected '%' after header", line_no)
-                continue
-            fields = line.split()
-            if in_header:
-                if len(fields) != 2:
-                    raise LexiconParseError(
-                        f"header line needs 'id name', got {line!r}", line_no
-                    )
-                try:
-                    cid = int(fields[0])
-                except ValueError:
-                    raise LexiconParseError(
-                        f"category id {fields[0]!r} is not an integer", line_no
-                    ) from None
-                name = fields[1]
-                if cid in seen_ids:
-                    raise LexiconParseError(f"duplicate category id {cid}", line_no)
-                if name in seen_names:
-                    raise LexiconParseError(f"duplicate category name {name!r}", line_no)
-                seen_ids.add(cid)
-                seen_names.add(name)
-                categories.append((cid, name))
+    for line_no, raw in utf8_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line == "%":
+            if not in_header and not header_done:
+                in_header = True
+            elif in_header:
+                in_header = False
+                header_done = True
             else:
-                if not header_done:
-                    raise LexiconParseError(
-                        "entry found before the '%'-delimited header", line_no
-                    )
-                if len(fields) < 2:
-                    raise LexiconParseError(
-                        f"entry needs 'pattern id [id ...]', got {line!r}", line_no
-                    )
-                pattern = fields[0]
-                wildcard = pattern.endswith("*")
-                if wildcard:
-                    pattern = pattern[:-1]
-                if "*" in pattern:
-                    raise LexiconParseError(
-                        "'*' is only allowed as a trailing wildcard", line_no
-                    )
-                if not pattern:
-                    raise LexiconParseError("empty pattern", line_no)
-                if (pattern, wildcard) in seen_patterns:
-                    raise LexiconParseError(
-                        f"duplicate entry {pattern + ('*' if wildcard else '')!r}", line_no
-                    )
-                ids = []
-                for token in fields[1:]:
-                    try:
-                        cid = int(token)
-                    except ValueError:
-                        raise LexiconParseError(
-                            f"category id {token!r} is not an integer", line_no
-                        ) from None
-                    if cid not in seen_ids:
-                        raise LexiconParseError(
-                            f"entry references undeclared category id {cid}", line_no
-                        )
-                    ids.append(cid)
-                seen_patterns.add((pattern, wildcard))
-                entries.append(
-                    LexiconEntry(pattern=pattern, wildcard=wildcard, category_ids=frozenset(ids))
+                raise fail("unexpected '%' after header", line_no)
+            continue
+        fields = line.split()
+        if in_header:
+            if len(fields) != 2:
+                raise fail(
+                    f"header line needs 'id name', got {line!r}", line_no
                 )
+            try:
+                cid = int(fields[0])
+            except ValueError:
+                raise fail(
+                    f"category id {fields[0]!r} is not an integer", line_no
+                ) from None
+            name = fields[1]
+            if cid in seen_ids:
+                raise fail(f"duplicate category id {cid}", line_no)
+            if name in seen_names:
+                raise fail(f"duplicate category name {name!r}", line_no)
+            seen_ids.add(cid)
+            seen_names.add(name)
+            categories.append((cid, name))
+        else:
+            if not header_done:
+                raise fail(
+                    "entry found before the '%'-delimited header", line_no
+                )
+            if len(fields) < 2:
+                raise fail(
+                    f"entry needs 'pattern id [id ...]', got {line!r}", line_no
+                )
+            pattern = fields[0]
+            wildcard = pattern.endswith("*")
+            if wildcard:
+                pattern = pattern[:-1]
+            if "*" in pattern:
+                raise fail(
+                    "'*' is only allowed as a trailing wildcard", line_no
+                )
+            if not pattern:
+                raise fail("empty pattern", line_no)
+            if (pattern, wildcard) in seen_patterns:
+                raise fail(
+                    f"duplicate entry {pattern + ('*' if wildcard else '')!r}", line_no
+                )
+            ids = []
+            for token in fields[1:]:
+                try:
+                    cid = int(token)
+                except ValueError:
+                    raise fail(
+                        f"category id {token!r} is not an integer", line_no
+                    ) from None
+                if cid not in seen_ids:
+                    raise fail(
+                        f"entry references undeclared category id {cid}", line_no
+                    )
+                ids.append(cid)
+            seen_patterns.add((pattern, wildcard))
+            entries.append(
+                LexiconEntry(pattern=pattern, wildcard=wildcard, category_ids=frozenset(ids))
+            )
 
     if not header_done:
-        raise LexiconParseError("missing '%'-delimited category header")
+        raise fail("missing '%'-delimited category header")
     return Lexicon(categories=tuple(categories), entries=tuple(entries))
 
 

@@ -20,6 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 from ._pool import parallel_map
 from .config import load_keyword_file
+from .errors import InputFormatError
 
 _ASCII_ALNUM = frozenset(
     "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -60,8 +61,14 @@ class WordList:
 
 
 def load_word_list(path) -> WordList:
-    """One word per line, UTF-8; '#' at line start comments the line out."""
-    return WordList.from_words(load_keyword_file(path))
+    """One word per line, UTF-8; '#' at line start comments the line out.
+
+    An entry that WordList rejects raises InputFormatError naming the path.
+    """
+    try:
+        return WordList.from_words(load_keyword_file(path))
+    except ValueError as err:
+        raise InputFormatError(f"{path}: {err}") from None
 
 
 def segment(text: str, word_list: WordList) -> list[str]:

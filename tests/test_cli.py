@@ -10,7 +10,8 @@ import pytest
 
 import textpersona
 from textpersona.cli import EXIT_FORMAT, EXIT_PIPELINE, EXIT_USAGE, main
-from textpersona.config import RunConfig, builtin_data_path
+from textpersona.config import RunConfig, builtin_data_path, load_keyword_file
+from textpersona.errors import InputFormatError
 from textpersona.model import TRAITS
 from textpersona.report import build_bundle
 
@@ -335,6 +336,84 @@ def fixture_config(**changes) -> str:
     doc = json.loads((FIXTURE / "run_config.json").read_text(encoding="utf-8"))
     doc = {key: str(FIXTURE / value) if key.endswith("_path") else value for key, value in doc.items()}
     return json.dumps({**doc, **changes})
+
+
+def reader_argv(staged, tmp_path) -> dict[str, list]:
+    """Arguments that make each command succeed on the fixture."""
+    return {
+        "clean": ["--posts", FIXTURE / "posts.jsonl", "--out", tmp_path / "c.jsonl",
+                  "--spam-keywords", builtin_data_path("spam_keywords.txt")],
+        "segment": ["--cleaned", staged / "cleaned.jsonl", "--words", WORDLIST, "--out", tmp_path / "t.jsonl"],
+        "featurize": ["--lexicon", LEXICON, "--tokens", staged / "tokens.jsonl", "--out", tmp_path / "f.csv"],
+        "predict": ["--model", FIXTURE / "model.json", "--features", staged / "features.csv",
+                    "--out", tmp_path / "s.csv"],
+        "fit": ["--features", staged / "features.csv", "--labels", FIXTURE / "labels.csv",
+                "--out", tmp_path / "m.json"],
+    }
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xb3\xbf"], ids=["stray", "cut", "surrogate"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("clean", "--spam-keywords"),  # config.load_keyword_file
+        ("segment", "--words"),
+        ("segment", "--cleaned"),  # cli._read_jsonl
+        ("featurize", "--tokens"),
+        ("featurize", "--lexicon"),  # lexicon.parse_lexicon
+        ("predict", "--features"),  # _csvio.read_csv
+        ("fit", "--labels"),
+    ],
+)
+def test_invalid_utf8_input_exit_2_names_path_line(staged, tmp_path, capsys, command, flag, bad):
+    argv = reader_argv(staged, tmp_path)[command]
+    at = argv.index(flag) + 1
+    lines = Path(argv[at]).read_bytes().split(b"\n")
+    lines[1] = bad + lines[1]
+    damaged = tmp_path / f"damaged{Path(argv[at]).suffix}"
+    damaged.write_bytes(b"\n".join(lines))
+    argv[at] = damaged
+    assert run(command, *argv) == EXIT_FORMAT
+    error = one_error_line(capsys, EXIT_FORMAT)
+    assert f"{damaged}:2: invalid UTF-8" in error
+
+
+def test_text_readers_split_lines_at_cr_crlf_and_lf(tmp_path):
+    """Lines end as in text mode, so a bad byte is reported at the line it counts."""
+    words = tmp_path / "words.txt"
+    words.write_bytes("今天\r不错\r\n天气\n".encode())
+    assert load_keyword_file(words) == ("今天", "不错", "天气")
+    words.write_bytes("今天\r不错\r\n天气\n".encode() + b"\xff\n")
+    with pytest.raises(InputFormatError) as err:
+        load_keyword_file(words)
+    assert str(err.value).startswith(f"{words}:4: invalid UTF-8 byte 0xff")
+
+
+@pytest.mark.parametrize(
+    "key, text, stage",
+    [
+        ("lexicon_path", LEXICON.read_text(encoding="utf-8") + "foo bar\n", "featurize"),
+        ("model_path", '{"W": 1}', "predict"),
+        ("word_list_path", "今天\n不,错\n", "segment"),
+    ],
+    ids=["lexicon", "model", "word_list"],
+)
+def test_report_input_format_fault_exit_2_names_stage_and_path(tmp_path, capsys, key, text, stage):
+    bad = tmp_path / "bad_input"
+    bad.write_text(text, encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(fixture_config(**{key: str(bad)}), encoding="utf-8")
+    assert run("report", "--config", config, "--out-dir", tmp_path / "bundle") == EXIT_FORMAT
+    error = one_error_line(capsys, EXIT_FORMAT)
+    assert f"stage '{stage}' failed: {bad}" in error
+
+
+def test_segment_rejects_punctuated_word_exit_2(staged, tmp_path, capsys):
+    words = tmp_path / "words.txt"
+    words.write_text("今天\n不,错\n", encoding="utf-8")
+    code = run("segment", "--cleaned", staged / "cleaned.jsonl", "--words", words, "--out", tmp_path / "t")
+    assert code == EXIT_FORMAT
+    assert f"{words}: word '不,错'" in one_error_line(capsys, EXIT_FORMAT)
 
 
 @pytest.mark.parametrize(

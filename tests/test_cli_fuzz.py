@@ -26,9 +26,9 @@ DATA = builtin_data_path()
 COMMANDS = {
     "clean": (["--posts", "{posts}", "--out", "{out}/cleaned.jsonl"], ["posts"]),
     "segment": (["--cleaned", "{cleaned}", "--words", "{words}", "--out", "{out}/tokens.jsonl"],
-                ["cleaned"]),
+                ["cleaned", "words"]),
     "featurize": (["--lexicon", "{lexicon}", "--tokens", "{tokens}", "--out", "{out}/features.csv"],
-                  ["tokens"]),
+                  ["tokens", "lexicon"]),
     "fit": (["--features", "{features}", "--labels", "{labels}", "--out", "{out}/model.json"],
             ["features", "labels"]),
     "predict": (["--model", "{model}", "--features", "{features}", "--out", "{out}/scores.csv"],
@@ -164,21 +164,51 @@ def mutations(draw, data: bytes) -> bytes:
     return data
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_mutated_input_keeps_the_error_contract(inputs, command, data):
-    argv, mutable = COMMANDS[command]
-    name = data.draw(st.sampled_from(mutable))
+def run_with(inputs, command, name, content: bytes) -> int:
+    """Run command with input name replaced by content; check the error line."""
+    argv, _ = COMMANDS[command]
     with tempfile.TemporaryDirectory() as out:
         damaged = Path(out) / Path(inputs[name]).name
-        damaged.write_bytes(data.draw(mutations(Path(inputs[name]).read_bytes())))
+        damaged.write_bytes(content)
         files = {**inputs, name: damaged}
         err = io.StringIO()
         with redirect_stderr(err):
             code = main([command, *(arg.format(out=out, **files) for arg in argv)])
-    assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
     if code:
         (line,) = [ln for ln in err.getvalue().splitlines() if ln.startswith("{")]
         assert json.loads(line)["exit_code"] == code
+    return code
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mutated_input_keeps_the_error_contract(inputs, command, data):
+    name = data.draw(st.sampled_from(COMMANDS[command][1]))
+    content = data.draw(mutations(Path(inputs[name]).read_bytes()))
+    assert run_with(inputs, command, name, content) in (0, 2, 3)
+
+
+def _is_utf8(line: bytes) -> bool:
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_invalid_utf8_is_a_format_error_or_a_skipped_line(inputs, command, data):
+    """Bytes that are not UTF-8 exit 2, except in a corpus file, whose
+    loaders skip the line that holds them as if it were not there."""
+    name = data.draw(st.sampled_from(COMMANDS[command][1]))
+    content = invalid_utf8(data.draw, Path(inputs[name]).read_bytes())
+    code = run_with(inputs, command, name, content)
+    if name in ("posts", "profiles"):
+        kept = b"\n".join(line for line in content.split(b"\n") if _is_utf8(line))
+        assert code == run_with(inputs, command, name, kept)
+    else:
+        assert code == 2

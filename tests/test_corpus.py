@@ -105,6 +105,24 @@ def test_infinite_follower_count_is_malformed(tmp_path):
     assert summary.malformed_lines == 1
 
 
+# a stray byte, a cut two-byte sequence, an encoded surrogate
+NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xb3\xbf"]
+
+
+@pytest.mark.parametrize("bad", NOT_UTF8, ids=["stray", "cut", "surrogate"])
+@pytest.mark.parametrize("in_string", [True, False], ids=["in_string", "outside"])
+def test_invalid_utf8_line_is_malformed(tmp_path, bad, in_string):
+    """Only the line holding the bytes is skipped; the lines around it load."""
+    ppath, spath = tmp_path / "p.jsonl", tmp_path / "s.jsonl"
+    write_jsonl(ppath, [profile_rec("u1"), profile_rec("u2")])
+    lines = [json.dumps(post_rec(uid)).encode() for uid in ("u1", "u2", "u1")]
+    lines[1] = lines[1].replace(b'"u2"', b'"u2' + bad + b'"') if in_string else bad + lines[1]
+    spath.write_bytes(b"\r\n".join(lines) + b"\n")
+    _, posts, summary = load_corpus(ppath, spath)
+    assert [p.user_id for p in posts] == ["u1", "u1"]
+    assert summary.malformed_lines == 1
+
+
 LONE = "\udcff"
 
 
