@@ -1,5 +1,12 @@
 """Order-preserving map over an optional worker-process pool.
 
+Neither front end uses the pool: the CLI and report.build_bundle run
+the stages serially. It stays only for the threads= keyword of
+clean_corpus, segment_corpus and featurize, which perfbench's pool.t2
+reruns call with two workers, and goes when they go. ProcessPoolExecutor
+is imported only when a pool starts, so serial runs never load
+multiprocessing.
+
 threads <= 1 runs in-process. Larger values fan out over a
 ProcessPoolExecutor; results come back in input order, so output is
 byte-identical for every worker count. This module alone knows how state

@@ -41,9 +41,18 @@ def _is_separator(ch: str) -> bool:
 
 @dataclass(frozen=True)
 class WordList:
-    """Immutable segmentation dictionary."""
+    """Immutable segmentation dictionary.
+
+    lengths maps each character to the lengths (at least 2, longest
+    first) of the words that start with it. A match of length L at a
+    position needs a word of length L starting with that position's
+    character, so segment() tries only those lengths; a one-character
+    word changes nothing, because an unmatched character is a token
+    anyway.
+    """
 
     words: frozenset[str]
+    # derived from words, and a dict: kept out of == and hash()
     lengths: Mapping[str, tuple[int, ...]] = field(compare=False)
 
     @classmethod
