@@ -73,12 +73,17 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def run_without_numpy(*argv) -> subprocess.CompletedProcess:
+def run_script(script: str, *argv) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter that imports this checkout's package."""
     src = str(Path(textpersona.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
-        [sys.executable, "-c", NO_NUMPY, *map(str, argv)], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script, *map(str, argv)], env=env, capture_output=True, text=True
     )
+
+
+def run_without_numpy(*argv) -> subprocess.CompletedProcess:
+    return run_script(NO_NUMPY, *argv)
 
 
 def test_pipeline_runs_without_numpy(tmp_path):
@@ -107,13 +112,7 @@ sys.exit(code)
 
 def test_report_loads_no_process_pool_machinery(tmp_path):
     """A serial run imports neither multiprocessing nor the process pool."""
-    src = str(Path(textpersona.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-c", POOL_MODULES, "report", "--config", str(FIXTURE / "run_config.json"),
-         "--out-dir", str(tmp_path / "bundle")],
-        env=env, capture_output=True, text=True,
-    )
+    done = run_script(POOL_MODULES, "report", "--config", FIXTURE / "run_config.json", "--out-dir", tmp_path / "b")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 
@@ -338,20 +337,6 @@ def fixture_config(**changes) -> str:
     return json.dumps({**doc, **changes})
 
 
-def reader_argv(staged, tmp_path) -> dict[str, list]:
-    """Arguments that make each command succeed on the fixture."""
-    return {
-        "clean": ["--posts", FIXTURE / "posts.jsonl", "--out", tmp_path / "c.jsonl",
-                  "--spam-keywords", builtin_data_path("spam_keywords.txt")],
-        "segment": ["--cleaned", staged / "cleaned.jsonl", "--words", WORDLIST, "--out", tmp_path / "t.jsonl"],
-        "featurize": ["--lexicon", LEXICON, "--tokens", staged / "tokens.jsonl", "--out", tmp_path / "f.csv"],
-        "predict": ["--model", FIXTURE / "model.json", "--features", staged / "features.csv",
-                    "--out", tmp_path / "s.csv"],
-        "fit": ["--features", staged / "features.csv", "--labels", FIXTURE / "labels.csv",
-                "--out", tmp_path / "m.json"],
-    }
-
-
 @pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xed\xb3\xbf"], ids=["stray", "cut", "surrogate"])
 @pytest.mark.parametrize(
     "command, flag",
@@ -366,7 +351,16 @@ def reader_argv(staged, tmp_path) -> dict[str, list]:
     ],
 )
 def test_invalid_utf8_input_exit_2_names_path_line(staged, tmp_path, capsys, command, flag, bad):
-    argv = reader_argv(staged, tmp_path)[command]
+    argv = {
+        "clean": ["--posts", FIXTURE / "posts.jsonl", "--out", tmp_path / "c.jsonl",
+                  "--spam-keywords", builtin_data_path("spam_keywords.txt")],
+        "segment": ["--cleaned", staged / "cleaned.jsonl", "--words", WORDLIST, "--out", tmp_path / "t.jsonl"],
+        "featurize": ["--lexicon", LEXICON, "--tokens", staged / "tokens.jsonl", "--out", tmp_path / "f.csv"],
+        "predict": ["--model", FIXTURE / "model.json", "--features", staged / "features.csv",
+                    "--out", tmp_path / "s.csv"],
+        "fit": ["--features", staged / "features.csv", "--labels", FIXTURE / "labels.csv",
+                "--out", tmp_path / "m.json"],
+    }[command]
     at = argv.index(flag) + 1
     lines = Path(argv[at]).read_bytes().split(b"\n")
     lines[1] = bad + lines[1]
