@@ -47,10 +47,8 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        return round(value, 6)
-    return value
+# the C encoder does not indent, so a row's line breaks are its item separator
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "))
 
 
 @dataclass(frozen=True)
@@ -60,18 +58,27 @@ class Table:
     rows: tuple[tuple, ...]
 
     def write_csv(self, path) -> None:
-        write_csv(path, self.columns, ([fmt(v) for v in row] for row in self.rows))
+        rows = ([f"{v:.6f}" if isinstance(v, float) else fmt(v) for v in row] for row in self.rows)
+        write_csv(path, self.columns, rows)
 
     def write_json(self, path) -> None:
-        doc = {
-            "name": self.name,
-            "schema_version": SCHEMA_VERSION,
-            "columns": list(self.columns),
-            "rows": [[_jsonable(v) for v in row] for row in self.rows],
-        }
+        """Write {columns, name, rows, schema_version} with floats rounded to 6 places.
+
+        The bytes are those of json.dump(doc, indent=2, sort_keys=True,
+        ensure_ascii=False) plus a newline, but the rows are streamed one
+        at a time through the C encoder, so the document is never built
+        in memory. A table has at least one column.
+        """
+        head = json.dumps({"columns": list(self.columns), "name": self.name}, ensure_ascii=False, indent=2)
+        encode = _ROW_ENCODER.encode
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, ensure_ascii=False, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(head[:-2] + ',\n  "rows": [')
+            sep = "\n    "
+            for row in self.rows:
+                cells = [round(v, 6) if isinstance(v, float) else v for v in row]
+                fh.write(f"{sep}[\n      {encode(cells)[1:-1]}\n    ]")
+                sep = ",\n    "
+            fh.write(("\n  ]" if self.rows else "]") + f',\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
 
 
 def demographic_summary(profiles: Sequence[corpus_mod.UserProfile]) -> Table:
@@ -316,20 +323,15 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     score_list = [score for _, score in joined]
 
     def analyses():
-        tag_contrasts = []
-        emo_contrasts = []
-        for trait in TRAITS:
-            split = stats_mod.polarity_split(
-                [(uid, score.get(trait)) for uid, score in scores],
-                config.quantile,
-                trait=trait,
-            )
-            tag_contrasts.append(stats_mod.tag_contrast(split, profiles, config.top_k_tags))
-            emo_contrasts.append(
-                stats_mod.emoticon_contrast(
-                    split, emoticon_usage, config.emoticon_min_count, config.alpha
-                )
-            )
+        ids = [uid for uid, _ in scores]
+        splits = [  # one score column per trait, empty when no user was scored
+            stats_mod.polarity_split(list(zip(ids, col)), config.quantile, trait=trait)
+            for trait, *col in zip(TRAITS, *(score.as_tuple() for score in score_list))
+        ]
+        tag_contrasts = [stats_mod.tag_contrast(split, profiles, config.top_k_tags) for split in splits]
+        emo_contrasts = stats_mod.emoticon_contrasts(
+            splits, emoticon_usage, config.emoticon_min_count, config.alpha
+        )
         return [
             features_table(features, lexicon.category_names),
             scores_table(scores),

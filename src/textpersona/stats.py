@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import fsum, sqrt
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .cleaner import CleanResult
@@ -57,22 +58,28 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, int]:
         raise StatsError(f"length mismatch: {n} vs {len(y)}")
     if n < 3:
         raise StatsError(f"need at least 3 points, got {n}")
-    xs = [float(v) for v in x]
-    ys = [float(v) for v in y]
-    x_mean = fsum(xs) / n
-    y_mean = fsum(ys) / n
-    dx = [v - x_mean for v in xs]
-    dy = [v - y_mean for v in ys]
-    sxx = fsum(a * a for a in dx)
-    syy = fsum(a * a for a in dy)
+    return (*_centred_r_p(_centred(x), _centred(y)), n)
+
+
+def _centred(values: Sequence[float]) -> tuple[list[float], float]:
+    """A column's deviations from its fsum mean, and the fsum of their squares."""
+    xs = [float(v) for v in values]
+    mean = fsum(xs) / len(xs)
+    dev = [v - mean for v in xs]
+    return dev, fsum(map(mul, dev, dev))
+
+
+def _centred_r_p(x: tuple[list[float], float], y: tuple[list[float], float]) -> tuple[float, float]:
+    """Pearson r and p of two centred columns of the same length n >= 3."""
+    (dx, sxx), (dy, syy) = x, y
     if sxx == 0.0 or syy == 0.0:
         raise StatsError("correlation undefined for a constant vector")
-    r = fsum(a * b for a, b in zip(dx, dy)) / sqrt(sxx * syy)
+    r = fsum(map(mul, dx, dy)) / sqrt(sxx * syy)
     r = min(1.0, max(-1.0, r))
     if abs(r) == 1.0:
-        return r, 0.0, n
-    t = r * sqrt((n - 2) / (1.0 - r * r))
-    return r, student_t_two_sided_p(t, n - 2), n
+        return r, 0.0
+    t = r * sqrt((len(dx) - 2) / (1.0 - r * r))
+    return r, student_t_two_sided_p(t, len(dx) - 2)
 
 
 @dataclass(frozen=True)
@@ -97,7 +104,9 @@ def correlation_matrix(
     """One result per (category, trait) pair over users present in both.
 
     Pairs where either side is constant across users are emitted with
-    r and p undefined instead of being dropped.
+    r and p undefined instead of being dropped. Each column is centred
+    once, exactly as pearson centres it, so every r and p equals
+    pearson's on the same joined, user-id-sorted columns.
     """
     score_by_id = dict(scores)
     joined = sorted(
@@ -106,17 +115,14 @@ def correlation_matrix(
     )
     if len(joined) < 3:
         raise StatsError(f"need at least 3 joined users, got {len(joined)}")
-    names = list(joined[0].freqs.keys())
-    trait_cols = {
-        trait: [score_by_id[fv.user_id].get(trait) for fv in joined] for trait in TRAITS
-    }
-    results = []
     n = len(joined)
-    for name in names:
-        col = [fv.freqs[name] for fv in joined]
-        for trait in TRAITS:
+    trait_cols = [_centred(col) for col in zip(*(score_by_id[fv.user_id].as_tuple() for fv in joined))]
+    results = []
+    for name in joined[0].freqs:
+        col = _centred([fv.freqs[name] for fv in joined])
+        for trait, trait_col in zip(TRAITS, trait_cols):
             try:
-                r, p, _ = pearson(col, trait_cols[trait])
+                r, p = _centred_r_p(col, trait_col)
             except StatsError:
                 results.append(CorrelationResult(name, trait, None, None, n, False))
                 continue
@@ -216,7 +222,7 @@ GROUPING_KEYS = tuple(_GROUPERS)
 
 def _trait_means(scores: list[BigFive]) -> dict[str, float]:
     n = len(scores)
-    return {trait: fsum(s.get(trait) for s in scores) / n for trait in TRAITS}
+    return {trait: fsum(col) / n for trait, col in zip(TRAITS, zip(*(s.as_tuple() for s in scores)))}
 
 
 def group_means(users: Sequence[ScoredUser], key: str) -> GroupMeans:
@@ -394,12 +400,24 @@ def emoticon_contrast(
     min_count: int = RunConfig.emoticon_min_count,
     alpha: float = RunConfig.alpha,
 ) -> EmoticonContrast:
-    """Usage-share contrast between polarity groups.
+    """The contrast of one split; see emoticon_contrasts."""
+    return emoticon_contrasts([split], emoticon_usage, min_count, alpha)[0]
 
-    Only emoticons whose corpus-wide count exceeds min_count qualify.
-    Proportions are normalized by each group's total emoticon
-    occurrences. Rows are sorted by |high - low| share descending and
-    all retained; the significant flag records the z-test outcome.
+
+def emoticon_contrasts(
+    splits: Sequence[PolaritySplit],
+    emoticon_usage: Mapping[str, Mapping[str, int]],
+    min_count: int = RunConfig.emoticon_min_count,
+    alpha: float = RunConfig.alpha,
+) -> list[EmoticonContrast]:
+    """Usage-share contrast between the polarity groups of each split.
+
+    Only emoticons whose corpus-wide count exceeds min_count qualify;
+    those totals are counted once for all splits. Proportions are
+    normalized by each group's total emoticon occurrences. Rows are
+    sorted by |high - low| share descending and all retained; the
+    significant flag records the z-test outcome. A split with a group
+    that uses no emoticon gets no rows and a warning.
     """
     if min_count < 0:
         raise StatsError("min_count must be >= 0")
@@ -414,38 +432,29 @@ def emoticon_contrast(
             totals.update(emoticon_usage.get(uid, {}))
         return totals
 
-    high_counts = group_counts(split.high_ids)
-    low_counts = group_counts(split.low_ids)
-    high_total = sum(high_counts.values())
-    low_total = sum(low_counts.values())
-    if high_total == 0 or low_total == 0:
-        side = "high" if high_total == 0 else "low"
-        return EmoticonContrast(
-            trait=split.trait,
-            rows=(),
-            warning=f"{side} group has zero emoticon usage; contrast is empty",
-        )
+    contrasts = []
+    for split in splits:
+        high_counts = group_counts(split.high_ids)
+        low_counts = group_counts(split.low_ids)
+        high_total = sum(high_counts.values())
+        low_total = sum(low_counts.values())
+        if high_total == 0 or low_total == 0:
+            side = "high" if high_total == 0 else "low"
+            warning = f"{side} group has zero emoticon usage; contrast is empty"
+            contrasts.append(EmoticonContrast(trait=split.trait, rows=(), warning=warning))
+            continue
 
-    rows = []
-    for emoticon in qualifying:
-        x_high = high_counts.get(emoticon, 0)
-        x_low = low_counts.get(emoticon, 0)
-        p_high = x_high / high_total
-        p_low = x_low / low_total
-        if x_high + x_low == 0:
-            p_value = 1.0
-        else:
-            p_value = two_proportion_z_p(x_high, high_total, x_low, low_total)
-        rows.append(
-            EmoticonRow(
-                emoticon=emoticon,
-                high_count=x_high,
-                low_count=x_low,
-                high_proportion=p_high,
-                low_proportion=p_low,
-                p=p_value,
-                significant=p_value < alpha,
+        rows = []
+        for emoticon in qualifying:
+            x_high = high_counts.get(emoticon, 0)
+            x_low = low_counts.get(emoticon, 0)
+            if x_high + x_low == 0:
+                p_value = 1.0
+            else:
+                p_value = two_proportion_z_p(x_high, high_total, x_low, low_total)
+            rows.append(
+                EmoticonRow(emoticon, x_high, x_low, x_high / high_total, x_low / low_total, p_value, p_value < alpha)
             )
-        )
-    rows.sort(key=lambda row: (-abs(row.high_proportion - row.low_proportion), row.emoticon))
-    return EmoticonContrast(trait=split.trait, rows=tuple(rows))
+        rows.sort(key=lambda row: (-abs(row.high_proportion - row.low_proportion), row.emoticon))
+        contrasts.append(EmoticonContrast(trait=split.trait, rows=tuple(rows)))
+    return contrasts

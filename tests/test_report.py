@@ -3,6 +3,7 @@
 import csv
 import datetime as dt
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,53 @@ def test_table_csv_round_trips_any_unicode(tmp_path_factory, columns, rows):
     with open(path, encoding="utf-8", newline="") as fh:
         back = list(csv.reader(fh))
     assert back == [list(columns), *([fmt(v) for v in row] for row in rows)]
+
+
+def json_dump_oracle(table: Table, path) -> None:
+    """The whole-document writer that Table.write_json streams row by row."""
+    doc = {
+        "name": table.name,
+        "schema_version": 1,
+        "columns": list(table.columns),
+        "rows": [[round(v, 6) if isinstance(v, float) else v for v in row] for row in table.rows],
+    }
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+ANY_TEXT = st.text(st.characters(codec="utf-8")) | st.sampled_from(['"', "\\", "\u2028", "\x00\x1f\x7f", "a\nb"])
+JSON_CELLS = (
+    ANY_TEXT
+    | st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**20), max_value=10**20)
+    | st.floats(allow_nan=False)
+    | st.floats(min_value=-5e-7, max_value=5e-7)
+    | st.sampled_from([-0.0, math.inf, -math.inf])
+)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_table_json_equals_json_dump(tmp_path_factory, data):
+    width = data.draw(st.integers(1, 4))
+    columns = tuple(data.draw(st.lists(ANY_TEXT, min_size=width, max_size=width)))
+    rows = data.draw(st.lists(st.tuples(*[JSON_CELLS] * width), max_size=4))
+    table = Table(data.draw(ANY_TEXT), columns, tuple(rows))
+    base = tmp_path_factory.getbasetemp()
+    table.write_json(base / "streamed.json")
+    json_dump_oracle(table, base / "oracle.json")
+    assert (base / "streamed.json").read_bytes() == (base / "oracle.json").read_bytes()
+
+
+def test_bundle_json_is_canonical_json_dump(tmp_path):
+    build_bundle(fixture_config(), tmp_path / "out")
+    paths = sorted((tmp_path / "out").glob("*.json"))
+    assert len(paths) == 11
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), ensure_ascii=False, indent=2, sort_keys=True) + "\n", path.name
 
 
 def test_demographic_summary_two_users():

@@ -19,6 +19,7 @@ from textpersona.stats import (
     binned_trend,
     correlation_matrix,
     emoticon_contrast,
+    emoticon_contrasts,
     group_means,
     normalize_province,
     pearson,
@@ -171,6 +172,63 @@ def test_correlation_matrix_planted_rho():
     results = correlation_matrix(features, scores)
     r = next(res.r for res in results if res.feature_name == "F" and res.trait == "E")
     assert abs(r - rho) < 0.1
+
+
+CELLS = st.floats(-100, 100, allow_nan=False) | st.integers(-2, 2).map(float)
+
+
+def pairwise_pearson(x, y):
+    """Pearson's float operations written out for one pair: the exact reference."""
+    from textpersona.special import student_t_two_sided_p
+
+    n = len(x)
+    x_mean, y_mean = math.fsum(x) / n, math.fsum(y) / n
+    dx = [v - x_mean for v in x]
+    dy = [v - y_mean for v in y]
+    sxx, syy = math.fsum(a * a for a in dx), math.fsum(b * b for b in dy)
+    if sxx == 0.0 or syy == 0.0:
+        return None, None
+    r = min(1.0, max(-1.0, math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)))
+    if abs(r) == 1.0:
+        return r, 0.0
+    return r, student_t_two_sided_p(r * math.sqrt((n - 2) / (1.0 - r * r)), n - 2)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_correlation_matrix_equals_pearson_exactly(data):
+    """Each pair's r and p are pearson's on the joined, user-id-sorted columns."""
+    both = data.draw(st.lists(st.sampled_from([f"u{i:02d}" for i in range(15)]), min_size=3, max_size=15, unique=True))
+    feature_only = data.draw(st.lists(st.sampled_from(["f1", "f2"]), unique=True))
+    score_only = data.draw(st.lists(st.sampled_from(["s1", "s2"]), unique=True))
+    constant_trait = data.draw(st.sampled_from(TRAITS))
+    features = [
+        FeatureVector(uid, {"F": data.draw(CELLS), "G": data.draw(CELLS), "Const": 2.5}, 10)
+        for uid in data.draw(st.permutations(both + feature_only))
+    ]
+    scores = [
+        (uid, BigFive(*(50.0 if t == constant_trait else data.draw(CELLS) for t in TRAITS)))
+        for uid in data.draw(st.permutations(both + score_only))
+    ]
+    results = correlation_matrix(features, scores)
+
+    joined = sorted(both)
+    freqs = {fv.user_id: fv.freqs for fv in features}
+    score_by_id = dict(scores)
+    expected = []
+    for name in ("F", "G", "Const"):
+        x = [freqs[uid][name] for uid in joined]
+        for trait in TRAITS:
+            y = [score_by_id[uid].get(trait) for uid in joined]
+            try:
+                r, p, _ = pearson(x, y)
+            except StatsError:
+                r = p = None
+            assert (r, p) == pairwise_pearson(x, y)
+            expected.append((name, trait, r, p, len(joined), p is not None and p < 0.05))
+    got = [(res.feature_name, res.trait, res.r, res.p, res.n, res.significant) for res in results]
+    assert got == expected
+    assert all(res.r is None for res in results if res.feature_name == "Const" or res.trait == constant_trait)
 
 
 def test_correlation_matrix_requires_three_joined():
@@ -500,6 +558,46 @@ def test_emoticon_contrast_planted_rate():
     contrast = emoticon_contrast(split, usage, min_count=500)
     assert contrast.rows[0].emoticon == "[月亮]"
     assert contrast.rows[0].p < 0.05 and contrast.rows[0].significant
+
+
+EMOTICONS = ("[心]", "[月亮]", "[doge]", "[哈哈]")
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_emoticon_contrasts_equal_one_split_at_a_time(data):
+    """Totals counted once give each split the rows of its own contrast."""
+    uids = [f"u{i}" for i in range(10)]
+    usage = data.draw(
+        st.dictionaries(st.sampled_from(uids), st.dictionaries(st.sampled_from(EMOTICONS), st.integers(0, 20)))
+    )
+    min_count = data.draw(st.integers(0, 60))
+    splits = [
+        polarity_split([(uid, float(data.draw(st.integers(0, 3)))) for uid in uids], 0.3, trait=trait)
+        for trait in TRAITS
+    ]
+    # a split whose low group uses no emoticon at all
+    silent = polarity_split([(uid, float(i)) for i, uid in enumerate(uids)], 0.3, trait="O")
+    usage = {**usage, **{uid: {} for uid in silent.low_ids}, **{uid: {"[心]": 1} for uid in silent.high_ids}}
+    splits.append(silent)
+
+    got = emoticon_contrasts(splits, usage, min_count, 0.05)
+    assert got == [emoticon_contrast(split, usage, min_count, 0.05) for split in splits]
+    assert got[-1].rows == () and "low" in got[-1].warning
+    totals = Counter()
+    for counts in usage.values():
+        totals.update(counts)
+    for split, contrast in zip(splits, got):
+        if contrast.warning is None:
+            assert sorted(row.emoticon for row in contrast.rows) == sorted(e for e, c in totals.items() if c > min_count)
+        for row in contrast.rows:
+            assert row.high_count == sum(usage.get(uid, {}).get(row.emoticon, 0) for uid in split.high_ids)
+            assert row.low_count == sum(usage.get(uid, {}).get(row.emoticon, 0) for uid in split.low_ids)
+
+
+def test_emoticon_contrasts_rejects_negative_min_count():
+    with pytest.raises(StatsError):
+        emoticon_contrasts([], {}, min_count=-1)
 
 
 def test_two_proportion_z_against_scipy():
