@@ -277,6 +277,12 @@ def cmd_correlate(args) -> int:
 def cmd_contrast(args) -> int:
     scores = model_mod.read_scores_csv(args.scores)
     profiles, _ = corpus_mod.load_profiles(args.profiles)
+    # a scored user whose profile line was skipped as malformed is left out
+    loaded = {p.user_id for p in profiles}
+    unprofiled = sum(uid not in loaded for uid, _ in scores)
+    if unprofiled:
+        log.warning("contrast: %d scored users have no loaded profile; left out", unprofiled)
+        scores = [(uid, score) for uid, score in scores if uid in loaded]
     split = stats_mod.polarity_split(
         [(uid, score.get(args.trait)) for uid, score in scores],
         args.quantile,

@@ -1,6 +1,7 @@
 """CLI subcommands as file transformations, with exit-code contracts."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -11,9 +12,11 @@ import pytest
 import textpersona
 from textpersona.cli import EXIT_FORMAT, EXIT_PIPELINE, EXIT_USAGE, main
 from textpersona.config import RunConfig, builtin_data_path, load_keyword_file
+from textpersona.corpus import load_profiles
 from textpersona.errors import InputFormatError
-from textpersona.model import TRAITS
-from textpersona.report import build_bundle
+from textpersona.model import TRAITS, read_scores_csv
+from textpersona.report import build_bundle, tag_contrast_table
+from textpersona.stats import polarity_split, tag_contrast
 
 TESTDATA = Path(__file__).parent / "data"
 FIXTURE = builtin_data_path("fixture_corpus")
@@ -475,6 +478,33 @@ def test_contrast(staged, tmp_path):
     lines = out_csv.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "trait,group,rank,tag,weight"
     assert len(lines) > 1
+
+
+@pytest.mark.parametrize("trait", ["C", "E", "A", "N"])
+def test_contrast_leaves_out_scored_user_with_skipped_profile(staged, tmp_path, caplog, trait):
+    """A profile line skipped as malformed drops its scored user from the groups."""
+    lines = (FIXTURE / "profiles.jsonl").read_bytes().splitlines(keepends=True)
+    (bad,) = [i for i, line in enumerate(lines) if b'"user_id": "u00003"' in line]
+    lines[bad] = lines[bad].replace(b"u00003", b"u00003\xff")
+    profiles_path = tmp_path / "profiles.jsonl"
+    profiles_path.write_bytes(b"".join(lines))
+    scores = read_scores_csv(staged / "scores.csv")
+    full_split = polarity_split([(uid, s.get(trait)) for uid, s in scores], trait=trait)
+    assert "u00003" in full_split.high_ids + full_split.low_ids  # the case that used to fail
+
+    out_csv = tmp_path / "tags.csv"
+    with caplog.at_level(logging.WARNING, logger="textpersona"):
+        code = run("contrast", "--scores", staged / "scores.csv", "--profiles", profiles_path,
+                   "--trait", trait, "--out-csv", out_csv)
+    assert code == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert warnings == ["contrast: 1 scored users have no loaded profile; left out"]
+
+    profiles, _ = load_profiles(profiles_path)
+    rest = [(uid, s.get(trait)) for uid, s in scores if uid != "u00003"]
+    expected = tmp_path / "expected.csv"
+    tag_contrast_table([tag_contrast(polarity_split(rest, trait=trait), profiles)]).write_csv(expected)
+    assert out_csv.read_bytes() == expected.read_bytes()
 
 
 def test_demographics(tmp_path):
