@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Iterable, Sequence
 
 from .config import load_keyword_file
@@ -48,7 +48,6 @@ _URL_RE = re.compile(r"https?://\S+")
 _MENTION_RE = re.compile(r"@[\w·\-]+")
 _HASHTAG_RE = re.compile(r"#[^#\n]*#")
 _GEO_RE = re.compile(r"我在这里[:：]?")
-_WS_RE = re.compile(r"\s+")
 
 _BRACKET_EMOTE = r"\[[^\[\]\s]{1,20}\]"
 _EMOJI = (
@@ -62,7 +61,8 @@ _EMOJI = (
     "\U0001fa70-\U0001faff"
     "]️?"
 )
-_EMOTICON_RE = re.compile(f"(?:{_BRACKET_EMOTE})|(?:{_EMOJI})")
+# one capturing group: split() returns text and emoticons alternately
+_EMOTICON_RE = re.compile(f"({_BRACKET_EMOTE}|{_EMOJI})")
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,12 @@ def load_rules(spam_path, templates_path) -> tuple[tuple[str, ...], tuple[str, .
     return spam, templates
 
 
+@lru_cache(maxsize=8)
+def _spam_pattern(keywords: tuple[str, ...]) -> re.Pattern | None:
+    """One alternation of the lowercased keywords; None when there are none."""
+    return re.compile("|".join(re.escape(keyword.lower()) for keyword in keywords)) if keywords else None
+
+
 def clean(
     text: str,
     spam_keywords: Sequence[str],
@@ -95,10 +101,9 @@ def clean(
     system_templates: Sequence[str] = DEFAULT_SYSTEM_TEMPLATES,
 ) -> CleanResult:
     """Apply the cleaning rules to one raw post."""
-    lowered = text.lower()
-    for keyword in spam_keywords:
-        if keyword.lower() in lowered:
-            return _DROPPED
+    spam = _spam_pattern(tuple(spam_keywords))
+    if spam is not None and spam.search(text.lower()):
+        return _DROPPED
     for template in system_templates:
         if template in text:
             return _DROPPED
@@ -111,12 +116,9 @@ def clean(
     s = _MENTION_RE.sub(" ", s)
     s = _HASHTAG_RE.sub(" ", s)
 
-    emoticons = tuple(_EMOTICON_RE.findall(s))
-    if emoticons:
-        s = _EMOTICON_RE.sub(" ", s)
-
-    s = _WS_RE.sub(" ", s).strip()
-    return CleanResult(s, emoticons, False)
+    parts = _EMOTICON_RE.split(s)
+    # str.split() splits on exactly the characters regex \s matches
+    return CleanResult(" ".join(" ".join(parts[::2]).split()), tuple(parts[1::2]), False)
 
 
 def clean_corpus(

@@ -27,9 +27,11 @@ agrees with a brute-force scan over every entry, for every token.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from ._csvio import read_csv
 from ._pool import parallel_map
@@ -222,7 +224,7 @@ class FeatureVector:
 
 
 def featurize(
-    tokens_by_user: Mapping[str, Sequence[Sequence[str]]],
+    tokens_by_user: Mapping[str, Iterable[Sequence[str]]],
     matcher: CompiledMatcher,
     *,
     threads: int = 1,
@@ -232,7 +234,8 @@ def featurize(
     freqs[c] = 100 * (tokens matching category c) / (total tokens); a
     token in several categories counts once in each. Users with zero
     tokens come back with all-zero freqs and degenerate=True. Output is
-    sorted by user_id.
+    sorted by user_id. Each user's value may be any iterable of token
+    sequences, such as a lazy segment() of each post; it is consumed once.
     """
     items = sorted(tokens_by_user.items())
     # the lookup memo is this call's own dict; each worker gets its own copy
@@ -242,20 +245,19 @@ def featurize(
 def _featurize_one(
     matcher: CompiledMatcher,
     cache: dict[str, frozenset[int]],
-    item: tuple[str, Sequence[Sequence[str]]],
+    item: tuple[str, Iterable[Sequence[str]]],
 ) -> FeatureVector:
     user_id, token_lists = item
     counts: dict[int, int] = {}
     total = 0
-    for tokens in token_lists:
-        total += len(tokens)
-        for token in tokens:
-            cats = cache.get(token)
-            if cats is None:
-                cats = matcher.lookup(token)
-                cache[token] = cats
-            for cid in cats:
-                counts[cid] = counts.get(cid, 0) + 1
+    for token, k in Counter(chain.from_iterable(token_lists)).items():
+        total += k
+        cats = cache.get(token)
+        if cats is None:
+            cats = matcher.lookup(token)
+            cache[token] = cats
+        for cid in cats:
+            counts[cid] = counts.get(cid, 0) + k
     if total == 0:
         freqs = {name: 0.0 for _, name in matcher.categories}
     else:

@@ -263,6 +263,8 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
 
     Stages: load -> validate -> clean -> segment -> featurize ->
     predict -> analyses. Any stage failure aborts with the stage name.
+    Segment and featurize are one pass: featurize counts a lazy segment()
+    of each post, so no post's token list is kept.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -303,16 +305,15 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     cleaned, _ = stage("clean", cleaner_mod.clean_corpus, posts, spam, system_templates=templates)
 
     word_list = stage("segment", segmenter_mod.load_word_list, config.word_list_path)
-    texts = [(uid, res.clean_text) for uid, res in cleaned]
-    tokenized = stage("segment", segmenter_mod.segment_corpus, texts, word_list)
-    tokens_by_user: dict[str, list[list[str]]] = {p.user_id: [] for p in profiles}
-    for uid, tokens in tokenized:
-        if uid in tokens_by_user:
-            tokens_by_user[uid].append(tokens)
+    texts_by_user: dict[str, list[str]] = {p.user_id: [] for p in profiles}
+    for uid, res in cleaned:
+        if uid in texts_by_user:
+            texts_by_user[uid].append(res.clean_text)
     emoticon_usage = stats_mod.emoticon_usage(cleaned)
 
     lexicon = stage("featurize", lexicon_mod.parse_lexicon, config.lexicon_path)
     matcher = lexicon_mod.compile_lexicon(lexicon)
+    tokens_by_user = {uid: (segmenter_mod.segment(t, word_list) for t in ts) for uid, ts in texts_by_user.items()}
     features = stage("featurize", lexicon_mod.featurize, tokens_by_user, matcher)
 
     mapping = stage("predict", model_mod.load_model, config.model_path)

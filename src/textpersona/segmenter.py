@@ -8,7 +8,8 @@ P and S) separate tokens without being emitted.
 
 Concatenating the tokens therefore reproduces the input minus separators,
 and the greedy choice makes the output a deterministic function of
-(text, word list).
+(text, word list). report.build_bundle runs segment and featurize as one
+pass: featurize counts a lazy segment() of each post, keeping no tokens.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ def _is_separator(ch: str) -> bool:
 class WordList:
     """Immutable segmentation dictionary.
 
-    lengths maps each character to the lengths (at least 2, longest
-    first) of the words that start with it. A match of length L at a
-    position needs a word of length L starting with that position's
-    character, so segment() tries only those lengths; a one-character
-    word changes nothing, because an unmatched character is a token
-    anyway.
+    lengths maps the first two characters of each word of length at
+    least 2 to the lengths of the words starting with them, longest
+    first, so segment() tries only the lengths that can match at a
+    position. Words led by an ASCII letter or digit are left out, as the
+    ASCII-run rule always wins there; a one-character word changes
+    nothing, because an unmatched character is a token anyway.
     """
 
     words: frozenset[str]
@@ -58,15 +59,15 @@ class WordList:
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "WordList":
         wordset = frozenset(words)
-        by_first: dict[str, set[int]] = {}
+        by_prefix: dict[str, set[int]] = {}
         for word in wordset:
             if not word:
                 raise ValueError("empty word in word list")
             if any(_is_separator(ch) for ch in word):
                 raise ValueError(f"word {word!r} contains whitespace or punctuation")
-            if len(word) > 1:
-                by_first.setdefault(word[0], set()).add(len(word))
-        return cls(wordset, {ch: tuple(sorted(sizes, reverse=True)) for ch, sizes in by_first.items()})
+            if len(word) > 1 and word[0] not in _ASCII_ALNUM:
+                by_prefix.setdefault(word[:2], set()).add(len(word))
+        return cls(wordset, {key: tuple(sorted(sizes, reverse=True)) for key, sizes in by_prefix.items()})
 
 
 def load_word_list(path) -> WordList:
@@ -88,25 +89,26 @@ def segment(text: str, word_list: WordList) -> list[str]:
     n = len(text)
     i = 0
     while i < n:
-        ch = text[i]
-        if _is_separator(ch):
-            i += 1
-            continue
-        if ch in _ASCII_ALNUM:
-            j = i + 1
-            while j < n and text[j] in _ASCII_ALNUM:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-            continue
-        for length in lengths_of.get(ch, ()):
-            if length <= n - i and text[i : i + length] in words:
-                tokens.append(text[i : i + length])
+        # a candidate cut short at the end is still exact: a word equal to
+        # it has its length in the tuple too, and longer candidates failed
+        for length in lengths_of.get(text[i : i + 2], ()):
+            piece = text[i : i + length]
+            if piece in words:
+                tokens.append(piece)
                 i += length
                 break
         else:
-            tokens.append(ch)
-            i += 1
+            ch = text[i]
+            if ch in _ASCII_ALNUM:
+                j = i + 1
+                while j < n and text[j] in _ASCII_ALNUM:
+                    j += 1
+                tokens.append(text[i:j])
+                i = j
+            else:
+                if not _is_separator(ch):
+                    tokens.append(ch)
+                i += 1
     return tokens
 
 

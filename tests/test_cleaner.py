@@ -5,11 +5,14 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from textpersona import cleaner
 from textpersona.cleaner import (
+    DEFAULT_MARKER_WORDS,
     DEFAULT_SPAM_KEYWORDS,
+    DEFAULT_SYSTEM_TEMPLATES,
     CleanResult,
     clean,
     clean_corpus,
@@ -120,6 +123,44 @@ def test_no_pattern_survives(text):
 @settings(max_examples=200, deadline=None)
 def test_determinism(text):
     assert clean(text, DEFAULT_SPAM_KEYWORDS) == clean(text, DEFAULT_SPAM_KEYWORDS)
+
+
+_FORMER_EMOTICON_RE = re.compile(f"(?:{cleaner._BRACKET_EMOTE})|(?:{cleaner._EMOJI})")
+
+
+def former_clean(text, spam_keywords):
+    """The earlier pipeline: a substring test per spam keyword, then
+    emoticons by findall and sub, then a \\s+ regex and strip()."""
+    lowered = text.lower()
+    if any(keyword.lower() in lowered for keyword in spam_keywords):
+        return CleanResult("", (), True)
+    if any(template in text for template in DEFAULT_SYSTEM_TEMPLATES):
+        return CleanResult("", (), True)
+    s = text
+    for marker in DEFAULT_MARKER_WORDS:
+        s = s.replace(marker, " ")
+    for pattern in (cleaner._GEO_RE, cleaner._URL_RE, cleaner._MENTION_RE, cleaner._HASHTAG_RE):
+        s = pattern.sub(" ", s)
+    emoticons = tuple(_FORMER_EMOTICON_RE.findall(s))
+    s = _FORMER_EMOTICON_RE.sub(" ", s)
+    return CleanResult(re.sub(r"\s+", " ", s).strip(), emoticons, False)
+
+
+_PIECES = st.sampled_from(
+    ["今天", "不错", "[心]", "[doge]", "😊", "☀️", "[未闭合", "a.b", "axb", "TAOBAO", "淘宝", "Taobao店",
+     " ", "\t", "\n", "\u3000", "\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f", "@某人", "http://t.cn/x"]
+)
+_KEYWORD_LISTS = st.sampled_from([(), DEFAULT_SPAM_KEYWORDS, ("TaoBao", "代购"), ("a.b",), ("淘宝", "")])
+
+
+@given(st.lists(_PIECES, max_size=12).map("".join), _KEYWORD_LISTS)
+@example("[心][doge]今天😊\u3000\x1f[心]", ())
+@example("\u00a0\u2028[doge]\x1c\x1d\x1e", DEFAULT_SPAM_KEYWORDS)
+@example("买TAOBAO好物", DEFAULT_SPAM_KEYWORDS)
+@example("axb 今天", ("a.b",))
+@settings(max_examples=300, deadline=None)
+def test_clean_equals_former_pipeline(text, spam_keywords):
+    assert clean(text, spam_keywords) == former_clean(text, spam_keywords)
 
 
 @given(

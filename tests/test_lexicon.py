@@ -209,18 +209,49 @@ def test_featurize_sorted_by_user_id():
 
 
 def test_featurize_parallel_matches_serial():
-    """Two workers give the serial vectors, above the 64-user serial cut-off."""
+    """Two workers give the serial vectors, above the 64-user serial
+    cut-off, and so do one-shot generators in place of the lists."""
     lex = lex_of(
         LexiconEntry("好", False, frozenset({1})),
         LexiconEntry("坏", True, frozenset({2, 3})),
     )
     matcher = compile_lexicon(lex)
     tokens_by_user = {
-        f"u{i:03d}": [["好", "坏事", "平"][: 1 + i % 3] * (1 + i % 4), ["坏"] * (i % 5)] for i in range(200)
+        f"u{i:03d}": [["好", "坏事", "平"][: 1 + i % 3] * (1 + i % 4), ["坏"] * (i % 5)] if i % 7 else []
+        for i in range(200)
     }
     serial = featurize(tokens_by_user, matcher, threads=1)
     assert featurize(tokens_by_user, matcher, threads=2) == serial
+    one_shot = {uid: (tuple(tokens) for tokens in posts) for uid, posts in tokens_by_user.items()}
+    assert featurize(one_shot, matcher) == serial
     assert len({fv.freqs["C2"] for fv in serial}) > 5
+    assert sum(fv.degenerate for fv in serial) == 29
+
+
+@given(
+    random_lexicons(),
+    st.dictionaries(
+        st.text(alphabet="uvw0123", min_size=1, max_size=4),
+        st.lists(st.lists(st.text(alphabet="担忧开a", min_size=1, max_size=2), max_size=20), max_size=4),
+        max_size=6,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_featurize_one_shot_equals_per_token_count(lexicon, tokens_by_user):
+    """Tokens repeat within and across posts, and some users have none:
+    generators give the vectors of lists, and both equal a count that
+    looks every token up in turn."""
+    matcher = compile_lexicon(lexicon)
+    expected = []
+    for uid, posts in sorted(tokens_by_user.items()):
+        tokens = [token for post in posts for token in post]
+        hits = [brute_force_lookup(lexicon, token) for token in tokens]
+        scale = 100.0 / len(tokens) if tokens else 0.0
+        freqs = {name: sum(cid in cats for cats in hits) * scale for cid, name in lexicon.categories}
+        expected.append(FeatureVector(uid, freqs, len(tokens)))
+    one_shot = {uid: (tuple(post) for post in posts) for uid, posts in tokens_by_user.items()}
+    assert featurize(tokens_by_user, matcher) == expected
+    assert featurize(one_shot, matcher) == expected
 
 
 def test_features_csv_round_trip(tmp_path):

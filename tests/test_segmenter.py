@@ -66,10 +66,11 @@ def test_rejects_bad_words():
 
 def test_load_word_list(tmp_path):
     path = tmp_path / "words.txt"
-    path.write_text("# comment\n今天\n不错\n\n天气\n", encoding="utf-8")
+    path.write_text("# comment\n今天\n不错\n\n天气\n今天天气\nQQ空间\n", encoding="utf-8")
     word_list = load_word_list(path)
-    assert word_list.words == frozenset({"今天", "不错", "天气"})
-    assert word_list.lengths == {"今": (2,), "不": (2,), "天": (2,)}
+    assert word_list.words == frozenset({"今天", "不错", "天气", "今天天气", "QQ空间"})
+    # keyed on two characters, longest first; an ASCII-led word never matches
+    assert word_list.lengths == {"今天": (4, 2), "不错": (2,), "天气": (2,)}
 
 
 _CJK_CHARS = "今天不错心情好坏开末的测试话语天气"
@@ -159,9 +160,12 @@ _SMALL_CJK = "今天不错心情好"
 
 @st.composite
 def word_lists_and_texts(draw):
-    """Word lists with prefixes of other words, single characters and words
-    longer than the text; texts mixing CJK, ASCII runs, separators and words."""
-    words = set(draw(st.lists(st.text(alphabet=_SMALL_CJK, min_size=1, max_size=12), max_size=12)))
+    """Word lists with prefixes of other words, single characters, words
+    longer than the text and ASCII letters or digits inside words and at
+    their start (like "QQ空间" or "卡拉OK"); texts mixing CJK, ASCII runs,
+    separators and words, some ending partway into a word."""
+    word_chars = st.sampled_from(_SMALL_CJK * 3 + "QK9")
+    words = set(draw(st.lists(st.text(alphabet=word_chars, min_size=1, max_size=12), max_size=12)))
     for word in list(words):
         if len(word) > 1 and draw(st.booleans()):
             words.add(word[: draw(st.integers(1, len(word) - 1))])
@@ -172,6 +176,10 @@ def word_lists_and_texts(draw):
         *([st.sampled_from(sorted(words))] if words else []),
     )
     text = "".join(draw(st.lists(pieces, max_size=20)))
+    long_words = sorted(word for word in words if len(word) > 2)
+    if long_words and draw(st.booleans()):
+        word = draw(st.sampled_from(long_words))
+        text += word[: draw(st.integers(2, len(word) - 1))]
     return WordList.from_words(words), text
 
 
