@@ -51,10 +51,9 @@ from .segmenter import WordList, load_word_list, segment
 from .stats import (
     CorrelationResult,
     EmoticonContrast,
-    GroupMeans,
+    Grouping,
     PolaritySplit,
     TagContrast,
-    TrendResult,
     binned_trend,
     correlation_matrix,
     emoticon_contrast,
@@ -78,7 +77,7 @@ __all__ = [
     "CorpusFormatError",
     "EmoticonContrast",
     "FeatureVector",
-    "GroupMeans",
+    "Grouping",
     "InputFormatError",
     "Lexicon",
     "LexiconParseError",
@@ -95,7 +94,6 @@ __all__ = [
     "TRAITS",
     "TagContrast",
     "TextPersonaError",
-    "TrendResult",
     "UserProfile",
     "ValidityReport",
     "WordList",

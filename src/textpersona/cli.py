@@ -262,14 +262,18 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
+def _write_table(table: report_mod.Table, args) -> None:
+    """Write an analysis table to --out-csv and, if given, --out-json."""
+    table.write_csv(args.out_csv)
+    if args.out_json:
+        table.write_json(args.out_json)
+
+
 def cmd_correlate(args) -> int:
     features, _ = lexicon_mod.read_features_csv(args.features)
     scores = model_mod.read_scores_csv(args.scores)
     results = stats_mod.correlation_matrix(features, scores, args.alpha)
-    table = report_mod.correlations_table(results)
-    table.write_csv(args.out_csv)
-    if args.out_json:
-        table.write_json(args.out_json)
+    _write_table(report_mod.correlations_table(results), args)
     log.info("correlate: %d pairs", len(results))
     return EXIT_OK
 
@@ -289,10 +293,7 @@ def cmd_contrast(args) -> int:
         trait=args.trait,
     )
     contrast = stats_mod.tag_contrast(split, profiles, args.top_k)
-    table = report_mod.tag_contrast_table([contrast])
-    table.write_csv(args.out_csv)
-    if args.out_json:
-        table.write_json(args.out_json)
+    _write_table(report_mod.tag_contrast_table([contrast]), args)
     log.info("contrast: trait %s, groups of %d", args.trait, len(split.high_ids))
     return EXIT_OK
 
@@ -300,10 +301,7 @@ def cmd_contrast(args) -> int:
 def cmd_demographics(args) -> int:
     profiles, _ = corpus_mod.load_profiles(args.profiles)
     aged = [corpus_mod.with_credible_age(p, args.reference_date, (args.min_age, args.max_age)) for p in profiles]
-    table = report_mod.demographic_summary(aged)
-    table.write_csv(args.out_csv)
-    if args.out_json:
-        table.write_json(args.out_json)
+    _write_table(report_mod.demographic_summary(aged), args)
     log.info("demographics: %d profiles", len(profiles))
     return EXIT_OK
 
@@ -320,10 +318,7 @@ def cmd_emoticons(args) -> int:
     contrast = stats_mod.emoticon_contrast(split, usage, args.min_count, args.alpha)
     if contrast.warning:
         log.warning("emoticons: %s", contrast.warning)
-    table = report_mod.emoticons_table([contrast])
-    table.write_csv(args.out_csv)
-    if args.out_json:
-        table.write_json(args.out_json)
+    _write_table(report_mod.emoticons_table([contrast]), args)
     log.info("emoticons: trait %s, %d qualifying", args.trait, len(contrast.rows))
     return EXIT_OK
 

@@ -84,21 +84,6 @@ class LoadSummary:
     malformed_lines: int
     orphan_posts: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "users": self.users,
-                "posts": self.posts,
-                "malformed_lines": self.malformed_lines,
-                "orphan_posts": self.orphan_posts,
-            },
-            sort_keys=True,
-        )
-
-
-def _parse_date(value: str) -> dt.date:
-    return dt.date.fromisoformat(value)
-
 
 def _parse_profile(record: dict) -> UserProfile:
     user_id = record["user_id"]
@@ -125,7 +110,7 @@ def _parse_profile(record: dict) -> UserProfile:
         location=record.get("location") or None,
         schools=tuple(schools),
         introduction=record.get("introduction") or None,
-        birth_date=_parse_date(birth_date) if birth_date else None,
+        birth_date=dt.date.fromisoformat(birth_date) if birth_date else None,
     )
 
 

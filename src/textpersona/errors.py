@@ -26,14 +26,6 @@ class CorpusFormatError(InputFormatError):
 class LexiconParseError(InputFormatError):
     """Dictionary file violates the category/entry format."""
 
-    def __init__(self, message: str, line_no: int | None = None, path=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        if path is not None:
-            message = f"{path}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
-
 
 class ModelError(PipelineError):
     """Fitting or prediction preconditions not met."""

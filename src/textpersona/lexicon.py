@@ -71,7 +71,9 @@ def parse_lexicon(path) -> Lexicon:
     seen_patterns: set[tuple[str, bool]] = set()
     in_header = False
     header_done = False
-    fail = partial(LexiconParseError, path=path)
+
+    def fail(problem: str, line_no: int | None = None) -> LexiconParseError:
+        return LexiconParseError(f"{path}:{line_no}: {problem}" if line_no else f"{path}: {problem}")
 
     for line_no, raw in utf8_lines(path):
         line = raw.strip()

@@ -24,14 +24,7 @@ from ._csvio import write_csv
 from .config import RunConfig
 from .errors import BundleError, PipelineError
 from .model import TRAITS, BigFive
-from .stats import (
-    CorrelationResult,
-    EmoticonContrast,
-    GroupMeans,
-    ProvinceRow,
-    TagContrast,
-    TrendResult,
-)
+from .stats import CorrelationResult, EmoticonContrast, Grouping, MeanRow, TagContrast
 
 SCHEMA_VERSION = 1
 
@@ -169,45 +162,26 @@ def tag_contrast_table(contrasts: Sequence[TagContrast]) -> Table:
     return Table("tag_contrast", ("trait", "group", "rank", "tag", "weight"), tuple(rows))
 
 
-def group_means_table(groupings: Sequence[GroupMeans]) -> Table:
-    rows: list[tuple] = []
-    for grouping in groupings:
-        for row in grouping.rows:
-            rows.append(
-                (
-                    grouping.grouping_name,
-                    row.label,
-                    row.count,
-                    *(row.means[t] for t in TRAITS),
-                    row.low_support,
-                    grouping.excluded_count,
-                )
-            )
-    return Table(
-        "group_means",
-        ("grouping", "label", "count", *TRAITS, "low_support", "excluded_count"),
-        tuple(rows),
+def group_means_table(groupings: Sequence[Grouping]) -> Table:
+    rows = tuple(
+        (g.name, row.label, row.count, *(row.means[t] for t in TRAITS), row.low_support, g.excluded_count)
+        for g in groupings
+        for row in g.rows
     )
+    return Table("group_means", ("grouping", "label", "count", *TRAITS, "low_support", "excluded_count"), rows)
 
 
-def trends_table(trends: Sequence[TrendResult]) -> Table:
-    rows: list[tuple] = []
-    for trend in trends:
-        for row in trend.rows:
-            rows.append(
-                (trend.binning, row.bin_label, row.count, *(row.means[t] for t in TRAITS), trend.excluded_count)
-            )
-    return Table(
-        "trends",
-        ("binning", "bin", "count", *TRAITS, "excluded_count"),
-        tuple(rows),
+def trends_table(trends: Sequence[Grouping]) -> Table:
+    rows = tuple(
+        (g.name, row.label, row.count, *(row.means[t] for t in TRAITS), g.excluded_count)
+        for g in trends
+        for row in g.rows
     )
+    return Table("trends", ("binning", "bin", "count", *TRAITS, "excluded_count"), rows)
 
 
-def provinces_table(rows: Sequence[ProvinceRow]) -> Table:
-    out = tuple(
-        (row.province, row.count, *(row.means[t] for t in TRAITS)) for row in rows
-    )
+def provinces_table(rows: Sequence[MeanRow]) -> Table:
+    out = tuple((row.label, row.count, *(row.means[t] for t in TRAITS)) for row in rows)
     return Table("province_means", ("province", "count", *TRAITS), out)
 
 
@@ -303,6 +277,7 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
 
     spam, templates = cleaner_mod.load_rules(config.spam_keywords_path, config.system_templates_path)
     cleaned, _ = stage("clean", cleaner_mod.clean_corpus, posts, spam, system_templates=templates)
+    del posts  # each text-layer input is freed once read
 
     word_list = stage("segment", segmenter_mod.load_word_list, config.word_list_path)
     texts_by_user: dict[str, list[str]] = {p.user_id: [] for p in profiles}
@@ -310,11 +285,13 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         if uid in texts_by_user:
             texts_by_user[uid].append(res.clean_text)
     emoticon_usage = stats_mod.emoticon_usage(cleaned)
+    del cleaned
 
     lexicon = stage("featurize", lexicon_mod.parse_lexicon, config.lexicon_path)
     matcher = lexicon_mod.compile_lexicon(lexicon)
     tokens_by_user = {uid: (segmenter_mod.segment(t, word_list) for t in ts) for uid, ts in texts_by_user.items()}
     features = stage("featurize", lexicon_mod.featurize, tokens_by_user, matcher)
+    del texts_by_user, tokens_by_user
 
     mapping = stage("predict", model_mod.load_model, config.model_path)
     scores, _skipped = stage("predict", model_mod.predict, mapping, features)

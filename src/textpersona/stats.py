@@ -193,18 +193,48 @@ def tag_contrast(
 
 
 @dataclass(frozen=True)
-class GroupRow:
+class MeanRow:
+    """Per-trait means of one group, bin or province."""
+
     label: str
     count: int
     means: Mapping[str, float]
-    low_support: bool
+
+    @property
+    def low_support(self) -> bool:
+        return self.count < LOW_SUPPORT_GROUP_SIZE
 
 
 @dataclass(frozen=True)
-class GroupMeans:
-    grouping_name: str
-    rows: tuple[GroupRow, ...]
+class Grouping:
+    """The rows of one grouping or binning, and how many users it left out."""
+
+    name: str
+    rows: tuple[MeanRow, ...]
     excluded_count: int
+
+
+def _trait_means(scores: list[BigFive]) -> dict[str, float]:
+    n = len(scores)
+    return {trait: fsum(col) / n for trait, col in zip(TRAITS, zip(*(s.as_tuple() for s in scores)))}
+
+
+def _bucket(users: Iterable[ScoredUser], key) -> tuple[dict, int]:
+    """Scores bucketed on key(profile), and the count of users whose key is None."""
+    buckets: dict = {}
+    excluded = 0
+    for profile, score in users:
+        k = key(profile)
+        if k is None:
+            excluded += 1
+        else:
+            buckets.setdefault(k, []).append(score)
+    return buckets, excluded
+
+
+def _mean_rows(buckets: Mapping, keys: Iterable, label=str) -> tuple[MeanRow, ...]:
+    """One row per key that has a bucket, in the order of keys."""
+    return tuple(MeanRow(label(k), len(buckets[k]), _trait_means(buckets[k])) for k in keys if k in buckets)
 
 
 # grouping key -> (ordered labels, profile -> label or None when the
@@ -220,62 +250,41 @@ _GROUPERS = {
 GROUPING_KEYS = tuple(_GROUPERS)
 
 
-def _trait_means(scores: list[BigFive]) -> dict[str, float]:
-    n = len(scores)
-    return {trait: fsum(col) / n for trait, col in zip(TRAITS, zip(*(s.as_tuple() for s in scores)))}
-
-
-def group_means(users: Sequence[ScoredUser], key: str) -> GroupMeans:
+def group_means(users: Sequence[ScoredUser], key: str) -> Grouping:
     """Per-group per-trait means for one of the supported groupings."""
     if key not in _GROUPERS:
         raise StatsError(f"unknown grouping {key!r}; supported: {', '.join(GROUPING_KEYS)}")
     labels, grouper = _GROUPERS[key]
-    buckets: dict[str, list[BigFive]] = {label: [] for label in labels}
-    excluded = 0
-    for profile, score in users:
-        label = grouper(profile)
-        if label is None:
-            excluded += 1
-        else:
-            buckets[label].append(score)
-    if all(not members for members in buckets.values()):
+    buckets, excluded = _bucket(users, grouper)
+    if not buckets:
         raise StatsError(f"grouping {key!r} is defined for no user")
-    rows = []
-    for label in labels:
-        members = buckets[label]
-        if not members:
-            continue
-        rows.append(
-            GroupRow(
-                label=label,
-                count=len(members),
-                means=_trait_means(members),
-                low_support=len(members) < LOW_SUPPORT_GROUP_SIZE,
-            )
-        )
-    return GroupMeans(grouping_name=key, rows=tuple(rows), excluded_count=excluded)
-
-
-@dataclass(frozen=True)
-class TrendRow:
-    bin_label: str
-    count: int
-    means: Mapping[str, float]
-
-
-@dataclass(frozen=True)
-class TrendResult:
-    binning: str
-    rows: tuple[TrendRow, ...]
-    excluded_count: int
+    return Grouping(key, _mean_rows(buckets, labels), excluded)
 
 
 DEFAULT_INTRO_BINS = ((1, 10), (11, 20), (21, 30), (31, 40), (41, 50), (51, 60), (61, 70))
 
-BINNINGS = ("age_year", "school_count", "introduction_length")
+
+def _intro_bin(profile: UserProfile) -> tuple[int, int] | None:
+    """The DEFAULT_INTRO_BINS range holding the introduction's length, if any."""
+    if profile.introduction:
+        length = len(profile.introduction)
+        for lo, hi in DEFAULT_INTRO_BINS:
+            if lo <= length <= hi:
+                return lo, hi
+    return None
 
 
-def binned_trend(users: Sequence[ScoredUser], binning: str) -> TrendResult:
+# binning -> (profile -> ordered bin or None when excluded, bin -> label)
+_BINNERS = {
+    "age_year": (lambda p: p.age, str),
+    "school_count": (lambda p: len(p.schools), str),
+    "introduction_length": (_intro_bin, lambda b: f"{b[0]}-{b[1]}"),
+}
+
+BINNINGS = tuple(_BINNERS)
+
+
+def binned_trend(users: Sequence[ScoredUser], binning: str) -> Grouping:
     """Mean scores per bin, ascending bin order, empty bins omitted.
 
     age_year bins on each integer age, school_count on the number of
@@ -283,46 +292,11 @@ def binned_trend(users: Sequence[ScoredUser], binning: str) -> TrendResult:
     ranges of DEFAULT_INTRO_BINS (users without an introduction, or with
     one longer than the last range, are excluded and counted).
     """
-    if binning not in BINNINGS:
+    if binning not in _BINNERS:
         raise StatsError(f"unknown binning {binning!r}; supported: {', '.join(BINNINGS)}")
-    buckets: dict[tuple[int, str], list[BigFive]] = {}
-    excluded = 0
-
-    if binning == "introduction_length":
-        for profile, score in users:
-            if not profile.introduction:
-                excluded += 1
-                continue
-            length = len(profile.introduction)
-            for lo, hi in DEFAULT_INTRO_BINS:
-                if lo <= length <= hi:
-                    buckets.setdefault((lo, f"{lo}-{hi}"), []).append(score)
-                    break
-            else:
-                excluded += 1
-    elif binning == "age_year":
-        for profile, score in users:
-            if profile.age is None:
-                excluded += 1
-            else:
-                buckets.setdefault((profile.age, str(profile.age)), []).append(score)
-    else:  # school_count
-        for profile, score in users:
-            count = len(profile.schools)
-            buckets.setdefault((count, str(count)), []).append(score)
-
-    rows = tuple(
-        TrendRow(bin_label=label, count=len(members), means=_trait_means(members))
-        for (_, label), members in sorted(buckets.items())
-    )
-    return TrendResult(binning=binning, rows=rows, excluded_count=excluded)
-
-
-@dataclass(frozen=True)
-class ProvinceRow:
-    province: str
-    count: int
-    means: Mapping[str, float]
+    binner, label = _BINNERS[binning]
+    buckets, excluded = _bucket(users, binner)
+    return Grouping(binning, _mean_rows(buckets, sorted(buckets), label), excluded)
 
 
 def normalize_province(location: str | None) -> str:
@@ -335,24 +309,12 @@ def normalize_province(location: str | None) -> str:
     return "unknown"
 
 
-def province_aggregate(users: Sequence[ScoredUser]) -> list[ProvinceRow]:
+def province_aggregate(users: Sequence[ScoredUser]) -> list[MeanRow]:
     """Choropleth-ready per-province mean scores; 'unknown' always last."""
-    buckets: dict[str, list[BigFive]] = {}
-    for profile, score in users:
-        buckets.setdefault(normalize_province(profile.location), []).append(score)
-    rows = [
-        ProvinceRow(province=name, count=len(buckets[name]), means=_trait_means(buckets[name]))
-        for name in PROVINCES
-        if name in buckets
-    ]
-    unknown = buckets.get("unknown", [])
-    rows.append(
-        ProvinceRow(
-            province="unknown",
-            count=len(unknown),
-            means=_trait_means(unknown) if unknown else {t: 0.0 for t in TRAITS},
-        )
-    )
+    buckets, _ = _bucket(users, lambda p: normalize_province(p.location))
+    rows = list(_mean_rows(buckets, (*PROVINCES, "unknown")))
+    if "unknown" not in buckets:
+        rows.append(MeanRow("unknown", 0, dict.fromkeys(TRAITS, 0.0)))
     return rows
 
 

@@ -252,15 +252,6 @@ def test_validity_report_accounting_identity_enforced():
         ValidityReport(total_users=3, accepted=1, rejected=(("u", RejectReason.NO_POSTS),))
 
 
-def test_load_summary_json():
-    from textpersona.corpus import LoadSummary
-
-    summary = LoadSummary(users=2, posts=5, malformed_lines=1, orphan_posts=0)
-    assert json.loads(summary.to_json()) == {
-        "users": 2, "posts": 5, "malformed_lines": 1, "orphan_posts": 0,
-    }
-
-
 def test_profile_invariants():
     with pytest.raises(ValueError):
         UserProfile("u", follower_count=-1)

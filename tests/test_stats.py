@@ -13,6 +13,7 @@ from textpersona.corpus import UserProfile
 from textpersona.errors import StatsError
 from textpersona.model import BigFive
 from textpersona.stats import (
+    BINNINGS,
     GROUPING_KEYS,
     PROVINCES,
     TRAITS,
@@ -424,7 +425,7 @@ def test_binned_trend_age_rows():
         (prof("u3"), b5(o=99)),
     ]
     trend = binned_trend(users, "age_year")
-    assert [row.bin_label for row in trend.rows] == ["20", "30"]
+    assert [row.label for row in trend.rows] == ["20", "30"]
     assert trend.excluded_count == 1
 
 
@@ -437,7 +438,7 @@ def test_binned_trend_school_count_monotone_planted():
         users.append((prof(f"u{i:04d}", schools=tuple(f"s{j}" for j in range(s))), b5(c=c)))
     trend = binned_trend(users, "school_count")
     means = [row.means["C"] for row in trend.rows]
-    assert [row.bin_label for row in trend.rows] == [str(s) for s in range(7)]
+    assert [row.label for row in trend.rows] == [str(s) for s in range(7)]
     assert all(a < b for a, b in zip(means, means[1:]))
 
 
@@ -448,7 +449,7 @@ def test_binned_trend_introduction_length():
         (prof("u3"), b5(o=99)),  # absent: excluded here
     ]
     trend = binned_trend(users, "introduction_length")
-    assert [row.bin_label for row in trend.rows] == ["1-10", "11-20"]
+    assert [row.label for row in trend.rows] == ["1-10", "11-20"]
     assert trend.excluded_count == 1
     # same user 3 still counts in introduction_shared group means
     gm = group_means(users, "introduction_shared")
@@ -473,8 +474,8 @@ def test_normalize_province_prefix():
 def test_province_aggregate_single_province():
     users = [(prof(f"u{i}", location="广东 深圳"), b5(n=60)) for i in range(3)]
     rows = province_aggregate(users)
-    assert rows[0].province == "广东" and rows[0].count == 3
-    assert rows[-1].province == "unknown" and rows[-1].count == 0
+    assert rows[0].label == "广东" and rows[0].count == 3
+    assert rows[-1].label == "unknown" and rows[-1].count == 0
     assert len(rows) == 2
 
 
@@ -488,9 +489,9 @@ def test_province_aggregate_planted_offsets():
             n_score += 8.0
         users.append((prof(f"u{i:03d}", location=province), b5(n=n_score)))
     rows = province_aggregate(users)
-    named = [row for row in rows if row.province != "unknown"]
+    named = [row for row in rows if row.label != "unknown"]
     top2 = sorted(named, key=lambda row: -row.means["N"])[:2]
-    assert {row.province for row in top2} == {"广东", "浙江"}
+    assert {row.label for row in top2} == {"广东", "浙江"}
 
 
 # ---------------------------------------------------------------- emoticons
@@ -625,39 +626,97 @@ def test_small_corpus_matches_naive_oracle():
     for i in range(50):
         uid = f"u{i:02d}"
         score = b5(*(float(v) for v in rng.normal(50, 10, size=5)))
+        where = rng.uniform()
+        if where < 0.25:
+            location = None
+        elif where < 0.35:
+            location = "火星"
+        else:  # a province, sometimes after spaces or before a city
+            location = " " * int(rng.integers(0, 3)) + str(PROVINCES[int(rng.integers(0, 5))])
+            location += " 某市" if rng.uniform() < 0.5 else ""
+        # the first users carry the edge lengths: empty, 1, the last bin's end, past it
+        intro_length = (0, 1, 70, 71, 85)[i] if i < 5 else int(rng.integers(0, 90))
         profile = prof(
             uid,
             gender=["male", "female", "unknown"][int(rng.integers(0, 3))],
             verified=bool(rng.integers(0, 2)),
             age=int(rng.integers(10, 48)) if rng.uniform() < 0.8 else None,
             tags=tuple(t for t in ("A", "B", "C") if rng.uniform() < 0.5),
-            location=str(PROVINCES[int(rng.integers(0, 5))]) if rng.uniform() < 0.7 else None,
+            location=location,
             schools=tuple(f"s{k}" for k in range(int(rng.integers(0, 4)))),
-            introduction="x" * int(rng.integers(1, 70)) if rng.uniform() < 0.6 else None,
+            introduction="x" * intro_length if i < 5 or rng.uniform() < 0.8 else None,
         )
         users.append((profile, score))
         scores_by_id[uid] = score
+    intro_lengths = {len(p.introduction) for p, _ in users if p.introduction is not None}
+    assert 0 in intro_lengths and max(intro_lengths) > 70
+    assert any(p.age is None for p, _ in users)
+    assert any(p.location and p.location.startswith(" ") for p, _ in users)
 
-    # group means vs naive
-    for key, getter in [
-        ("verified", lambda p: "verified" if p.verified else "unverified"),
-        ("gender", lambda p: p.gender if p.gender != "unknown" else None),
-    ]:
+    def naive_rows(users, key, keys, label=str):
+        """(label, count, means) for each key in order with members, and the excluded count."""
+        rows = []
+        for k in keys:
+            members = [s for p, s in users if key(p) == k]
+            if members:
+                means = {t: sum(m.get(t) for m in members) / len(members) for t in TRAITS}
+                rows.append((label(k), len(members), means))
+        return rows, sum(key(p) is None for p, _ in users)
+
+    def assert_rows_equal(rows, expected):
+        assert [(row.label, row.count) for row in rows] == [(lab, n) for lab, n, _ in expected]
+        for row, (_, _, means) in zip(rows, expected):
+            assert row.low_support == (row.count < 5)
+            for trait in TRAITS:
+                assert abs(row.means[trait] - means[trait]) < 1e-10
+
+    # group means vs naive, every grouping
+    groupers = {
+        "gender": (("male", "female"), lambda p: None if p.gender == "unknown" else p.gender),
+        "verified": (("verified", "unverified"), lambda p: "verified" if p.verified else "unverified"),
+        "education_shared": (("shared", "unknown"), lambda p: "shared" if len(p.schools) > 0 else "unknown"),
+        "introduction_shared": (("shared", "unknown"), lambda p: "shared" if p.introduction else "unknown"),
+        "location_shared": (("shared", "unknown"), lambda p: "unknown" if p.location is None else "shared"),
+    }
+    assert set(groupers) == set(GROUPING_KEYS)
+    for key in GROUPING_KEYS:
+        labels, getter = groupers[key]
+        expected, excluded = naive_rows(users, getter, labels)
         result = group_means(users, key)
-        for row in result.rows:
-            members = [s for p, s in users if getter(p) == row.label]
-            assert row.count == len(members)
-            for t_idx, trait in enumerate(TRAITS):
-                naive = sum(m.as_tuple()[t_idx] for m in members) / len(members)
-                assert abs(row.means[trait] - naive) < 1e-10
+        assert result.name == key and result.excluded_count == excluded
+        assert_rows_equal(result.rows, expected)
 
-    # age trend vs naive
-    trend = binned_trend(users, "age_year")
-    for row in trend.rows:
-        members = [s for p, s in users if p.age is not None and str(p.age) == row.bin_label]
-        assert row.count == len(members)
-        naive = sum(m.o for m in members) / len(members)
-        assert abs(row.means["O"] - naive) < 1e-10
+    # trends vs naive, every binning; introductions bin by tens up to 70
+    def intro_bin(p):
+        length = len(p.introduction or "")
+        return (length - 1) // 10 if 1 <= length <= 70 else None
+
+    binners = {
+        "age_year": (lambda p: p.age, range(100), str),
+        "school_count": (lambda p: len(p.schools), range(10), str),
+        "introduction_length": (intro_bin, range(7), lambda b: f"{10 * b + 1}-{10 * b + 10}"),
+    }
+    assert set(binners) == set(BINNINGS)
+    for binning in BINNINGS:
+        getter, bins, label = binners[binning]
+        expected, excluded = naive_rows(users, getter, bins, label)
+        trend = binned_trend(users, binning)
+        assert trend.name == binning and trend.excluded_count == excluded
+        assert_rows_equal(trend.rows, expected)
+
+    # province aggregation vs naive; 'unknown' is last, with zero means when empty
+    def province(p):
+        stripped = (p.location or "").strip()
+        return next((q for q in PROVINCES if stripped.startswith(q)), "unknown")
+
+    expected, _ = naive_rows(users, province, (*PROVINCES, "unknown"))
+    assert expected[-1][0] == "unknown"
+    assert_rows_equal(province_aggregate(users), expected)
+    located = [(p, s) for p, s in users if province(p) != "unknown"]
+    expected, _ = naive_rows(located, province, PROVINCES)
+    rows = province_aggregate(located)
+    assert_rows_equal(rows[:-1], expected)
+    assert (rows[-1].label, rows[-1].count, dict(rows[-1].means)) == ("unknown", 0, dict.fromkeys(TRAITS, 0.0))
 
     # polarity split vs naive sort
     pairs = [(uid, scores_by_id[uid].n) for uid in scores_by_id]
@@ -670,7 +729,7 @@ def test_small_corpus_matches_naive_oracle():
     # province aggregation vs naive
     rows = province_aggregate(users)
     for row in rows:
-        members = [s for p, s in users if normalize_province(p.location) == row.province]
+        members = [s for p, s in users if normalize_province(p.location) == row.label]
         assert row.count == len(members)
         if members:
             naive = sum(m.n for m in members) / len(members)
