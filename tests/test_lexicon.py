@@ -69,6 +69,13 @@ def test_missing_header_is_fatal(tmp_path):
         parse_lexicon(path)
 
 
+def test_unclosed_header_error_names_path_without_line(tmp_path):
+    path = write_dic(tmp_path, "%\n1\tA\n")
+    with pytest.raises(LexiconParseError) as info:
+        parse_lexicon(path)
+    assert str(info.value) == f"{path}: missing '%'-delimited category header"
+
+
 def test_comments_and_blanks_ignored(tmp_path):
     path = write_dic(tmp_path, "# hi\n%\n1\tA\n%\n\n# more\n开心\t1\n")
     assert len(parse_lexicon(path).entries) == 1
