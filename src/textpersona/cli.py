@@ -188,24 +188,24 @@ def _read_cleaned(path) -> list[tuple[str, cleaner_mod.CleanResult]]:
     ]
 
 
+def _write_jsonl(path, records) -> None:
+    """Write a CLI interchange file: one JSON object per line, keys sorted."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
+
+
 def cmd_clean(args) -> int:
     posts, malformed = corpus_mod.load_posts(args.posts)
     spam, templates = cleaner_mod.load_rules(args.spam_keywords, args.templates)
     cleaned, dropped = cleaner_mod.clean_corpus(posts, spam, system_templates=templates)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for user_id, res in cleaned:
-            fh.write(
-                json.dumps(
-                    {
-                        "user_id": user_id,
-                        "clean_text": res.clean_text,
-                        "emoticons": list(res.emoticons),
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    _write_jsonl(
+        args.out,
+        (
+            {"user_id": user_id, "clean_text": res.clean_text, "emoticons": list(res.emoticons)}
+            for user_id, res in cleaned
+        ),
+    )
     log.info(
         "clean: %d posts in, %d kept, %d dropped, %d malformed lines",
         len(posts), len(cleaned), dropped, malformed,
@@ -217,12 +217,7 @@ def cmd_segment(args) -> int:
     cleaned = _read_cleaned(args.cleaned)
     word_list = segmenter_mod.load_word_list(args.words)
     tokenized = segmenter_mod.segment_corpus([(uid, res.clean_text) for uid, res in cleaned], word_list)
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        for user_id, tokens in tokenized:
-            fh.write(
-                json.dumps({"user_id": user_id, "tokens": tokens}, ensure_ascii=False, sort_keys=True)
-                + "\n"
-            )
+    _write_jsonl(args.out, ({"user_id": user_id, "tokens": tokens} for user_id, tokens in tokenized))
     log.info("segment: %d posts tokenized", len(tokenized))
     return EXIT_OK
 

@@ -49,7 +49,7 @@ class RunConfig:
     system_templates_path: str | None = None
     model_path: str | None = None
 
-    _PATH_KEYS = (
+    PATH_KEYS = (
         "profiles_path",
         "posts_path",
         "lexicon_path",
@@ -82,7 +82,7 @@ class RunConfig:
                 value = cls._parse_value(key, value)
             except ValueError as err:
                 raise InputFormatError(f"config key {key!r}: {err}") from None
-            if key in cls._PATH_KEYS and value is not None and base_dir is not None:
+            if key in cls.PATH_KEYS and value is not None and base_dir is not None:
                 # relative paths in a config file resolve against the file
                 p = Path(value)
                 value = str(p if p.is_absolute() else base_dir / p)
@@ -97,7 +97,7 @@ class RunConfig:
             if not ok:
                 raise ValueError(f"must be {what}, got {json.dumps(value, ensure_ascii=False)}")
 
-        if key in cls._PATH_KEYS:
+        if key in cls.PATH_KEYS:
             require(value is None or isinstance(value, str), "a path string or null")
         elif key == "reference_date":
             require(value is None or isinstance(value, str), "an ISO date string or null")

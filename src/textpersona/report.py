@@ -225,6 +225,10 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+# a bundle needs these; the spam keyword and system template paths may be unset
+REQUIRED_KEYS = ("profiles_path", "posts_path", "lexicon_path", "word_list_path", "model_path", "reference_date")
+
+
 @dataclass(frozen=True)
 class ReportBundle:
     out_dir: Path
@@ -243,15 +247,7 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    required = {
-        "profiles_path": config.profiles_path,
-        "posts_path": config.posts_path,
-        "lexicon_path": config.lexicon_path,
-        "word_list_path": config.word_list_path,
-        "model_path": config.model_path,
-        "reference_date": config.reference_date,
-    }
-    missing = [key for key, value in required.items() if value is None]
+    missing = [key for key in REQUIRED_KEYS if getattr(config, key) is None]
     if missing:
         raise BundleError("config", PipelineError(f"missing config values: {', '.join(missing)}"))
 
@@ -334,16 +330,10 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         artifacts.append((table.name, csv_name, json_name, len(table.rows)))
 
     input_hashes = {
-        "profiles": _sha256(config.profiles_path),
-        "posts": _sha256(config.posts_path),
-        "lexicon": _sha256(config.lexicon_path),
-        "word_list": _sha256(config.word_list_path),
-        "model": _sha256(config.model_path),
+        key.removesuffix("_path"): _sha256(path)
+        for key in RunConfig.PATH_KEYS
+        if (path := getattr(config, key))
     }
-    if config.spam_keywords_path:
-        input_hashes["spam_keywords"] = _sha256(config.spam_keywords_path)
-    if config.system_templates_path:
-        input_hashes["system_templates"] = _sha256(config.system_templates_path)
 
     manifest = {
         "artifacts": [

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Iterable, Mapping, Sequence
 
 from ._pool import parallel_map
@@ -27,17 +27,11 @@ _ASCII_ALNUM = frozenset(
     "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 )
 
-# per-character separator decisions are memoized: microblog text reuses
-# a small alphabet, and unicodedata.category is not free
-_sep_cache: dict[str, bool] = {}
-
-
+# memoized per character: microblog text reuses a small alphabet, and
+# unicodedata.category is not free
+@cache
 def _is_separator(ch: str) -> bool:
-    cached = _sep_cache.get(ch)
-    if cached is None:
-        cached = ch.isspace() or unicodedata.category(ch)[0] in ("P", "S")
-        _sep_cache[ch] = cached
-    return cached
+    return ch.isspace() or unicodedata.category(ch)[0] in ("P", "S")
 
 
 @dataclass(frozen=True)

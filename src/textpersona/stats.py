@@ -383,16 +383,16 @@ def emoticon_contrasts(
     """
     if min_count < 0:
         raise StatsError("min_count must be >= 0")
-    corpus_totals: Counter[str] = Counter()
-    for counts in emoticon_usage.values():
-        corpus_totals.update(counts)
-    qualifying = sorted(e for e, c in corpus_totals.items() if c > min_count)
 
-    def group_counts(ids: tuple[str, ...]) -> Counter[str]:
-        totals: Counter[str] = Counter()
+    def group_counts(ids: Iterable[str]) -> dict[str, int]:
+        # plain dict adds: Counter.update into a non-empty Counter is a slower Python loop
+        totals: dict[str, int] = {}
         for uid in ids:
-            totals.update(emoticon_usage.get(uid, {}))
+            for emoticon, count in emoticon_usage.get(uid, {}).items():
+                totals[emoticon] = totals.get(emoticon, 0) + count
         return totals
+
+    qualifying = sorted(e for e, c in group_counts(emoticon_usage).items() if c > min_count)
 
     contrasts = []
     for split in splits:

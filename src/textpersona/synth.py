@@ -16,11 +16,15 @@ school-count stratum. Both choices are plain variance-reduction: every
 marginal stays what it claims to be, but group means and slopes
 estimated from a generated corpus sit far inside their sampling
 tolerances, so recovery checks against the planted values are stable
-run to run.
+run to run. Effect sizes and noise rates are module constants, and
+recovery checks read the planted values from them.
 
 The text layer composes raw posts (dictionary words, URLs, mentions,
 hashtags, emoticons, occasional spam) so the cleaning and segmentation
 stages have something realistic to chew on.
+
+Only this module imports numpy, which comes with the `test` extra;
+nothing that `import textpersona` loads imports it.
 """
 
 from __future__ import annotations
@@ -52,6 +56,21 @@ EMOTICON_POOL = (
 PLANTED_EMOTICON = "[月亮]"
 PLANTED_TAG = "Sleep"
 
+# planted effects of generate_scored_corpus
+VERIFIED_C_OFFSET = 5.0
+SCHOOL_C_SLOPE = 1.2
+SLEEP_HIGH_RATE = 0.8  # share of top-quartile Neuroticism users tagged Sleep
+SLEEP_BASE_RATE = 0.05
+PLANTED_EMOTICON_FACTOR = 3.0  # top-quartile Openness rate over everyone else's
+TRAIT_SD = 10.0
+REFERENCE_DATE = dt.date(2018, 6, 1)  # birth dates are drawn back from it
+
+# per-post noise rates of generate_posts
+URL_RATE = 0.15
+MENTION_RATE = 0.15
+HASHTAG_RATE = 0.1
+SPAM_RATE = 0.02
+
 
 def stratified_normal(rng: np.random.Generator, n: int, sd: float) -> np.ndarray:
     """n draws whose empirical distribution hugs N(0, sd^2).
@@ -69,23 +88,9 @@ class SynthCorpus:
     profiles: tuple[UserProfile, ...]
     scores: dict[str, BigFive]
     emoticon_usage: dict[str, dict[str, int]]
-    # planted ground truth, for recovery checks
-    verified_c_offset: float
-    school_c_slope: float
 
 
-def generate_scored_corpus(
-    n_users: int,
-    seed: int,
-    *,
-    verified_c_offset: float = 5.0,
-    school_c_slope: float = 1.2,
-    sleep_high_rate: float = 0.8,
-    sleep_base_rate: float = 0.05,
-    planted_emoticon_factor: float = 3.0,
-    trait_sd: float = 10.0,
-    reference_date: dt.date = dt.date(2018, 6, 1),
-) -> SynthCorpus:
+def generate_scored_corpus(n_users: int, seed: int) -> SynthCorpus:
     """Profiles, true scores, and emoticon usage for n_users accounts."""
     rng = np.random.default_rng(seed)
     ids = [f"u{i:05d}" for i in range(n_users)]
@@ -98,10 +103,10 @@ def generate_scored_corpus(
         verified[picked] = True
 
     base = 50.0
-    o_scores = base + stratified_normal(rng, n_users, trait_sd)
-    e_scores = base + stratified_normal(rng, n_users, trait_sd)
-    a_scores = base + stratified_normal(rng, n_users, trait_sd)
-    n_scores = base + stratified_normal(rng, n_users, trait_sd)
+    o_scores = base + stratified_normal(rng, n_users, TRAIT_SD)
+    e_scores = base + stratified_normal(rng, n_users, TRAIT_SD)
+    a_scores = base + stratified_normal(rng, n_users, TRAIT_SD)
+    n_scores = base + stratified_normal(rng, n_users, TRAIT_SD)
 
     c_scores = np.empty(n_users)
     for s in range(7):
@@ -109,8 +114,8 @@ def generate_scored_corpus(
             idx = np.flatnonzero((school_counts == s) & (verified == flag))
             if len(idx) == 0:
                 continue
-            noise = stratified_normal(rng, len(idx), trait_sd)
-            c_scores[idx] = base + school_c_slope * s + (verified_c_offset if flag else 0.0) + noise
+            noise = stratified_normal(rng, len(idx), TRAIT_SD)
+            c_scores[idx] = base + SCHOOL_C_SLOPE * s + (VERIFIED_C_OFFSET if flag else 0.0) + noise
 
     # tags: planted Sleep association on Neuroticism, everything else neutral
     n_rank = np.argsort(np.argsort(-n_scores))  # 0 = highest N
@@ -129,7 +134,7 @@ def generate_scored_corpus(
 
     for i, uid in enumerate(ids):
         tags = []
-        sleep_rate = sleep_high_rate if top_n[i] else sleep_base_rate
+        sleep_rate = SLEEP_HIGH_RATE if top_n[i] else SLEEP_BASE_RATE
         if rng.uniform() < sleep_rate:
             tags.append(PLANTED_TAG)
         for tag in TAG_POOL:
@@ -138,7 +143,7 @@ def generate_scored_corpus(
             if rng.uniform() < 0.18 and len(tags) < 10:
                 tags.append(tag)
 
-        birth = reference_date - dt.timedelta(days=int(ages[i]) * 365 + int(rng.integers(0, 300)))
+        birth = REFERENCE_DATE - dt.timedelta(days=int(ages[i]) * 365 + int(rng.integers(0, 300)))
         loc_idx = int(locations[i])
         intro = ("热爱生活" * 18)[: int(intro_lengths[i])] if has_intro[i] else None
         profiles.append(
@@ -167,19 +172,13 @@ def generate_scored_corpus(
         for emoticon in EMOTICON_POOL:
             lam = 2.0
             if emoticon == PLANTED_EMOTICON:
-                lam = 1.0 * (planted_emoticon_factor if top_o[i] else 1.0)
+                lam = 1.0 * (PLANTED_EMOTICON_FACTOR if top_o[i] else 1.0)
             count = int(rng.poisson(lam))
             if count:
                 counts[emoticon] = count
         usage[uid] = counts
 
-    return SynthCorpus(
-        profiles=tuple(profiles),
-        scores=scores,
-        emoticon_usage=usage,
-        verified_c_offset=verified_c_offset,
-        school_c_slope=school_c_slope,
-    )
+    return SynthCorpus(profiles=tuple(profiles), scores=scores, emoticon_usage=usage)
 
 
 _FILLER_WORDS = (
@@ -195,10 +194,6 @@ def generate_posts(
     posts_per_user: tuple[int, int] = (3, 8),
     word_pool: Sequence[str] = _FILLER_WORDS,
     emoticon_usage: Mapping[str, Mapping[str, int]] | None = None,
-    url_rate: float = 0.15,
-    mention_rate: float = 0.15,
-    hashtag_rate: float = 0.1,
-    spam_rate: float = 0.02,
     words_per_post: tuple[int, int] = (4, 12),
 ) -> list[Post]:
     """Raw posts with realistic noise for the cleaning stage.
@@ -226,15 +221,15 @@ def generate_posts(
                 take = len(pending) if j == n_posts - 1 else int(rng.integers(0, 3))
                 for _ in range(min(take, len(pending))):
                     text += pending.pop()
-            if rng.uniform() < hashtag_rate:
+            if rng.uniform() < HASHTAG_RATE:
                 text += f"#{pool[int(rng.integers(0, len(pool)))]}#"
-            if rng.uniform() < mention_rate:
+            if rng.uniform() < MENTION_RATE:
                 text = f"@用户{int(rng.integers(1, 999))} " + text
-            if rng.uniform() < url_rate:
+            if rng.uniform() < URL_RATE:
                 text += " http://t.cn/" + "".join(
                     chr(97 + int(v)) for v in rng.integers(0, 26, size=6)
                 )
             posts.append(Post(user_id=uid, text=text, is_repost=bool(rng.uniform() < 0.2)))
-        if rng.uniform() < spam_rate * n_posts:
+        if rng.uniform() < SPAM_RATE * n_posts:
             posts.append(Post(user_id=uid, text="关注我的淘宝店铺有惊喜", is_repost=False))
     return posts

@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -162,14 +163,25 @@ def test_build_bundle_fixture_lists_10_artifacts(tmp_path):
 
 
 def test_build_bundle_manifest_completeness(tmp_path):
-    bundle = build_bundle(fixture_config(), tmp_path / "out")
-    manifest = json.loads(bundle.manifest_path.read_text(encoding="utf-8"))
-    listed = {"manifest.json"}
-    for artifact in manifest["artifacts"]:
-        listed.add(artifact["path"])
-        listed.add(artifact["json_path"])
-    on_disk = {p.name for p in (tmp_path / "out").iterdir()}
-    assert on_disk == listed
+    no_keyword_files = fixture_config()
+    no_keyword_files.spam_keywords_path = no_keyword_files.system_templates_path = None
+    for out, cfg in (("full", fixture_config()), ("no_keyword_files", no_keyword_files)):
+        bundle = build_bundle(cfg, tmp_path / out)
+        manifest = json.loads(bundle.manifest_path.read_text(encoding="utf-8"))
+        listed = {"manifest.json"}
+        for artifact in manifest["artifacts"]:
+            listed.add(artifact["path"])
+            listed.add(artifact["json_path"])
+        on_disk = {p.name for p in (tmp_path / out).iterdir()}
+        assert on_disk == listed
+        # every set input path is hashed under its key less "_path"; an unset one is left out
+        inputs = ["profiles", "posts", "lexicon", "word_list", "model"]
+        if cfg.spam_keywords_path:
+            inputs += ["spam_keywords", "system_templates"]
+        assert manifest["input_hashes"] == {
+            name: hashlib.sha256(Path(getattr(cfg, f"{name}_path")).read_bytes()).hexdigest()
+            for name in inputs
+        }
 
 
 def _bundle_bytes(out_dir: Path) -> dict:
@@ -200,6 +212,10 @@ def test_build_bundle_missing_config(tmp_path):
     with pytest.raises(BundleError) as err:
         build_bundle(cfg, tmp_path / "out")
     assert err.value.stage == "config"
+    assert str(err.value) == (
+        "stage 'config' failed: missing config values: "
+        "profiles_path, posts_path, lexicon_path, word_list_path, model_path, reference_date"
+    )
 
 
 def test_bundle_features_match_frozen_golden(tmp_path):

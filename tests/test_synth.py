@@ -1,11 +1,17 @@
 """Sanity checks on the planted-effect corpus generator."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 
+from textpersona.config import builtin_data_path
+from textpersona.lexicon import parse_lexicon
 from textpersona.stats import polarity_split
 from textpersona.synth import (
     PLANTED_EMOTICON,
     PLANTED_TAG,
+    VERIFIED_C_OFFSET,
     generate_posts,
     generate_scored_corpus,
     stratified_normal,
@@ -45,7 +51,7 @@ def test_planted_verified_offset_direction():
     for p in corpus.profiles:
         by_flag[p.verified].append(corpus.scores[p.user_id].c)
     diff = np.mean(by_flag[True]) - np.mean(by_flag[False])
-    assert abs(diff - corpus.verified_c_offset) < 1.0
+    assert abs(diff - VERIFIED_C_OFFSET) < 1.0
 
 
 def test_planted_emoticon_rate():
@@ -60,7 +66,7 @@ def test_planted_emoticon_rate():
 def test_generate_posts_spends_emoticons():
     corpus = generate_scored_corpus(50, seed=4)
     ids = [p.user_id for p in corpus.profiles]
-    posts = generate_posts(ids, seed=5, emoticon_usage=corpus.emoticon_usage, spam_rate=0.0)
+    posts = generate_posts(ids, seed=5, emoticon_usage=corpus.emoticon_usage)
     text = "".join(p.text for p in posts)
     for uid in ids[:10]:
         for emoticon, count in corpus.emoticon_usage[uid].items():
@@ -69,3 +75,14 @@ def test_generate_posts_spends_emoticons():
     assert any("http://" in p.text for p in posts)
     assert any("@" in p.text for p in posts)
     assert text  # non-empty corpus
+
+
+def test_fixture_corpus_is_synth_output(tmp_path):
+    """The committed fixture corpus is exactly what synth draws for it today."""
+    tool_path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.write_corpus(tmp_path, parse_lexicon(builtin_data_path("sc_liwc_fixture.dic")))
+    for name in ("profiles.jsonl", "posts.jsonl"):
+        assert (tmp_path / name).read_bytes() == builtin_data_path("fixture_corpus", name).read_bytes()

@@ -27,7 +27,6 @@ DATA = ROOT / "src" / "textpersona" / "data"
 FIXTURE = DATA / "fixture_corpus"
 TESTDATA = ROOT / "tests" / "data"
 
-REFERENCE_DATE = "2018-06-01"
 N_USERS = 120
 N_LABELED = 40
 
@@ -66,28 +65,20 @@ def profile_record(p: corpus.UserProfile) -> dict:
     return rec
 
 
-def main() -> None:
-    defaults = RunConfig()
-    FIXTURE.mkdir(parents=True, exist_ok=True)
-    TESTDATA.mkdir(parents=True, exist_ok=True)
-
-    lex = lexicon.parse_lexicon(DATA / "sc_liwc_fixture.dic")
-    word_list_path = write_word_list(lex)
-
+def write_corpus(out_dir: Path, lex) -> tuple[synth.SynthCorpus, list[corpus.Post]]:
+    """Draw the fixture corpus and write its profiles.jsonl and posts.jsonl into out_dir."""
     corpus_data = synth.generate_scored_corpus(N_USERS, seed=7)
-    ids = [p.user_id for p in corpus_data.profiles]
     word_pool = sorted({e.pattern for e in lex.entries if not e.wildcard})[:200]
     posts = synth.generate_posts(
-        ids,
+        [p.user_id for p in corpus_data.profiles],
         seed=8,
         word_pool=tuple(word_pool) + synth._FILLER_WORDS,
         emoticon_usage=corpus_data.emoticon_usage,
     )
-
-    with open(FIXTURE / "profiles.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+    with open(out_dir / "profiles.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for p in corpus_data.profiles:
             fh.write(json.dumps(profile_record(p), ensure_ascii=False, sort_keys=True) + "\n")
-    with open(FIXTURE / "posts.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+    with open(out_dir / "posts.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for post in posts:
             fh.write(
                 json.dumps(
@@ -97,6 +88,18 @@ def main() -> None:
                 )
                 + "\n"
             )
+    return corpus_data, posts
+
+
+def main() -> None:
+    defaults = RunConfig()
+    FIXTURE.mkdir(parents=True, exist_ok=True)
+    TESTDATA.mkdir(parents=True, exist_ok=True)
+
+    lex = lexicon.parse_lexicon(DATA / "sc_liwc_fixture.dic")
+    word_list_path = write_word_list(lex)
+    corpus_data, posts = write_corpus(FIXTURE, lex)
+    ids = [p.user_id for p in corpus_data.profiles]
 
     labeled = ids[:N_LABELED]
     model.write_scores_csv([(uid, corpus_data.scores[uid]) for uid in labeled], FIXTURE / "labels.csv")
@@ -120,7 +123,7 @@ def main() -> None:
     model.save_model(mapping, FIXTURE / "model.json")
 
     run_config = {
-        "reference_date": REFERENCE_DATE,
+        "reference_date": synth.REFERENCE_DATE.isoformat(),
         "profiles_path": "profiles.jsonl",
         "posts_path": "posts.jsonl",
         "lexicon_path": "../sc_liwc_fixture.dic",
@@ -137,14 +140,12 @@ def main() -> None:
     scores, _ = model.predict(mapping, features)
     model.write_scores_csv(scores, TESTDATA / "scores_golden.csv")
 
-    import datetime as dt
-
     validated, _, validity = corpus.validate_users(
         list(corpus_data.profiles),
         posts,
         min_followers=defaults.min_followers,
         ad_url_patterns=defaults.ad_url_patterns,
-        reference_date=dt.date.fromisoformat(REFERENCE_DATE),
+        reference_date=synth.REFERENCE_DATE,
     )
     report.demographic_summary(validated).write_csv(TESTDATA / "demographics_golden.csv")
 
