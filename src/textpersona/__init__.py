@@ -29,7 +29,7 @@ from .errors import (
 )
 from .lexicon import (
     CompiledMatcher,
-    FeatureVector,
+    FeatureMatrix,
     Lexicon,
     brute_force_lookup,
     compile_lexicon,
@@ -76,7 +76,7 @@ __all__ = [
     "CorrelationResult",
     "CorpusFormatError",
     "EmoticonContrast",
-    "FeatureVector",
+    "FeatureMatrix",
     "Grouping",
     "InputFormatError",
     "Lexicon",

@@ -235,22 +235,22 @@ def cmd_featurize(args) -> int:
     tokens_by_user = _read_tokens(args.tokens)
     features = lexicon_mod.featurize(tokens_by_user, matcher)
     report_mod.features_table(features, lexicon.category_names).write_csv(args.out)
-    log.info("featurize: %d users, %d categories", len(features), len(lexicon.category_names))
+    log.info("featurize: %d users, %d categories", len(features.user_ids), len(features.names))
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    features, names = lexicon_mod.read_features_csv(args.features)
+    features = lexicon_mod.read_features_csv(args.features)
     labels = model_mod.read_scores_csv(args.labels)
-    mapping = model_mod.fit(features, labels, args.ridge_lambda, category_names=names)
+    mapping = model_mod.fit(features, labels, args.ridge_lambda)
     model_mod.save_model(mapping, args.out)
-    log.info("fit: n=%d, K=%d, lambda=%g", mapping.n_train, len(names), mapping.ridge_lambda)
+    log.info("fit: n=%d, K=%d, lambda=%g", mapping.n_train, len(features.names), mapping.ridge_lambda)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
     mapping = model_mod.load_model(args.model)
-    features, _ = lexicon_mod.read_features_csv(args.features)
+    features = lexicon_mod.read_features_csv(args.features)
     scores, skipped = model_mod.predict(mapping, features)
     model_mod.write_scores_csv(scores, args.out)
     log.info("predict: %d scored, %d degenerate skipped", len(scores), len(skipped))
@@ -265,7 +265,7 @@ def _write_table(table: report_mod.Table, args) -> None:
 
 
 def cmd_correlate(args) -> int:
-    features, _ = lexicon_mod.read_features_csv(args.features)
+    features = lexicon_mod.read_features_csv(args.features)
     scores = model_mod.read_scores_csv(args.scores)
     results = stats_mod.correlation_matrix(features, scores, args.alpha)
     _write_table(report_mod.correlations_table(results), args)

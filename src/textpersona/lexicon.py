@@ -213,16 +213,19 @@ def brute_force_lookup(lexicon: Lexicon, token: str) -> frozenset[int]:
 
 
 @dataclass(frozen=True)
-class FeatureVector:
-    """Per-user category frequencies in percent of total tokens."""
+class FeatureMatrix:
+    """Category frequencies in percent of total tokens, one row per user.
 
-    user_id: str
-    freqs: Mapping[str, float]
-    token_count: int
+    rows[i] holds the frequencies of user_ids[i] in names order, from
+    token_counts[i] tokens. A user with no tokens is degenerate: its
+    count is 0 and its row all zeros. The names come with the matrix,
+    so a matrix with no rows still has its layout.
+    """
 
-    @property
-    def degenerate(self) -> bool:
-        return self.token_count == 0
+    names: tuple[str, ...]
+    user_ids: tuple[str, ...]
+    token_counts: tuple[int, ...]
+    rows: tuple[tuple[float, ...], ...]
 
 
 def featurize(
@@ -230,26 +233,30 @@ def featurize(
     matcher: CompiledMatcher,
     *,
     threads: int = 1,
-) -> list[FeatureVector]:
+) -> FeatureMatrix:
     """Pool each user's post tokens and compute category percentages.
 
-    freqs[c] = 100 * (tokens matching category c) / (total tokens); a
-    token in several categories counts once in each. Users with zero
-    tokens come back with all-zero freqs and degenerate=True. Output is
-    sorted by user_id. Each user's value may be any iterable of token
-    sequences, such as a lazy segment() of each post; it is consumed once.
+    A user's frequency of category c is 100 * (tokens matching c) /
+    (total tokens); a token in several categories counts once in each.
+    A user with zero tokens gets count 0 and an all-zero row. Rows come
+    in user_id order, columns in the matcher's category order. Each
+    user's value may be any iterable of token sequences, such as a lazy
+    segment() of each post; it is consumed once.
     """
-    items = sorted(tokens_by_user.items())
+    user_ids = tuple(sorted(tokens_by_user))
     # the lookup memo is this call's own dict; each worker gets its own copy
-    return parallel_map(partial(_featurize_one, matcher, {}), items, threads=threads, chunksize=32)
+    one = partial(_featurize_one, matcher, {})
+    counted = parallel_map(one, [tokens_by_user[uid] for uid in user_ids], threads=threads, chunksize=32)
+    return FeatureMatrix(
+        matcher.category_names, user_ids, tuple(total for total, _ in counted), tuple(row for _, row in counted)
+    )
 
 
 def _featurize_one(
     matcher: CompiledMatcher,
     cache: dict[str, frozenset[int]],
-    item: tuple[str, Iterable[Sequence[str]]],
-) -> FeatureVector:
-    user_id, token_lists = item
+    token_lists: Iterable[Sequence[str]],
+) -> tuple[int, tuple[float, ...]]:
     counts: dict[int, int] = {}
     total = 0
     for token, k in Counter(chain.from_iterable(token_lists)).items():
@@ -260,12 +267,8 @@ def _featurize_one(
             cache[token] = cats
         for cid in cats:
             counts[cid] = counts.get(cid, 0) + k
-    if total == 0:
-        freqs = {name: 0.0 for _, name in matcher.categories}
-    else:
-        scale = 100.0 / total
-        freqs = {name: counts.get(cid, 0) * scale for cid, name in matcher.categories}
-    return FeatureVector(user_id=user_id, freqs=freqs, token_count=total)
+    scale = 100.0 / total if total else 0.0
+    return total, tuple(counts.get(cid, 0) * scale for cid, _ in matcher.categories)
 
 
 # a 6-decimal cell lies within half a unit in the last place of the true
@@ -276,41 +279,44 @@ _CELL_TOL = 0.5e-6 + 1e-12
 _MAX_TOKEN_COUNT = 10**7
 
 
-def read_features_csv(path) -> tuple[list[FeatureVector], list[str]]:
-    """Read report.features_table's CSV back into exact FeatureVectors.
+def read_features_csv(path) -> FeatureMatrix:
+    """Read report.features_table's CSV back into the exact FeatureMatrix.
 
-    Each cell is snapped to the hit count k = round(cell * token_count /
-    100) and rebuilt as k * (100 / token_count), the float featurize()
-    computed. A row that cannot be rebuilt raises LexiconParseError
-    naming path:line: a cell count that differs from the header's, a
-    token_count that is not a non-negative integer, a nonzero cell in a
-    zero-token row, or a cell farther from the lattice than 6-decimal
-    rounding allows.
+    Rows keep the file's order. Each cell is snapped to the hit count
+    k = round(cell * token_count / 100) and rebuilt as k * (100 /
+    token_count), the float featurize() computed. A row that cannot be
+    rebuilt raises LexiconParseError naming path:line: a cell count that
+    differs from the header's, a token_count that is not a non-negative
+    integer, a nonzero cell in a zero-token row, or a cell farther from
+    the lattice than 6-decimal rounding allows.
     """
     header, rows = read_csv(path)
     if header[:2] != ["user_id", "token_count"]:
         raise LexiconParseError(f"{path}: not a feature CSV (header {header[:2]})")
-    names = header[2:]
-    features = []
+    names = tuple(header[2:])
+    user_ids, counts, values = [], [], []
     for line_no, parts in rows:
         try:
-            features.append(_parse_feature_row(parts, names))
+            total, row = _parse_feature_row(parts, names)
         except ValueError as err:
             raise LexiconParseError(f"{path}:{line_no}: {err}") from None
-    return features, names
+        user_ids.append(parts[0])
+        counts.append(total)
+        values.append(row)
+    return FeatureMatrix(names, tuple(user_ids), tuple(counts), tuple(values))
 
 
-def _parse_feature_row(parts: list[str], names: list[str]) -> FeatureVector:
+def _parse_feature_row(parts: list[str], names: tuple[str, ...]) -> tuple[int, tuple[float, ...]]:
     if len(parts) != len(names) + 2:
         raise ValueError(f"{len(parts)} cells, header has {len(names) + 2}")
-    user_id, raw_total, cells = parts[0], parts[1], parts[2:]
+    raw_total, cells = parts[1], parts[2:]
     if not raw_total.isdecimal():
         raise ValueError(f"token_count {raw_total!r} is not a non-negative integer")
     total = int(raw_total)
     if total > _MAX_TOKEN_COUNT:
         raise ValueError(f"token_count {total} is too large to rebuild frequencies from 6 decimals")
     scale = 100.0 / total if total else 0.0
-    freqs = {}
+    row = []
     for name, cell in zip(names, cells):
         value = float(cell)
         count = round(value * total / 100) if math.isfinite(value) else -1
@@ -318,5 +324,5 @@ def _parse_feature_row(parts: list[str], names: list[str]) -> FeatureVector:
         on_lattice = 0 <= count <= total and abs(value - freq) <= _CELL_TOL
         if not on_lattice or (total == 0 and value != 0):
             raise ValueError(f"{name} = {cell!r} is not a frequency of {total} tokens")
-        freqs[name] = freq
-    return FeatureVector(user_id=user_id, freqs=freqs, token_count=total)
+        row.append(freq)
+    return total, tuple(row)

@@ -39,7 +39,7 @@ from typing import Sequence
 from ._csvio import read_csv, write_csv
 from .config import RunConfig
 from .errors import InputFormatError, ModelError
-from .lexicon import FeatureVector
+from .lexicon import FeatureMatrix
 
 TRAITS = ("O", "C", "E", "A", "N")
 
@@ -78,40 +78,31 @@ class MappingModel:
 
 
 def fit(
-    features: Sequence[FeatureVector],
+    features: FeatureMatrix,
     labels: Sequence[tuple[str, BigFive]],
     ridge_lambda: float = RunConfig.ridge_lambda,
-    *,
-    category_names: Sequence[str] | None = None,
 ) -> MappingModel:
-    """Fit the mapping matrix on labeled users.
+    """Fit the mapping matrix on labeled users over the matrix's categories.
 
-    Every labeled user must have a non-degenerate feature vector; users
-    are joined on user_id and processed in sorted id order, so the fit
-    is reproducible regardless of input ordering.
+    Every labeled user must have a non-degenerate row; users are joined
+    on user_id and processed in sorted id order, so the fit is
+    reproducible regardless of input ordering.
     """
     if ridge_lambda < 0:
         raise ModelError("ridge lambda must be >= 0")
     if len({uid for uid, _ in labels}) < 2:
         raise ModelError("need at least 2 distinct labeled users")
-    by_id = {fv.user_id: fv for fv in features}
-    if category_names is None:
-        first = next(iter(by_id.values()), None)
-        if first is None:
-            raise ModelError("no feature vectors supplied")
-        category_names = tuple(first.freqs.keys())
-    else:
-        category_names = tuple(category_names)
+    by_id = dict(zip(features.user_ids, zip(features.token_counts, features.rows)))
 
     rows = []
     targets = []
     for user_id, score in sorted(labels, key=lambda pair: pair[0]):
-        fv = by_id.get(user_id)
-        if fv is None:
+        count, row = by_id.get(user_id, (None, None))
+        if count is None:
             raise ModelError(f"labeled user {user_id!r} has no feature vector")
-        if fv.degenerate:
+        if count == 0:
             raise ModelError(f"labeled user {user_id!r} has a degenerate (zero-token) feature vector")
-        rows.append([fv.freqs[name] for name in category_names])
+        rows.append(row)
         targets.append(score.as_tuple())
 
     x_mean, x_cols = _centered_columns(rows)
@@ -120,11 +111,11 @@ def fit(
     gram = [[fsum(map(mul, ci, cj)) for cj in x_cols[: i + 1]] for i, ci in enumerate(x_cols)]
     for j, row in enumerate(gram):
         row[j] += ridge_lambda
-    chol = _cholesky(gram, category_names, ridge_lambda)
+    chol = _cholesky(gram, features.names, ridge_lambda)
     W_cols = [_cholesky_solve(chol, [fsum(map(mul, xc, yc)) for xc in x_cols]) for yc in y_cols]
     b = [ym - fsum(map(mul, x_mean, w)) for ym, w in zip(y_mean, W_cols)]
     return MappingModel(
-        category_names=tuple(category_names),
+        category_names=features.names,
         W=tuple(zip(*W_cols)),
         b=tuple(b),
         ridge_lambda=float(ridge_lambda),
@@ -190,26 +181,26 @@ def _cholesky_solve(L: list[list[float]], rhs: list[float]) -> list[float]:
 
 def predict(
     model: MappingModel,
-    features: Sequence[FeatureVector],
+    features: FeatureMatrix,
 ) -> tuple[list[tuple[str, BigFive]], list[str]]:
     """Score users; returns (scores, skipped degenerate user ids).
 
-    Scores are rounded to the 6 decimals scores.csv publishes, so every
-    analysis of them gives the same result from the file as in process.
+    The matrix's category names must be the model's, in its order; they
+    are checked once. Scores are rounded to the 6 decimals scores.csv
+    publishes, so every analysis of them gives the same result from the
+    file as in process.
     """
+    _check_names(model.category_names, features.names)
     scores: list[tuple[str, BigFive]] = []
     skipped: list[str] = []
-    names = model.category_names
     # one weight column per trait, also for a model with no categories
     w_cols = [[row[t] for row in model.W] for t in range(len(TRAITS))]
-    for fv in features:
-        _check_names(names, tuple(fv.freqs.keys()))
-        if fv.degenerate:
-            skipped.append(fv.user_id)
+    for user_id, count, x in zip(features.user_ids, features.token_counts, features.rows):
+        if count == 0:
+            skipped.append(user_id)
             continue
-        x = [fv.freqs[name] for name in names]
         y = (round(fsum([*map(mul, x, w_col), b_t]), 6) for w_col, b_t in zip(w_cols, model.b))
-        scores.append((fv.user_id, BigFive(*y)))
+        scores.append((user_id, BigFive(*y)))
     return scores, skipped
 
 

@@ -133,12 +133,12 @@ def scores_table(scores: Sequence[tuple[str, BigFive]]) -> Table:
     return Table("scores", ("user_id", *TRAITS), rows)
 
 
-def features_table(features: Sequence, category_names: Sequence[str]) -> Table:
-    rows = tuple(
-        (fv.user_id, fv.token_count, *(fv.freqs[name] for name in category_names))
-        for fv in features
-    )
-    return Table("features", ("user_id", "token_count", *category_names), rows)
+def features_table(features: lexicon_mod.FeatureMatrix, category_names: Sequence[str]) -> Table:
+    """One row per user: (user_id, token_count, *frequencies); category_names must be the matrix's."""
+    if tuple(category_names) != features.names:
+        raise PipelineError(f"features have categories {list(features.names)}, not {list(category_names)}")
+    rows = zip(features.user_ids, features.token_counts, features.rows)
+    return Table("features", ("user_id", "token_count", *features.names), tuple((u, n, *row) for u, n, row in rows))
 
 
 def correlations_table(results: Sequence[CorrelationResult]) -> Table:

@@ -23,6 +23,7 @@ from .cleaner import CleanResult
 from .config import RunConfig
 from .corpus import UserProfile
 from .errors import StatsError
+from .lexicon import FeatureMatrix
 from .model import TRAITS, BigFive
 from .special import normal_two_sided_p, student_t_two_sided_p
 
@@ -97,7 +98,7 @@ class CorrelationResult:
 
 
 def correlation_matrix(
-    features: Sequence,  # FeatureVector
+    features: FeatureMatrix,
     scores: Sequence[tuple[str, BigFive]],
     alpha: float = RunConfig.alpha,
 ) -> list[CorrelationResult]:
@@ -109,17 +110,14 @@ def correlation_matrix(
     pearson's on the same joined, user-id-sorted columns.
     """
     score_by_id = dict(scores)
-    joined = sorted(
-        (fv for fv in features if fv.user_id in score_by_id),
-        key=lambda fv: fv.user_id,
-    )
+    joined = sorted((uid, row) for uid, row in zip(features.user_ids, features.rows) if uid in score_by_id)
     if len(joined) < 3:
         raise StatsError(f"need at least 3 joined users, got {len(joined)}")
     n = len(joined)
-    trait_cols = [_centred(col) for col in zip(*(score_by_id[fv.user_id].as_tuple() for fv in joined))]
+    trait_cols = [_centred(col) for col in zip(*(score_by_id[uid].as_tuple() for uid, _ in joined))]
     results = []
-    for name in joined[0].freqs:
-        col = _centred([fv.freqs[name] for fv in joined])
+    for name, values in zip(features.names, zip(*(row for _, row in joined))):
+        col = _centred(values)
         for trait, trait_col in zip(TRAITS, trait_cols):
             try:
                 r, p = _centred_r_p(col, trait_col)

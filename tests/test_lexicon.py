@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from textpersona.errors import LexiconParseError
 from textpersona.lexicon import (
-    FeatureVector,
+    FeatureMatrix,
     Lexicon,
     LexiconEntry,
     brute_force_lookup,
@@ -17,6 +17,12 @@ from textpersona.lexicon import (
 )
 from textpersona.config import builtin_data_path
 from textpersona.report import features_table
+
+
+def one_user(features):
+    """The token count and name -> frequency dict of a one-user matrix."""
+    (count,), (row,) = features.token_counts, features.rows
+    return count, dict(zip(features.names, row))
 
 
 def write_dic(tmp_path, body):
@@ -155,25 +161,25 @@ def test_featurize_percentages():
     )
     matcher = compile_lexicon(lex)
     tokens = {"u1": [["好", "好", "坏", "其", "他", "字", "符", "号", "的", "词"]]}
-    (fv,) = featurize(tokens, matcher)
-    assert fv.token_count == 10
-    assert fv.freqs["C1"] == 20.0
-    assert fv.freqs["C2"] == 10.0
-    assert fv.freqs["C3"] == 0.0
+    count, freqs = one_user(featurize(tokens, matcher))
+    assert count == 10
+    assert freqs["C1"] == 20.0
+    assert freqs["C2"] == 10.0
+    assert freqs["C3"] == 0.0
 
 
 def test_featurize_multi_category_token():
     lex = lex_of(LexiconEntry("爱", False, frozenset({1, 2})))
     matcher = compile_lexicon(lex)
-    (fv,) = featurize({"u": [["爱", "别"]]}, matcher)
-    assert fv.freqs["C1"] == 50.0 and fv.freqs["C2"] == 50.0
+    _, freqs = one_user(featurize({"u": [["爱", "别"]]}, matcher))
+    assert freqs["C1"] == 50.0 and freqs["C2"] == 50.0
 
 
 def test_featurize_degenerate_user():
     matcher = compile_lexicon(lex_of())
-    (fv,) = featurize({"u": [[]]}, matcher)
-    assert fv.degenerate and fv.token_count == 0
-    assert all(v == 0.0 for v in fv.freqs.values())
+    count, freqs = one_user(featurize({"u": [[]]}, matcher))
+    assert count == 0
+    assert all(v == 0.0 for v in freqs.values())
 
 
 def test_featurize_planted_counts_recovered():
@@ -189,30 +195,30 @@ def test_featurize_planted_counts_recovered():
     for token, count in planted.items():
         tokens.extend([token] * count)
     tokens.extend(["无"] * 25)
-    (fv,) = featurize({"u": [tokens]}, matcher)
+    count, freqs = one_user(featurize({"u": [tokens]}, matcher))
     total = 7 + 13 + 5 + 25
-    assert fv.token_count == total
-    assert fv.freqs["C1"] == pytest.approx(100.0 * 7 / total)
-    assert fv.freqs["C2"] == pytest.approx(100.0 * 13 / total)
-    assert fv.freqs["C3"] == pytest.approx(100.0 * 5 / total)
+    assert count == total
+    assert freqs["C1"] == pytest.approx(100.0 * 7 / total)
+    assert freqs["C2"] == pytest.approx(100.0 * 13 / total)
+    assert freqs["C3"] == pytest.approx(100.0 * 5 / total)
 
 
 def test_featurize_order_invariant_and_scale():
     lex = lex_of(LexiconEntry("好", False, frozenset({1})))
     matcher = compile_lexicon(lex)
     posts = [["好", "坏"], ["平", "好"]]
-    (fv1,) = featurize({"u": posts}, matcher)
-    (fv2,) = featurize({"u": posts[::-1]}, matcher)
-    assert fv1.freqs == fv2.freqs and fv1.token_count == fv2.token_count
-    (fv3,) = featurize({"u": posts * 2}, matcher)
-    assert fv3.freqs == fv1.freqs
-    assert fv3.token_count == 2 * fv1.token_count
+    count1, freqs1 = one_user(featurize({"u": posts}, matcher))
+    count2, freqs2 = one_user(featurize({"u": posts[::-1]}, matcher))
+    assert freqs1 == freqs2 and count1 == count2
+    count3, freqs3 = one_user(featurize({"u": posts * 2}, matcher))
+    assert freqs3 == freqs1
+    assert count3 == 2 * count1
 
 
 def test_featurize_sorted_by_user_id():
     matcher = compile_lexicon(lex_of())
     out = featurize({"b": [["x"]], "a": [["y"]], "c": [[]]}, matcher)
-    assert [fv.user_id for fv in out] == ["a", "b", "c"]
+    assert out.user_ids == ("a", "b", "c")
 
 
 def test_featurize_parallel_matches_serial():
@@ -231,8 +237,8 @@ def test_featurize_parallel_matches_serial():
     assert featurize(tokens_by_user, matcher, threads=2) == serial
     one_shot = {uid: (tuple(tokens) for tokens in posts) for uid, posts in tokens_by_user.items()}
     assert featurize(one_shot, matcher) == serial
-    assert len({fv.freqs["C2"] for fv in serial}) > 5
-    assert sum(fv.degenerate for fv in serial) == 29
+    assert len({row[serial.names.index("C2")] for row in serial.rows}) > 5
+    assert serial.token_counts.count(0) == 29
 
 
 @given(
@@ -249,30 +255,28 @@ def test_featurize_one_shot_equals_per_token_count(lexicon, tokens_by_user):
     generators give the vectors of lists, and both equal a count that
     looks every token up in turn."""
     matcher = compile_lexicon(lexicon)
-    expected = []
+    counts, rows = [], []
     for uid, posts in sorted(tokens_by_user.items()):
         tokens = [token for post in posts for token in post]
         hits = [brute_force_lookup(lexicon, token) for token in tokens]
         scale = 100.0 / len(tokens) if tokens else 0.0
-        freqs = {name: sum(cid in cats for cats in hits) * scale for cid, name in lexicon.categories}
-        expected.append(FeatureVector(uid, freqs, len(tokens)))
+        counts.append(len(tokens))
+        rows.append(tuple(sum(cid in cats for cats in hits) * scale for cid, _ in lexicon.categories))
+    expected = FeatureMatrix(lexicon.category_names, tuple(sorted(tokens_by_user)), tuple(counts), tuple(rows))
     one_shot = {uid: (tuple(post) for post in posts) for uid, posts in tokens_by_user.items()}
     assert featurize(tokens_by_user, matcher) == expected
     assert featurize(one_shot, matcher) == expected
 
 
 def test_features_csv_round_trip(tmp_path):
-    fvs = [
-        FeatureVector("u1", {"A": 12.5, "B": 0.0}, 8),
-        FeatureVector("u2", {"A": 0.0, "B": 33.333333}, 3),
-    ]
+    features = FeatureMatrix(("A", "B"), ("u1", "u2"), (8, 3), ((12.5, 0.0), (0.0, 33.333333)))
     path = tmp_path / "features.csv"
-    features_table(fvs, ["A", "B"]).write_csv(path)
-    back, names = read_features_csv(path)
-    assert names == ["A", "B"]
-    assert back[0].user_id == "u1" and back[0].token_count == 8
-    assert back[0].freqs["A"] == 12.5
-    assert back[1].freqs["B"] == pytest.approx(33.333333)
+    features_table(features, ["A", "B"]).write_csv(path)
+    back = read_features_csv(path)
+    assert back.names == ("A", "B")
+    assert back.user_ids[0] == "u1" and back.token_counts[0] == 8
+    assert back.rows[0][0] == 12.5
+    assert back.rows[1][1] == pytest.approx(33.333333)
 
 
 @given(
@@ -289,22 +293,19 @@ def test_featurize_csv_round_trip_is_exact(tmp_path_factory, lexicon, tokens_by_
     features = featurize(tokens_by_user, compile_lexicon(lexicon))
     path = tmp_path_factory.getbasetemp() / "round_trip_features.csv"
     features_table(features, lexicon.category_names).write_csv(path)
-    back, names = read_features_csv(path)
-    assert names == list(lexicon.category_names)
-    assert [(fv.user_id, fv.token_count, dict(fv.freqs)) for fv in back] == [
-        (fv.user_id, fv.token_count, dict(fv.freqs)) for fv in features
-    ]
+    back = read_features_csv(path)
+    assert back.names == lexicon.category_names
+    assert back == features
 
 
 @pytest.mark.parametrize("total", [1, 3, 7, 999, 123_457, 9_999_991, 10**7])
 def test_features_csv_rebuilds_exact_frequencies_at_large_token_counts(tmp_path, total):
     # the floats featurize() computes: count * (100 / total)
     counts = sorted({0, 1, total // 3, total // 2 + 1, total - 1, total})
-    names = [f"C{i}" for i in range(len(counts))]
+    names = tuple(f"C{i}" for i in range(len(counts)))
     scale = 100.0 / total
-    fv = FeatureVector("u", {name: k * scale for name, k in zip(names, counts)}, total)
+    features = FeatureMatrix(names, ("u",), (total,), (tuple(k * scale for k in counts),))
     path = tmp_path / "features.csv"
-    features_table([fv], names).write_csv(path)
-    (back,), _ = read_features_csv(path)
-    assert back.freqs == fv.freqs and back.token_count == total
+    features_table(features, names).write_csv(path)
+    assert read_features_csv(path) == features
 

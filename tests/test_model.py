@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textpersona.errors import ModelError
-from textpersona.lexicon import FeatureVector
+from textpersona.lexicon import FeatureMatrix
 from textpersona.model import (
     TRAITS,
     BigFive,
@@ -24,9 +24,11 @@ from textpersona.model import (
 CATS = [f"cat{i}" for i in range(30)]
 
 
-def fv(uid, values, names=None):
-    names = names or CATS[: len(values)]
-    return FeatureVector(uid, dict(zip(names, values)), token_count=100)
+def matrix(rows):
+    """A FeatureMatrix of (user_id, values) pairs over the first categories, 100 tokens each."""
+    rows = [(uid, tuple(map(float, values))) for uid, values in rows]
+    names = tuple(CATS[: len(rows[0][1])])
+    return FeatureMatrix(names, tuple(uid for uid, _ in rows), (100,) * len(rows), tuple(v for _, v in rows))
 
 
 def make_planted(n, k, seed, noise_sd=0.0):
@@ -35,8 +37,7 @@ def make_planted(n, k, seed, noise_sd=0.0):
     W = rng.normal(size=(k, 5))
     b = rng.normal(size=5) * 10.0 + 50.0
     Y = X @ W + b + (noise_sd * rng.normal(size=(n, 5)) if noise_sd else 0.0)
-    names = CATS[:k]
-    features = [fv(f"u{i:04d}", X[i], names) for i in range(n)]
+    features = matrix((f"u{i:04d}", X[i]) for i in range(n))
     labels = [(f"u{i:04d}", BigFive(*Y[i])) for i in range(n)]
     return features, labels, W, b, X, Y
 
@@ -57,8 +58,7 @@ def test_identity_design_recovers_identity():
     k = 5
     X = np.eye(k) * 10.0
     X = np.vstack([X, np.zeros((1, k))])  # 6 points: full-rank centered design
-    names = CATS[:k]
-    features = [fv(f"u{i}", X[i], names) for i in range(len(X))]
+    features = matrix((f"u{i}", X[i]) for i in range(len(X)))
     labels = [(f"u{i}", BigFive(*X[i])) for i in range(len(X))]
     model = fit(features, labels, ridge_lambda=0.0)
     assert np.allclose(model.W, np.eye(k), atol=1e-8)
@@ -76,16 +76,16 @@ def test_noisy_heldout_rmse_under_two_sigma():
     sigma = 1.0
     for seed in range(5):
         features, labels, W, b, X, _ = make_planted(100, 30, seed=seed, noise_sd=sigma)
-        train, test = holdout_split([f.user_id for f in features], 0.3, seed=seed)
+        train, test = holdout_split(features.user_ids, 0.3, seed=seed)
         train_set = set(train)
         model = fit(
-            [f for f in features if f.user_id in train_set],
+            matrix((u, X[i]) for i, u in enumerate(features.user_ids) if u in train_set),
             [(u, s) for u, s in labels if u in train_set],
             ridge_lambda=1.0,
         )
-        test_features = [f for f in features if f.user_id not in train_set]
+        test_features = matrix((u, X[i]) for i, u in enumerate(features.user_ids) if u not in train_set)
         scores, _ = predict(model, test_features)
-        idx = {f"u{i:04d}": i for i in range(len(features))}
+        idx = {f"u{i:04d}": i for i in range(len(features.user_ids))}
         truth = {u: X[idx[u]] @ W + b for u, _ in scores}
         err = np.array([np.array(s.as_tuple()) - truth[u] for u, s in scores])
         rmse = float(np.sqrt(np.mean(err**2)))
@@ -98,7 +98,7 @@ def test_gradient_zero_at_fit_and_matches_finite_differences():
         lam = 0.7
         model = fit(features, labels, ridge_lambda=lam)
         W, b = np.array(model.W), np.array(model.b)
-        order = np.argsort([f.user_id for f in features])
+        order = np.argsort(features.user_ids)
         Xs, Ys = X[order], Y[order]
         gW, gb = ridge_gradient(W, b, Xs, Ys, lam)
         h = 1e-5
@@ -155,7 +155,7 @@ def test_fit_collinear_columns_lambda_zero_suggests_ridge():
     # plenty of users, but column 3 is twice column 1: rank K-1
     features, labels, _, _, X, _ = make_planted(40, 5, seed=14)
     X[:, 3] = 2.0 * X[:, 1]
-    features = [fv(f.user_id, X[i], CATS[:5]) for i, f in enumerate(features)]
+    features = matrix(zip(features.user_ids, X))
     with pytest.raises(ModelError, match="ridge"):
         fit(features, labels, ridge_lambda=0.0)
     fit(features, labels, ridge_lambda=1.0)
@@ -184,14 +184,14 @@ def test_affine_label_equivariance():
 def test_predict_zero_vector_returns_intercept():
     features, labels, _, _, _, _ = make_planted(30, 4, seed=5)
     model = fit(features, labels, ridge_lambda=1.0)
-    (uid_score,), _ = predict(model, [fv("z", [0.0] * 4, CATS[:4])])
+    (uid_score,), _ = predict(model, matrix([("z", [0.0] * 4)]))
     assert np.allclose(uid_score[1].as_tuple(), model.b)
 
 
 
 def test_predict_with_no_categories_returns_intercept():
     model = MappingModel((), (), (1.0, 2.0, 3.0, 4.0, 5.0), ridge_lambda=1.0, n_train=2)
-    (uid_score,), _ = predict(model, [FeatureVector("u", {}, token_count=5)])
+    (uid_score,), _ = predict(model, FeatureMatrix((), ("u",), (5,), ((),)))
     assert uid_score[1].as_tuple() == model.b
 
 
@@ -208,8 +208,13 @@ def test_predict_round_trip_noiseless():
 def test_predict_skips_degenerate():
     features, labels, _, _, _, _ = make_planted(10, 3, seed=7)
     model = fit(features, labels, ridge_lambda=1.0)
-    degenerate = FeatureVector("empty", {name: 0.0 for name in CATS[:3]}, 0)
-    scores, skipped = predict(model, features + [degenerate])
+    with_degenerate = FeatureMatrix(
+        features.names,
+        features.user_ids + ("empty",),
+        features.token_counts + (0,),
+        features.rows + ((0.0,) * 3,),
+    )
+    scores, skipped = predict(model, with_degenerate)
     assert skipped == ["empty"]
     assert len(scores) == 10
 
@@ -217,9 +222,9 @@ def test_predict_skips_degenerate():
 def test_predict_name_mismatch_names_the_culprit():
     features, labels, _, _, _, _ = make_planted(10, 3, seed=8)
     model = fit(features, labels, ridge_lambda=1.0)
-    wrong = FeatureVector("w", {"cat0": 1.0, "WRONG": 2.0, "cat2": 3.0}, 5)
+    wrong = FeatureMatrix(("cat0", "WRONG", "cat2"), ("w",), (5,), ((1.0, 2.0, 3.0),))
     with pytest.raises(ModelError, match="cat1.*WRONG|WRONG.*cat1"):
-        predict(model, [wrong])
+        predict(model, wrong)
 
 
 def test_fit_requires_two_users():
@@ -288,7 +293,10 @@ def test_scores_csv_round_trips_any_user_id(tmp_path_factory, rows):
 def test_fit_deterministic_under_input_order():
     features, labels, _, _, _, _ = make_planted(30, 7, seed=13, noise_sd=0.3)
     m1 = fit(features, labels, ridge_lambda=1.0)
-    m2 = fit(features[::-1], labels[::-1], ridge_lambda=1.0)
+    reversed_features = FeatureMatrix(
+        features.names, features.user_ids[::-1], features.token_counts[::-1], features.rows[::-1]
+    )
+    m2 = fit(reversed_features, labels[::-1], ridge_lambda=1.0)
     assert m1.W == m2.W and m1.b == m2.b
 
 

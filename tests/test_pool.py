@@ -28,14 +28,15 @@ def _run_pair(fn, args_a, args_b):
     return results
 
 
-def _matcher(category_name):
-    entry = LexiconEntry("甲", False, frozenset({1}))
-    return compile_lexicon(Lexicon(categories=((1, category_name),), entries=(entry,)))
+def _matcher(category_name, *words):
+    entries = tuple(LexiconEntry(word, False, frozenset({1})) for word in words)
+    return compile_lexicon(Lexicon(categories=((1, category_name),), entries=entries))
 
 
 def test_concurrent_calls_see_only_their_own_state():
     tokens_by_user = {f"u{i:04d}": [["甲", "乙"]] for i in range(N)}
-    matchers = _matcher("A"), _matcher("B")
+    # the two calls' frequencies differ, so a call that used the other's matcher shows
+    matchers = _matcher("A", "甲"), _matcher("B", "甲", "乙")
     cleaned = [(f"u{i:04d}", "甲乙丙") for i in range(N)]
     word_lists = WordList.from_words(["甲乙"]), WordList.from_words(["乙丙"])
     expected_tokens = ["甲乙", "丙"], ["甲", "乙丙"]
@@ -48,8 +49,8 @@ def test_concurrent_calls_see_only_their_own_state():
             features = _run_pair(
                 featurize, (tokens_by_user, matchers[0]), (tokens_by_user, matchers[1])
             )
-            for vectors, name in zip(features, "AB"):
-                if any(v.freqs != {name: 50.0} for v in vectors):
+            for matrix, name, share in zip(features, "AB", (50.0, 100.0)):
+                if matrix.names != (name,) or any(row != (share,) for row in matrix.rows):
                     failures.append(f"round {round_no}: featurize with category {name}")
             tokenized = _run_pair(
                 segment_corpus, (cleaned, word_lists[0]), (cleaned, word_lists[1])

@@ -29,9 +29,17 @@ from textpersona.stats import (
     tag_contrast,
     two_proportion_z_p,
 )
-from textpersona.lexicon import FeatureVector
+from textpersona.lexicon import FeatureMatrix
 
 mpmath.mp.dps = 40
+
+
+def matrix(names, rows):
+    """A FeatureMatrix of (user_id, frequencies in names order) pairs, 10 tokens each."""
+    rows = list(rows)
+    return FeatureMatrix(
+        tuple(names), tuple(uid for uid, _ in rows), (10,) * len(rows), tuple(tuple(v) for _, v in rows)
+    )
 
 
 def oracle_pearson(x, y):
@@ -145,12 +153,12 @@ def b5(o=50.0, c=50.0, e=50.0, a=50.0, n=50.0):
 
 def test_correlation_matrix_identical_feature_and_trait():
     rng = np.random.default_rng(1)
-    features, scores = [], []
+    rows, scores = [], []
     for i in range(20):
         v = float(rng.uniform(0, 10))
-        features.append(FeatureVector(f"u{i:02d}", {"X": v, "Const": 1.0}, 10))
+        rows.append((f"u{i:02d}", (v, 1.0)))
         scores.append((f"u{i:02d}", b5(o=v)))
-    results = correlation_matrix(features, scores)
+    results = correlation_matrix(matrix(("X", "Const"), rows), scores)
     by_pair = {(r.feature_name, r.trait): r for r in results}
     assert by_pair[("X", "O")].r == 1.0
     assert by_pair[("X", "O")].significant
@@ -168,7 +176,7 @@ def test_correlation_matrix_planted_rho():
     noise = rng.normal(size=n)
     rho = 0.5
     y = rho * x + math.sqrt(1 - rho * rho) * noise
-    features = [FeatureVector(f"u{i:03d}", {"F": float(x[i])}, 10) for i in range(n)]
+    features = matrix(("F",), ((f"u{i:03d}", (float(x[i]),)) for i in range(n)))
     scores = [(f"u{i:03d}", b5(e=float(y[i]))) for i in range(n)]
     results = correlation_matrix(features, scores)
     r = next(res.r for res in results if res.feature_name == "F" and res.trait == "E")
@@ -203,10 +211,10 @@ def test_correlation_matrix_equals_pearson_exactly(data):
     feature_only = data.draw(st.lists(st.sampled_from(["f1", "f2"]), unique=True))
     score_only = data.draw(st.lists(st.sampled_from(["s1", "s2"]), unique=True))
     constant_trait = data.draw(st.sampled_from(TRAITS))
-    features = [
-        FeatureVector(uid, {"F": data.draw(CELLS), "G": data.draw(CELLS), "Const": 2.5}, 10)
-        for uid in data.draw(st.permutations(both + feature_only))
-    ]
+    features = matrix(
+        ("F", "G", "Const"),
+        ((uid, (data.draw(CELLS), data.draw(CELLS), 2.5)) for uid in data.draw(st.permutations(both + feature_only))),
+    )
     scores = [
         (uid, BigFive(*(50.0 if t == constant_trait else data.draw(CELLS) for t in TRAITS)))
         for uid in data.draw(st.permutations(both + score_only))
@@ -214,7 +222,7 @@ def test_correlation_matrix_equals_pearson_exactly(data):
     results = correlation_matrix(features, scores)
 
     joined = sorted(both)
-    freqs = {fv.user_id: fv.freqs for fv in features}
+    freqs = {uid: dict(zip(features.names, row)) for uid, row in zip(features.user_ids, features.rows)}
     score_by_id = dict(scores)
     expected = []
     for name in ("F", "G", "Const"):
@@ -233,7 +241,7 @@ def test_correlation_matrix_equals_pearson_exactly(data):
 
 
 def test_correlation_matrix_requires_three_joined():
-    features = [FeatureVector("a", {"F": 1.0}, 5), FeatureVector("b", {"F": 2.0}, 5)]
+    features = matrix(("F",), [("a", (1.0,)), ("b", (2.0,))])
     with pytest.raises(StatsError):
         correlation_matrix(features, [("a", b5()), ("b", b5())])
 
@@ -736,16 +744,17 @@ def test_small_corpus_matches_naive_oracle():
             assert abs(row.means["N"] - naive) < 1e-10
 
     # correlation matrix vs direct pearson on each pair
-    features = [
-        FeatureVector(uid, {"F1": scores_by_id[uid].o * 0.5 + float(rng.normal()), "F2": float(rng.normal())}, 10)
-        for uid in scores_by_id
-    ]
+    features = matrix(
+        ("F1", "F2"),
+        ((uid, (scores_by_id[uid].o * 0.5 + float(rng.normal()), float(rng.normal()))) for uid in scores_by_id),
+    )
     results = correlation_matrix(features, list(scores_by_id.items()))
     ordered_ids = sorted(scores_by_id)
     for res in results:
         if res.r is None:
             continue
-        col = [next(f.freqs[res.feature_name] for f in features if f.user_id == uid) for uid in ordered_ids]
+        j = features.names.index(res.feature_name)
+        col = [features.rows[features.user_ids.index(uid)][j] for uid in ordered_ids]
         tcol = [scores_by_id[uid].get(res.trait) for uid in ordered_ids]
         r_ref, p_ref = oracle_pearson(col, tcol)
         assert abs(res.r - r_ref) < 1e-10

@@ -117,9 +117,9 @@ def main() -> None:
     )
 
     # fit on the written files, as `textpersona fit` does
-    features, names = lexicon.read_features_csv(TESTDATA / "features_golden.csv")
+    features = lexicon.read_features_csv(TESTDATA / "features_golden.csv")
     labels = model.read_scores_csv(FIXTURE / "labels.csv")
-    mapping = model.fit(features, labels, ridge_lambda=defaults.ridge_lambda, category_names=names)
+    mapping = model.fit(features, labels, ridge_lambda=defaults.ridge_lambda)
     model.save_model(mapping, FIXTURE / "model.json")
 
     run_config = {
