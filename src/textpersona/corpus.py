@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from ._textio import check_utf8, open_text
 from .config import RunConfig
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, PipelineError
 
 GENDERS = ("male", "female", "unknown")
 _GENDER_CODES = {"m": "male", "f": "female"}
@@ -214,10 +214,13 @@ def with_credible_age(
     profile: UserProfile, reference_date: dt.date, age_range: tuple[int, int]
 ) -> UserProfile:
     """The profile with its age from birth_date: None if unknown, future or outside age_range."""
+    low, high = age_range
+    if low > high:
+        raise PipelineError(f"age range {low}-{high} is empty: its lowest age is above its highest")
     age = None
     if profile.birth_date is not None and profile.birth_date <= reference_date:
         age = compute_age(profile.birth_date, reference_date)
-        if not age_range[0] <= age <= age_range[1]:
+        if not low <= age <= high:
             age = None
     return replace(profile, age=age)
 

@@ -286,24 +286,28 @@ def read_features_csv(path) -> FeatureMatrix:
     k = round(cell * token_count / 100) and rebuilt as k * (100 /
     token_count), the float featurize() computed. A row that cannot be
     rebuilt raises LexiconParseError naming path:line: a cell count that
-    differs from the header's, a token_count that is not a non-negative
-    integer, a nonzero cell in a zero-token row, or a cell farther from
-    the lattice than 6-decimal rounding allows.
+    differs from the header's, a user_id seen on an earlier line, a
+    token_count that is not a non-negative integer, a nonzero cell in a
+    zero-token row, or a cell farther from the lattice than 6-decimal
+    rounding allows.
     """
     header, rows = read_csv(path)
     if header[:2] != ["user_id", "token_count"]:
         raise LexiconParseError(f"{path}: not a feature CSV (header {header[:2]})")
     names = tuple(header[2:])
-    user_ids, counts, values = [], [], []
+    first_line: dict[str, int] = {}  # each user's line, in file order
+    counts, values = [], []
     for line_no, parts in rows:
         try:
+            if parts[0] in first_line:
+                raise ValueError(f"user_id {parts[0]!r} repeats line {first_line[parts[0]]}")
             total, row = _parse_feature_row(parts, names)
         except ValueError as err:
             raise LexiconParseError(f"{path}:{line_no}: {err}") from None
-        user_ids.append(parts[0])
+        first_line[parts[0]] = line_no
         counts.append(total)
         values.append(row)
-    return FeatureMatrix(names, tuple(user_ids), tuple(counts), tuple(values))
+    return FeatureMatrix(names, tuple(first_line), tuple(counts), tuple(values))
 
 
 def _parse_feature_row(parts: list[str], names: tuple[str, ...]) -> tuple[int, tuple[float, ...]]:

@@ -323,16 +323,20 @@ def write_scores_csv(scores: Sequence[tuple[str, BigFive]], path) -> None:
 
 
 def read_scores_csv(path) -> list[tuple[str, BigFive]]:
-    """Read a score (or labels) CSV; a malformed row raises InputFormatError naming path:line."""
+    """Read a score (or labels) CSV; a malformed row or repeated user_id raises InputFormatError naming path:line."""
     header, rows = read_csv(path)
     if header != ["user_id", *TRAITS]:
         raise InputFormatError(f"{path}: not a score CSV (header {','.join(header)!r})")
+    first_line: dict[str, int] = {}
     scores = []
     for line_no, parts in rows:
         try:
             if len(parts) != 1 + len(TRAITS):
                 raise ValueError(f"{len(parts)} cells, header has {1 + len(TRAITS)}")
+            if parts[0] in first_line:
+                raise ValueError(f"user_id {parts[0]!r} repeats line {first_line[parts[0]]}")
             scores.append((parts[0], BigFive(*(float(v) for v in parts[1:]))))
-        except ValueError as err:  # a cell count, a non-numeric or a non-finite score
+        except ValueError as err:  # a cell count, a non-numeric or non-finite score, a repeated id
             raise InputFormatError(f"{path}:{line_no}: {err}") from None
+        first_line[parts[0]] = line_no
     return scores

@@ -173,6 +173,8 @@ def tag_contrast(
     top_k: int = RunConfig.top_k_tags,
 ) -> TagContrast:
     """Tag weights per polarity group, ranked for word-cloud rendering."""
+    if top_k < 0:
+        raise StatsError("top_k must be >= 0")
     by_id = {p.user_id: p for p in profiles}
     missing = [uid for uid in (*split.high_ids, *split.low_ids) if uid not in by_id]
     if missing:

@@ -135,6 +135,7 @@ def test_report_loads_no_process_pool_machinery(tmp_path):
         ("u1,4,25.000000,125.000000", "B"),  # more hits than tokens
         ("u1,4,25.000000,nan", "B"),
         ("u1,4,25.000000,abc", "abc"),
+        ("u0,4,25.000000,50.000000", "'u0' repeats line 2"),  # a user scored twice
     ],
 )
 def test_predict_rejects_unrebuildable_features_exit_2(tmp_path, capsys, row, reason):
@@ -173,6 +174,7 @@ TINY_FEATURES = "user_id,token_count,A,B\nu0,2,50.000000,0.000000\n"
         ("u1,50,50,50,50,50,50", "7 cells"),
         ("u1,abc,50,50,50,50", "abc"),
         ("u1,50,50,nan,50,50", "finite"),
+        ("u0,40,40,40,40,40", "'u0' repeats line 2"),  # a user trained on twice
     ],
 )
 def test_fit_rejects_malformed_labels_exit_2(tmp_path, capsys, row, reason):
@@ -441,6 +443,30 @@ def test_report_rejects_mistyped_config_exit_2(tmp_path, capsys, doc, reason):
     code = run("report", "--config", config, "--out-dir", tmp_path / "bundle")
     assert code == EXIT_FORMAT
     assert reason in one_error_line(capsys, EXIT_FORMAT)
+
+
+@pytest.mark.parametrize(
+    "command, config_changes, reason",
+    [
+        ("demographics", None, "age range 47-10 is empty"),
+        ("report", {"age_range": [47, 10]}, "age range 47-10 is empty"),
+        ("contrast", None, "top_k must be >= 0"),
+        ("report", {"top_k_tags": -1}, "top_k must be >= 0"),
+    ],
+)
+def test_inverted_age_range_and_negative_top_k_exit_3(staged, tmp_path, capsys, command, config_changes, reason):
+    """Both front ends refuse an age range with no ages in it and a negative row count."""
+    config = tmp_path / "config.json"
+    config.write_text(fixture_config(**(config_changes or {})), encoding="utf-8")
+    argv = {
+        "demographics": ["--profiles", FIXTURE / "profiles.jsonl", "--reference-date", "2018-06-01",
+                         "--min-age", "47", "--max-age", "10", "--out-csv", tmp_path / "demo.csv"],
+        "contrast": ["--scores", staged / "scores.csv", "--profiles", FIXTURE / "profiles.jsonl",
+                     "--trait", "O", "--top-k", "-1", "--out-csv", tmp_path / "tags.csv"],
+        "report": ["--config", config, "--out-dir", tmp_path / "bundle"],
+    }[command]
+    assert run(command, *argv) == EXIT_PIPELINE
+    assert reason in one_error_line(capsys, EXIT_PIPELINE)
 
 
 def test_correlate(staged, tmp_path):

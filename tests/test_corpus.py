@@ -13,8 +13,9 @@ from textpersona.corpus import (
     compute_age,
     load_corpus,
     validate_users,
+    with_credible_age,
 )
-from textpersona.errors import CorpusFormatError
+from textpersona.errors import CorpusFormatError, PipelineError
 
 REF = dt.date(2018, 6, 1)
 
@@ -185,6 +186,14 @@ def test_compute_age_default_birthday_case():
 def test_compute_age_rejects_future_birth():
     with pytest.raises(ValueError):
         compute_age(dt.date(2020, 1, 1), dt.date(2018, 1, 1))
+
+
+def test_with_credible_age_rejects_inverted_range():
+    profile = UserProfile("u", birth_date=dt.date(2000, 1, 1))
+    assert with_credible_age(profile, REF, (18, 18)).age == 18
+    for dated in (profile, UserProfile("u")):  # refused with or without a birth date
+        with pytest.raises(PipelineError, match="age range 47-10 is empty"):
+            with_credible_age(dated, REF, (47, 10))
 
 
 def make_corpus():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textpersona.errors import ModelError
+from textpersona.errors import InputFormatError, ModelError
 from textpersona.lexicon import FeatureMatrix
 from textpersona.model import (
     TRAITS,
@@ -283,11 +283,18 @@ def test_model_json_round_trip_bit_exact(tmp_path):
 )
 @settings(max_examples=300, deadline=None)
 def test_scores_csv_round_trips_any_user_id(tmp_path_factory, rows):
-    """Ids with commas, quotes or line breaks come back whole; 6-decimal scores exactly."""
+    """Ids with commas, quotes or line breaks come back whole; 6-decimal scores exactly.
+
+    A file that repeats an id is refused instead.
+    """
     scores = [(uid, BigFive(*(k / 10**6 for k in micros))) for uid, micros in rows]
     path = tmp_path_factory.getbasetemp() / "round_trip_scores.csv"
     write_scores_csv(scores, path)
-    assert read_scores_csv(path) == scores
+    if len({uid for uid, _ in scores}) < len(scores):
+        with pytest.raises(InputFormatError, match="repeats line"):
+            read_scores_csv(path)
+    else:
+        assert read_scores_csv(path) == scores
 
 
 def test_fit_deterministic_under_input_order():

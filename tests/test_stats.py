@@ -315,6 +315,14 @@ def test_tag_contrast_missing_profile_fatal():
         tag_contrast(split, [prof("u0")], top_k=3)
 
 
+def test_tag_contrast_rejects_negative_top_k():
+    split = polarity_split([(f"u{i}", float(i)) for i in range(8)], 0.25)
+    profiles = [prof(f"u{i}", tags=("Music",)) for i in range(8)]
+    assert tag_contrast(split, profiles, top_k=0).high == ()
+    with pytest.raises(StatsError, match="top_k"):
+        tag_contrast(split, profiles, top_k=-1)
+
+
 def test_tag_contrast_planted_association():
     rng = np.random.default_rng(4)
     n = 400
