@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
+from typing import ClassVar
 
 from ._textio import utf8_lines
 from .errors import InputFormatError
@@ -59,6 +60,10 @@ class RunConfig:
         "model_path",
     )
 
+    # key -> (joined path, path as the config file wrote it), set by from_dict;
+    # a plain attribute, not a field, so it is neither a config key nor a knob
+    _written_paths: ClassVar[dict[str, tuple[str, str]]] = {}
+
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         with open(path, encoding="utf-8") as fh:
@@ -75,6 +80,7 @@ class RunConfig:
             raise InputFormatError("a run config is one JSON object")
         known = {f.name for f in fields(cls)}
         cfg = cls()
+        cfg._written_paths = {}
         for key, value in doc.items():
             if key not in known:
                 raise InputFormatError(f"unknown config key {key!r}")
@@ -85,7 +91,9 @@ class RunConfig:
             if key in cls.PATH_KEYS and value is not None and base_dir is not None:
                 # relative paths in a config file resolve against the file
                 p = Path(value)
-                value = str(p if p.is_absolute() else base_dir / p)
+                joined = str(p if p.is_absolute() else base_dir / p)
+                cfg._written_paths[key] = (joined, value)
+                value = joined
             setattr(cfg, key, value)
         return cfg
 
@@ -117,6 +125,11 @@ class RunConfig:
         return value
 
     def to_jsonable(self) -> dict:
+        """The fields as JSON values, each path from a config file as the file wrote it.
+
+        So a manifest does not depend on how the config file's own path was
+        spelled. A path set again since is recorded as set.
+        """
         doc = {}
         for f in fields(self):
             value = getattr(self, f.name)
@@ -125,4 +138,7 @@ class RunConfig:
             elif isinstance(value, tuple):
                 value = list(value)
             doc[f.name] = value
+        for key, (joined, written) in self._written_paths.items():
+            if doc[key] == joined:
+                doc[key] = written
         return doc

@@ -572,6 +572,19 @@ def test_report_deterministic_across_runs(tmp_path):
     assert snap("a") == snap("b")
 
 
+def test_report_bundle_does_not_depend_on_config_path_spelling(tmp_path, monkeypatch):
+    """The manifest records each input path as the config file wrote it."""
+    spellings = [(FIXTURE.parent, "fixture_corpus/run_config.json"), (FIXTURE, "run_config.json"),
+                 (tmp_path, (FIXTURE / "run_config.json").resolve())]
+    for i, (cwd, config) in enumerate(spellings):
+        monkeypatch.chdir(cwd)
+        assert run("report", "--config", config, "--out-dir", tmp_path / f"b{i}") == 0
+    snaps = [{p.name: p.read_bytes() for p in sorted((tmp_path / f"b{i}").iterdir())} for i in range(3)]
+    assert snaps[0] == snaps[1] == snaps[2]
+    manifest = json.loads(snaps[0]["manifest.json"])
+    assert manifest["config"]["lexicon_path"] == "../sc_liwc_fixture.dic"
+
+
 def test_staged_chain_equals_report_bundle(tmp_path):
     """The per-stage chain writes the bundle's bytes, from the same config.
 
