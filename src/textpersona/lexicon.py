@@ -245,8 +245,8 @@ def featurize(
     """
     user_ids = tuple(sorted(tokens_by_user))
     # the lookup memo is this call's own dict; each worker gets its own copy
-    one = partial(_featurize_one, matcher, {})
-    counted = parallel_map(one, [tokens_by_user[uid] for uid in user_ids], threads=threads, chunksize=32)
+    count_user = partial(_featurize_one, matcher, {})
+    counted = parallel_map(count_user, [tokens_by_user[uid] for uid in user_ids], threads=threads, chunksize=32)
     return FeatureMatrix(
         matcher.category_names, user_ids, tuple(total for total, _ in counted), tuple(row for _, row in counted)
     )
