@@ -1,49 +1,115 @@
-"""Order-preserving map over an optional worker-process pool.
+"""Order-preserving map that splits its items across forked workers.
 
-Neither front end uses the pool: the CLI and report.build_bundle run
-the stages serially. It stays only for the threads= keyword of
-clean_corpus, segment_corpus and featurize, which perfbench's pool.t2
-reruns call with two workers, and goes when they go. ProcessPoolExecutor
-is imported only when a pool starts, so serial runs never load
-multiprocessing.
+report.build_bundle fans its per-user text pass out through this map on
+corpora large enough to pay for a fork, and the threads= keyword of
+clean_corpus, segment_corpus and featurize goes through it too.
 
-threads <= 1 runs in-process. Larger values fan out over a
-ProcessPoolExecutor; results come back in input order, so output is
-byte-identical for every worker count. This module alone knows how state
-reaches a worker: fn, with whatever a partial binds (a matcher, a word
-list), is shipped once per worker by the pool's initializer. Callers
-keep no module state, so calls from concurrent threads stay independent.
+threads <= 1 (or fewer than two items) runs in-process. Otherwise the
+items are cut into min(threads, len(items)) contiguous shares; the
+parent maps share 0 itself and each other share goes to a child made
+by os.fork. A child inherits fn and the items, so nothing is pickled on
+the way in and closures or one-shot generators work as items. It sends
+back one pickled list of results, or the exception it raised, through a
+pipe. Results come back in input order, so output is byte-identical for
+every worker count. pickle is imported only when a map fans out, so a
+serial run never loads it. Where os.fork does not exist, or another
+thread runs, the map runs in-process.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+import os
+import sys
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-_worker_fn: Callable | None = None
+
+def fork_workers(work: int, min_work: int) -> int:
+    """Workers for a task of size work: one per usable CPU while each gets min_work.
+
+    At least 1, and exactly 1 where os.fork does not exist.
+    """
+    if not hasattr(os, "fork"):
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(cpus, work // min_work))
 
 
-def _install(fn: Callable) -> None:
-    global _worker_fn
-    _worker_fn = fn
-
-
-def _call(item):
-    return _worker_fn(item)
-
-
-def parallel_map(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    *,
-    threads: int = 1,
-    chunksize: int = 256,
-) -> list[R]:
-    if threads <= 1 or len(items) < 2 * chunksize:
+def parallel_map(fn: Callable[[T], R], items: Iterable[T], *, threads: int = 1) -> list[R]:
+    items = list(items)
+    workers = min(threads, len(items))
+    if workers <= 1 or not hasattr(os, "fork") or _has_threads():
         return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
+    return _fork_map(fn, items, workers)
 
-    with ProcessPoolExecutor(max_workers=threads, initializer=_install, initargs=(fn,)) as pool:
-        return list(pool.map(_call, items, chunksize=chunksize))
+
+def _has_threads() -> bool:
+    """Whether another thread runs; a fork would copy the locks it may hold."""
+    threading = sys.modules.get("threading")
+    return threading is not None and threading.active_count() > 1
+
+
+def _fork_map(fn: Callable[[T], R], items: list[T], workers: int) -> list[R]:
+    import pickle
+
+    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    children = []  # (pid, read end of its pipe), in share order
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:  # the child never returns from _serve
+                _serve(fn, items[lo:hi], write_fd, [read_fd, *(pipe.fileno() for _, pipe in children)])
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [fn(item) for item in items[: cuts[1]]]
+        for pid, pipe in children:
+            data = pipe.read()
+            pipe.close()
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without a result")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            results += payload
+        return results
+    finally:
+        # a child still blocked on a full pipe gets EPIPE once the read end closes
+        for _, pipe in children:
+            pipe.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+
+
+def _serve(fn: Callable, share: list, write_fd: int, read_fds: list[int]) -> None:
+    """Map one share in a forked child, send the outcome and exit without returning.
+
+    read_fds are the read ends the child inherited. Closing them means a
+    worker whose parent closed its read end gets EPIPE instead of waiting.
+    """
+    import pickle
+
+    status = 1
+    try:
+        for fd in read_fds:
+            os.close(fd)
+        try:
+            data = pickle.dumps((True, [fn(item) for item in share]), pickle.HIGHEST_PROTOCOL)
+        except Exception as err:
+            try:
+                data = pickle.dumps((False, err))
+                pickle.loads(data)
+            except Exception:  # an exception pickle cannot carry or rebuild
+                data = pickle.dumps((False, RuntimeError(f"{type(err).__name__}: {err}")))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)

@@ -36,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 from ._csvio import read_csv
 from ._pool import parallel_map
 from ._textio import utf8_lines
-from .errors import LexiconParseError
+from .errors import LexiconParseError, PipelineError
 
 # reserved trie key holding the categories of patterns that end at a node;
 # real edges are single characters, so the empty string can never collide
@@ -219,13 +219,25 @@ class FeatureMatrix:
     rows[i] holds the frequencies of user_ids[i] in names order, from
     token_counts[i] tokens. A user with no tokens is degenerate: its
     count is 0 and its row all zeros. The names come with the matrix,
-    so a matrix with no rows still has its layout.
+    so a matrix with no rows still has its layout. A matrix whose three
+    columns differ in length, or that repeats a user id, raises
+    PipelineError.
     """
 
     names: tuple[str, ...]
     user_ids: tuple[str, ...]
     token_counts: tuple[int, ...]
     rows: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        n = len(self.user_ids)
+        if len(self.token_counts) != n or len(self.rows) != n:
+            raise PipelineError(
+                f"feature matrix has {n} user ids, {len(self.token_counts)} token counts and {len(self.rows)} rows"
+            )
+        if len(set(self.user_ids)) != n:
+            repeated = Counter(self.user_ids).most_common(1)[0][0]
+            raise PipelineError(f"user_id {repeated!r} appears twice in the feature matrix")
 
 
 def featurize(
@@ -246,7 +258,7 @@ def featurize(
     user_ids = tuple(sorted(tokens_by_user))
     # the lookup memo is this call's own dict; each worker gets its own copy
     count_user = partial(_featurize_one, matcher, {})
-    counted = parallel_map(count_user, [tokens_by_user[uid] for uid in user_ids], threads=threads, chunksize=32)
+    counted = parallel_map(count_user, [tokens_by_user[uid] for uid in user_ids], threads=threads)
     return FeatureMatrix(
         matcher.category_names, user_ids, tuple(total for total, _ in counted), tuple(row for _, row in counted)
     )

@@ -84,9 +84,9 @@ def fit(
 ) -> MappingModel:
     """Fit the mapping matrix on labeled users over the matrix's categories.
 
-    Every labeled user must have a non-degenerate row; users are joined
-    on user_id and processed in sorted id order, so the fit is
-    reproducible regardless of input ordering.
+    Every labeled user must appear once and have a non-degenerate row;
+    users are joined on user_id and processed in sorted id order, so the
+    fit is reproducible regardless of input ordering.
     """
     if ridge_lambda < 0:
         raise ModelError("ridge lambda must be >= 0")
@@ -96,7 +96,11 @@ def fit(
 
     rows = []
     targets = []
+    previous = None
     for user_id, score in sorted(labels, key=lambda pair: pair[0]):
+        if user_id == previous:
+            raise ModelError(f"labeled user {user_id!r} appears more than once")
+        previous = user_id
         count, row = by_id.get(user_id, (None, None))
         if count is None:
             raise ModelError(f"labeled user {user_id!r} has no feature vector")

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import cleaner as cleaner_mod
 from . import corpus as corpus_mod
@@ -21,6 +25,7 @@ from . import model as model_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
 from ._csvio import write_csv
+from ._pool import fork_workers, parallel_map
 from .config import RunConfig
 from .errors import BundleError, PipelineError
 from .model import TRAITS, BigFive
@@ -225,6 +230,62 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+# raw characters of accepted posts each forked worker needs before the
+# text pass pays for its fork. Measured on a 2-CPU machine: long posts
+# paid from about 30k per worker, but short emoticon-dense posts, whose
+# characters the cleaner's regex strips cheaply, barely paid at 240k.
+MIN_CHARS_PER_WORKER = 300_000
+
+
+def text_features(
+    texts_by_user: Mapping[str, Sequence[str]],
+    clean: Callable[[str], cleaner_mod.CleanResult],
+    word_list: segmenter_mod.WordList,
+    matcher: lexicon_mod.CompiledMatcher,
+) -> tuple[lexicon_mod.FeatureMatrix, dict[str, Counter[str]]]:
+    """Features and emoticon usage of each user, in one pass over their raw posts.
+
+    Each post is cleaned, its emoticons counted, and its segment()
+    counted by featurize as it is made. The users, in id order, are cut
+    into contiguous shares of about equal post characters, one per
+    worker (_pool.fork_workers); each share comes back as one feature
+    matrix and one usage dict, so the result does not depend on the
+    worker count. Users without a kept emoticon are absent from usage.
+    """
+    user_ids = sorted(texts_by_user)
+    ends = list(accumulate(sum(map(len, texts_by_user[uid])) for uid in user_ids))
+    total = ends[-1] if ends else 0
+    workers = fork_workers(total, MIN_CHARS_PER_WORKER)
+    cuts = [0, *(bisect_left(ends, total * w / workers) + 1 for w in range(1, workers)), len(user_ids)]
+
+    def share_features(share: Sequence[str]):
+        usage: dict[str, Counter[str]] = {}
+
+        def tokens_of(uid: str):
+            for text in texts_by_user[uid]:
+                res = clean(text)
+                if not res.dropped:
+                    if res.emoticons:
+                        usage.setdefault(uid, Counter()).update(res.emoticons)
+                    yield segmenter_mod.segment(res.clean_text, word_list)
+
+        return lexicon_mod.featurize({uid: tokens_of(uid) for uid in share}, matcher), usage
+
+    shares = [user_ids[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    parts = parallel_map(share_features, shares, threads=workers)
+    matrices = [matrix for matrix, _ in parts]
+    features = lexicon_mod.FeatureMatrix(
+        matcher.category_names,
+        tuple(chain.from_iterable(m.user_ids for m in matrices)),
+        tuple(chain.from_iterable(m.token_counts for m in matrices)),
+        tuple(chain.from_iterable(m.rows for m in matrices)),
+    )
+    usage: dict[str, Counter[str]] = {}
+    for _, share_usage in parts:
+        usage.update(share_usage)  # the shares hold disjoint users
+    return features, usage
+
+
 # a bundle needs these; the spam keyword and system template paths may be unset
 REQUIRED_KEYS = ("profiles_path", "posts_path", "lexicon_path", "word_list_path", "model_path", "reference_date")
 
@@ -239,10 +300,10 @@ class ReportBundle:
 def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     """Run the full pipeline and write every artifact plus manifest.json.
 
-    Stages: load -> validate -> clean -> segment -> featurize ->
-    predict -> analyses. Any stage failure aborts with the stage name.
-    Segment and featurize are one pass: featurize counts a lazy segment()
-    of each post, so no post's token list is kept.
+    Stages: load -> validate -> featurize -> predict -> analyses; loading
+    the word list counts as segment. Any stage failure aborts with the
+    stage name. Clean, segment and featurize are one pass per user (see
+    text_features), so no post's cleaned text or token list is kept.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -272,22 +333,16 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         raise BundleError("validate", PipelineError("no users left after validation"))
 
     spam, templates = cleaner_mod.load_rules(config.spam_keywords_path, config.system_templates_path)
-    cleaned, _ = stage("clean", cleaner_mod.clean_corpus, posts, spam, system_templates=templates)
-    del posts  # each text-layer input is freed once read
-
     word_list = stage("segment", segmenter_mod.load_word_list, config.word_list_path)
-    texts_by_user: dict[str, list[str]] = {p.user_id: [] for p in profiles}
-    for uid, res in cleaned:
-        if uid in texts_by_user:
-            texts_by_user[uid].append(res.clean_text)
-    emoticon_usage = stats_mod.emoticon_usage(cleaned)
-    del cleaned
-
     lexicon = stage("featurize", lexicon_mod.parse_lexicon, config.lexicon_path)
     matcher = lexicon_mod.compile_lexicon(lexicon)
-    tokens_by_user = {uid: (segmenter_mod.segment(t, word_list) for t in ts) for uid, ts in texts_by_user.items()}
-    features = stage("featurize", lexicon_mod.featurize, tokens_by_user, matcher)
-    del texts_by_user, tokens_by_user
+    texts_by_user: dict[str, list[str]] = {p.user_id: [] for p in profiles}
+    for post in posts:
+        texts_by_user[post.user_id].append(post.text)
+    del posts  # each text-layer input is freed once read
+    clean = partial(cleaner_mod.clean, spam_keywords=spam, system_templates=templates)
+    features, emoticon_usage = stage("featurize", text_features, texts_by_user, clean, word_list, matcher)
+    del texts_by_user
 
     mapping = stage("predict", model_mod.load_model, config.model_path)
     scores, _skipped = stage("predict", model_mod.predict, mapping, features)

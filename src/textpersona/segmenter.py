@@ -8,8 +8,9 @@ P and S) separate tokens without being emitted.
 
 Concatenating the tokens therefore reproduces the input minus separators,
 and the greedy choice makes the output a deterministic function of
-(text, word list). report.build_bundle runs segment and featurize as one
-pass: featurize counts a lazy segment() of each post, keeping no tokens.
+(text, word list). report.text_features runs clean, segment and
+featurize as one pass per user: featurize counts a lazy segment() of
+each post, keeping no tokens.
 """
 
 from __future__ import annotations

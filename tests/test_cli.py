@@ -108,13 +108,13 @@ POOL_MODULES = """
 import sys
 from textpersona.cli import main
 code = main(sys.argv[1:])
-print(sorted({"multiprocessing", "concurrent.futures.process"} & set(sys.modules)))
+print(sorted({"multiprocessing", "concurrent.futures.process", "pickle"} & set(sys.modules)))
 sys.exit(code)
 """
 
 
 def test_report_loads_no_process_pool_machinery(tmp_path):
-    """A serial run imports neither multiprocessing nor the process pool."""
+    """A serial run imports neither multiprocessing, a process pool nor the fork map's pickle."""
     done = run_script(POOL_MODULES, "report", "--config", FIXTURE / "run_config.json", "--out-dir", tmp_path / "b")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

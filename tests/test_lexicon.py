@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textpersona.errors import LexiconParseError
+from textpersona.errors import LexiconParseError, PipelineError
 from textpersona.lexicon import (
     FeatureMatrix,
     Lexicon,
@@ -222,8 +222,8 @@ def test_featurize_sorted_by_user_id():
 
 
 def test_featurize_parallel_matches_serial():
-    """Two workers give the serial vectors, above the 64-user serial
-    cut-off, and so do one-shot generators in place of the lists."""
+    """Two forked workers give the serial matrix, and so do one-shot
+    generators in place of the lists."""
     lex = lex_of(
         LexiconEntry("好", False, frozenset({1})),
         LexiconEntry("坏", True, frozenset({2, 3})),
@@ -266,6 +266,21 @@ def test_featurize_one_shot_equals_per_token_count(lexicon, tokens_by_user):
     one_shot = {uid: (tuple(post) for post in posts) for uid, posts in tokens_by_user.items()}
     assert featurize(tokens_by_user, matcher) == expected
     assert featurize(one_shot, matcher) == expected
+
+
+@pytest.mark.parametrize(
+    "user_ids, token_counts, rows, message",
+    [
+        (("u1", "u2"), (8,), ((12.5,), (0.0,)), "2 user ids, 1 token counts and 2 rows"),
+        (("u1",), (8, 3), ((12.5,),), "1 user ids, 2 token counts and 1 rows"),
+        (("u1", "u2"), (8, 3), ((12.5,),), "2 user ids, 2 token counts and 1 rows"),
+        (("u1", "u2", "u1"), (8, 3, 8), ((12.5,), (0.0,), (12.5,)), "user_id 'u1' appears twice"),
+    ],
+)
+def test_feature_matrix_refuses_ragged_columns_and_repeated_ids(user_ids, token_counts, rows, message):
+    """predict would score a repeated user twice and correlation_matrix count it twice."""
+    with pytest.raises(PipelineError, match=message):
+        FeatureMatrix(("A",), user_ids, token_counts, rows)
 
 
 def test_features_csv_round_trip(tmp_path):

@@ -233,6 +233,13 @@ def test_fit_requires_two_users():
         fit(features, labels[:1], ridge_lambda=1.0)
 
 
+def test_fit_refuses_a_repeated_label_naming_the_user():
+    """A label given twice would be trained on twice."""
+    features, labels, _, _, _, _ = make_planted(10, 3, seed=10)
+    with pytest.raises(ModelError, match="'u0003' appears more than once"):
+        fit(features, labels + [labels[3]], ridge_lambda=1.0)
+
+
 def test_fit_missing_features_names_user():
     features, labels, _, _, _, _ = make_planted(10, 3, seed=10)
     labels.append(("phantom", BigFive(50, 50, 50, 50, 50)))

@@ -1,10 +1,24 @@
-"""Stage functions keep no shared state between concurrent calls."""
+"""The fork map, the bundle's fanned-out text pass, and stage functions' independence."""
 
+import json
+import os
+import signal
 import sys
 import threading
+from pathlib import Path
 
+import pytest
+
+from textpersona import report, segmenter
+from textpersona._pool import parallel_map
+from textpersona.config import RunConfig, builtin_data_path
+from textpersona.errors import BundleError
 from textpersona.lexicon import Lexicon, LexiconEntry, compile_lexicon, featurize
 from textpersona.segmenter import WordList, segment_corpus
+
+from perfbench import traced
+
+FIXTURE = builtin_data_path("fixture_corpus")
 
 ROUNDS = 10
 N = 500
@@ -61,3 +75,181 @@ def test_concurrent_calls_see_only_their_own_state():
     finally:
         sys.setswitchinterval(old_interval)
     assert failures == []
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
+def test_fork_map_keeps_input_order(threads, n):
+    """Fewer items than workers and no items included."""
+    assert parallel_map(lambda x: (x, x * x), range(n), threads=threads) == [(x, x * x) for x in range(n)]
+    assert _no_child_left()
+
+
+def test_fork_map_takes_one_shot_generators():
+    """Items that pickle cannot carry reach each worker whole."""
+    items = [(c for c in word) for word in ("甲乙", "", "丙丁戊", "己")]
+    assert parallel_map(lambda gen: "".join(gen), items, threads=3) == ["甲乙", "", "丙丁戊", "己"]
+
+
+def test_fork_map_runs_in_process_while_another_thread_runs():
+    """A fork would copy the locks the other thread may hold."""
+    assert len(set(parallel_map(lambda _: os.getpid(), range(4), threads=2))) == 2
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert set(parallel_map(lambda _: os.getpid(), range(4), threads=2)) == {os.getpid()}
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+class TwoArgError(Exception):
+    """pickle rebuilds an exception from its args, which this constructor does not take back."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def _fail_at(bad, exc):
+    def fn(x):
+        if x == bad:
+            raise exc
+        return x
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "bad, exc, raised, message",
+    [
+        (7, ValueError("bad item 7"), ValueError, "bad item 7"),  # in a forked worker
+        (1, KeyError("k"), KeyError, "'k'"),  # in the parent's own share
+        (9, TwoArgError(3, "odd"), RuntimeError, "TwoArgError: 3: odd"),
+    ],
+)
+def test_fork_map_reraises_a_worker_error_and_leaves_nothing_behind(bad, exc, raised, message):
+    fds = _open_fds()
+    with pytest.raises(raised) as err:
+        parallel_map(_fail_at(bad, exc), range(10), threads=3)
+    assert str(err.value) == message
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def test_fork_map_error_does_not_wait_on_a_worker_blocked_on_a_full_pipe():
+    def fn(x):
+        if x == 0:
+            raise ValueError("first item")
+        return "字" * 100_000  # more than a pipe holds
+
+    def hung(signum, frame):
+        raise TimeoutError("a worker blocked on its pipe was waited for")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ValueError, match="first item"):
+            parallel_map(fn, range(6), threads=3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert _no_child_left()
+
+
+def test_fork_map_leaves_no_child_or_pipe_after_success():
+    fds = _open_fds()
+    big = parallel_map(lambda x: "字" * 100_000, range(4), threads=4)  # each result fills a pipe
+    assert big == ["字" * 100_000] * 4
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def _fan_out(patch) -> None:
+    """Make build_bundle split its text pass over three forked workers on any corpus."""
+    patch.setattr(report, "MIN_CHARS_PER_WORKER", 1)
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def _bundle_bytes(out_dir: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def _edge_corpus(tmp_path: Path) -> RunConfig:
+    """The fixture corpus plus a user whose every post is dropped, a post that
+    cleans to "" but carries emoticons, and an orphan post."""
+    posts = (FIXTURE / "posts.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(posts[0])["user_id"]
+    spammed = json.loads(posts[-1])["user_id"]
+    posts = [line for line in posts if json.loads(line)["user_id"] != spammed]
+    extra = [
+        {"user_id": spammed, "text": "淘宝 正品 [心]", "is_repost": False},
+        {"user_id": spammed, "text": "抱歉，此微博已被删除", "is_repost": False},
+        {"user_id": first, "text": "@某人 [心][哈哈]😊 http://t.cn/x", "is_repost": False},
+        {"user_id": "nobody", "text": "没有主人的微博 [心]", "is_repost": False},
+    ]
+    posts += [json.dumps(post, ensure_ascii=False) for post in extra]
+    (tmp_path / "posts.jsonl").write_text("\n".join(posts) + "\n", encoding="utf-8")
+    config = RunConfig.from_file(FIXTURE / "run_config.json")
+    config.posts_path = str(tmp_path / "posts.jsonl")
+    return config
+
+
+@pytest.fixture(params=["fixture", "edge"])
+def corpus_config(request, tmp_path):
+    if request.param == "fixture":
+        return RunConfig.from_file(FIXTURE / "run_config.json")
+    return _edge_corpus(tmp_path)
+
+
+def test_fanned_out_bundle_equals_serial_and_staged_bundles(corpus_config, tmp_path, monkeypatch):
+    report.build_bundle(corpus_config, tmp_path / "serial")
+    traced.compose_bundle(corpus_config, tmp_path / "staged", traced.Tracer())
+    _fan_out(monkeypatch)
+    assert report.fork_workers(10**6, report.MIN_CHARS_PER_WORKER) == 3
+    report.build_bundle(corpus_config, tmp_path / "forked")
+    serial = _bundle_bytes(tmp_path / "serial")
+    assert _bundle_bytes(tmp_path / "forked") == serial
+    assert _bundle_bytes(tmp_path / "staged") == serial
+    assert _no_child_left()
+
+
+def test_edge_corpus_has_its_edge_cases(tmp_path):
+    config = _edge_corpus(tmp_path)
+    report.build_bundle(config, tmp_path / "out")
+    features = (tmp_path / "out" / "features.csv").read_text(encoding="utf-8").splitlines()
+    assert sum(line.split(",")[1] == "0" for line in features[1:]) == 1  # the spammed user
+    assert not any(line.startswith("nobody,") for line in features)
+
+
+def test_worker_error_is_a_bundle_error_naming_the_stage(tmp_path, monkeypatch):
+    _fan_out(monkeypatch)
+    parent = os.getpid()
+    real_segment = segmenter.segment
+
+    def segment_in_parent_only(text, word_list):
+        if os.getpid() != parent:
+            raise ValueError("segmenting in a worker")
+        return real_segment(text, word_list)
+
+    monkeypatch.setattr(segmenter, "segment", segment_in_parent_only)
+    fds = _open_fds()
+    with pytest.raises(BundleError) as err:
+        report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
+    assert err.value.stage == "featurize"
+    assert type(err.value.cause) is ValueError and str(err.value.cause) == "segmenting in a worker"
+    assert _no_child_left()
+    assert _open_fds() == fds
