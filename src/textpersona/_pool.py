@@ -1,8 +1,11 @@
 """Order-preserving map that splits its items across forked workers.
 
-report.build_bundle fans its per-user text pass out through this map on
-corpora large enough to pay for a fork, and the threads= keyword of
-clean_corpus, segment_corpus and featurize goes through it too.
+report.build_bundle uses this map twice, each time only on corpora large
+enough to pay for a fork: it fans its per-user text pass out over one
+worker per CPU (report.text_features), and it writes the features and
+scores tables in a child while it runs the analyses itself. The
+threads= keyword of clean_corpus, segment_corpus and featurize goes
+through it too.
 
 threads <= 1 (or fewer than two items) runs in-process. Otherwise the
 items are cut into min(threads, len(items)) contiguous shares; the

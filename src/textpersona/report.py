@@ -236,6 +236,14 @@ def _sha256(path) -> str:
 # characters the cleaner's regex strips cheaply, barely paid at 240k.
 MIN_CHARS_PER_WORKER = 300_000
 
+# cells of the per-user tables (features plus scores) per worker before
+# writing them in a forked child, while the parent runs the analyses,
+# pays for the fork; there are two workers, so it forks from 20k cells.
+# Measured on a 2-CPU machine: the fork lost about 5 ms at 3.7k cells
+# or fewer and won in the median from 7.5k on user-heavy corpora, but
+# was within noise on text-heavy ones of 7.5k.
+MIN_TABLE_CELLS_PER_WORKER = 10_000
+
 
 def text_features(
     texts_by_user: Mapping[str, Sequence[str]],
@@ -300,10 +308,19 @@ class ReportBundle:
 def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     """Run the full pipeline and write every artifact plus manifest.json.
 
-    Stages: load -> validate -> featurize -> predict -> analyses; loading
-    the word list counts as segment. Any stage failure aborts with the
+    Stages: load -> validate -> clean -> segment -> featurize -> predict
+    -> analyses; loading the spam and template rules counts as clean,
+    loading the word list as segment. Any stage failure aborts with the
     stage name. Clean, segment and featurize are one pass per user (see
     text_features), so no post's cleaned text or token list is kept.
+
+    After predict, features.* and scores.* depend on nothing the
+    analyses compute. On corpora whose two per-user tables hold enough
+    cells (MIN_TABLE_CELLS_PER_WORKER), a forked child writes them while
+    the parent runs the analyses and writes the other tables; a child's
+    write error is re-raised here. So an analyses failure may leave
+    features.* and scores.* written, as a write failure midway leaves a
+    partial bundle on either path.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,7 +349,7 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     if not profiles:
         raise BundleError("validate", PipelineError("no users left after validation"))
 
-    spam, templates = cleaner_mod.load_rules(config.spam_keywords_path, config.system_templates_path)
+    spam, templates = stage("clean", cleaner_mod.load_rules, config.spam_keywords_path, config.system_templates_path)
     word_list = stage("segment", segmenter_mod.load_word_list, config.word_list_path)
     lexicon = stage("featurize", lexicon_mod.parse_lexicon, config.lexicon_path)
     matcher = lexicon_mod.compile_lexicon(lexicon)
@@ -362,8 +379,6 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
             splits, emoticon_usage, config.emoticon_min_count, config.alpha
         )
         return [
-            features_table(features, lexicon.category_names),
-            scores_table(scores),
             score_summary_table(model_mod.summarize_scores(score_list)),
             demographic_summary(profiles),
             correlations_table(stats_mod.correlation_matrix(features, scores, config.alpha)),
@@ -374,15 +389,20 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
             emoticons_table(emo_contrasts),
         ]
 
-    tables = stage("analyses", analyses)
-
-    artifacts = []
-    for table in tables:
-        csv_name = f"{table.name}.csv"
-        json_name = f"{table.name}.json"
+    def write(table: Table) -> tuple[str, str, str, int]:
+        csv_name, json_name = f"{table.name}.csv", f"{table.name}.json"
         table.write_csv(out_dir / csv_name)
         table.write_json(out_dir / json_name)
-        artifacts.append((table.name, csv_name, json_name, len(table.rows)))
+        return table.name, csv_name, json_name, len(table.rows)
+
+    tasks = [  # share 0 runs here, share 1 in a forked child when the gate opens
+        lambda: [write(table) for table in stage("analyses", analyses)],
+        lambda: [write(features_table(features, lexicon.category_names)), write(scores_table(scores))],
+    ]
+    cells = len(features.user_ids) * (len(features.names) + 2) + len(scores) * (len(TRAITS) + 1)
+    threads = min(2, fork_workers(cells, MIN_TABLE_CELLS_PER_WORKER))
+    written, per_user = parallel_map(lambda task: task(), tasks, threads=threads)
+    artifacts = per_user + written
 
     input_hashes = {
         key.removesuffix("_path"): _sha256(path)

@@ -389,22 +389,24 @@ def test_text_readers_split_lines_at_cr_crlf_and_lf(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "key, text, stage",
+    "key, data, stage, detail",
     [
-        ("lexicon_path", LEXICON.read_text(encoding="utf-8") + "foo bar\n", "featurize"),
-        ("model_path", '{"W": 1}', "predict"),
-        ("word_list_path", "今天\n不,错\n", "segment"),
+        ("lexicon_path", (LEXICON.read_text(encoding="utf-8") + "foo bar\n").encode(), "featurize", ""),
+        ("model_path", b'{"W": 1}', "predict", ""),
+        ("word_list_path", "今天\n不,错\n".encode(), "segment", ""),
+        ("spam_keywords_path", b"\xff\n", "clean", ":1: invalid UTF-8"),
+        ("system_templates_path", b"\xff\n", "clean", ":1: invalid UTF-8"),
     ],
-    ids=["lexicon", "model", "word_list"],
+    ids=["lexicon", "model", "word_list", "spam_keywords", "system_templates"],
 )
-def test_report_input_format_fault_exit_2_names_stage_and_path(tmp_path, capsys, key, text, stage):
+def test_report_input_format_fault_exit_2_names_stage_and_path(tmp_path, capsys, key, data, stage, detail):
     bad = tmp_path / "bad_input"
-    bad.write_text(text, encoding="utf-8")
+    bad.write_bytes(data)
     config = tmp_path / "config.json"
     config.write_text(fixture_config(**{key: str(bad)}), encoding="utf-8")
     assert run("report", "--config", config, "--out-dir", tmp_path / "bundle") == EXIT_FORMAT
     error = one_error_line(capsys, EXIT_FORMAT)
-    assert f"stage '{stage}' failed: {bad}" in error
+    assert f"stage '{stage}' failed: {bad}{detail}" in error
 
 
 def test_segment_rejects_punctuated_word_exit_2(staged, tmp_path, capsys):

@@ -1,5 +1,6 @@
-"""The fork map, the bundle's fanned-out text pass, and stage functions' independence."""
+"""The fork map, the bundle's forked text pass and table writer, and stage functions' independence."""
 
+import errno
 import json
 import os
 import signal
@@ -9,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from textpersona import report, segmenter
+from textpersona import report, segmenter, stats
 from textpersona._pool import parallel_map
 from textpersona.config import RunConfig, builtin_data_path
-from textpersona.errors import BundleError
+from textpersona.errors import BundleError, StatsError
 from textpersona.lexicon import Lexicon, LexiconEntry, compile_lexicon, featurize
 from textpersona.segmenter import WordList, segment_corpus
 
@@ -178,9 +179,15 @@ def test_fork_map_leaves_no_child_or_pipe_after_success():
     assert _open_fds() == fds
 
 
-def _fan_out(patch) -> None:
-    """Make build_bundle split its text pass over three forked workers on any corpus."""
-    patch.setattr(report, "MIN_CHARS_PER_WORKER", 1)
+TEXT_GATE = "MIN_CHARS_PER_WORKER"
+TABLE_GATE = "MIN_TABLE_CELLS_PER_WORKER"
+
+
+def _fan_out(patch, *gates: str) -> None:
+    """Open build_bundle's named fork gates on any corpus, with three CPUs: the text
+    pass then splits over three workers, the per-user tables go to one child."""
+    for gate in gates:
+        patch.setattr(report, gate, 1)
     patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
 
@@ -215,16 +222,31 @@ def corpus_config(request, tmp_path):
     return _edge_corpus(tmp_path)
 
 
-def test_fanned_out_bundle_equals_serial_and_staged_bundles(corpus_config, tmp_path, monkeypatch):
+@pytest.mark.parametrize("gates", [(TEXT_GATE,), (TABLE_GATE,), (TEXT_GATE, TABLE_GATE)], ids=["text", "tables", "both"])
+def test_fanned_out_bundle_equals_serial_and_staged_bundles(corpus_config, gates, tmp_path, monkeypatch):
     report.build_bundle(corpus_config, tmp_path / "serial")
     traced.compose_bundle(corpus_config, tmp_path / "staged", traced.Tracer())
-    _fan_out(monkeypatch)
-    assert report.fork_workers(10**6, report.MIN_CHARS_PER_WORKER) == 3
+    _fan_out(monkeypatch, *gates)
+    assert all(report.fork_workers(10**6, getattr(report, gate)) == 3 for gate in gates)
+    fds = _open_fds()
     report.build_bundle(corpus_config, tmp_path / "forked")
     serial = _bundle_bytes(tmp_path / "serial")
     assert _bundle_bytes(tmp_path / "forked") == serial
     assert _bundle_bytes(tmp_path / "staged") == serial
     assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def test_fixture_bundle_forks_no_worker(tmp_path, monkeypatch):
+    """The fixture corpus is below both gates on any CPU count, so the CLI test that
+    a report loads no pickle checks the serial path."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+
+    def no_fork():
+        raise AssertionError("build_bundle forked on the fixture corpus")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
 
 
 def test_edge_corpus_has_its_edge_cases(tmp_path):
@@ -236,7 +258,7 @@ def test_edge_corpus_has_its_edge_cases(tmp_path):
 
 
 def test_worker_error_is_a_bundle_error_naming_the_stage(tmp_path, monkeypatch):
-    _fan_out(monkeypatch)
+    _fan_out(monkeypatch, TEXT_GATE)
     parent = os.getpid()
     real_segment = segmenter.segment
 
@@ -253,3 +275,61 @@ def test_worker_error_is_a_bundle_error_naming_the_stage(tmp_path, monkeypatch):
     assert type(err.value.cause) is ValueError and str(err.value.cause) == "segmenting in a worker"
     assert _no_child_left()
     assert _open_fds() == fds
+
+
+def _write_json_in_parent_only(patch) -> None:
+    parent = os.getpid()
+    real_write_json = report.Table.write_json
+
+    def write_json(table, path):
+        if os.getpid() != parent:
+            raise OSError(errno.ENOSPC, f"no space for {table.name}.json")
+        real_write_json(table, path)
+
+    patch.setattr(report.Table, "write_json", write_json)
+
+
+def test_table_writer_error_is_reraised_with_its_type_and_message(tmp_path, monkeypatch):
+    _fan_out(monkeypatch, TABLE_GATE)
+    _write_json_in_parent_only(monkeypatch)
+    fds = _open_fds()
+    with pytest.raises(OSError) as err:
+        report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
+    assert type(err.value) is OSError and err.value.errno == errno.ENOSPC
+    assert str(err.value) == f"[Errno {errno.ENOSPC}] no space for features.json"
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def test_analyses_error_beside_the_table_writer_is_a_bundle_error(tmp_path, monkeypatch):
+    _fan_out(monkeypatch, TABLE_GATE)
+
+    def fail(joined):
+        raise StatsError("no provinces")
+
+    monkeypatch.setattr(stats, "province_aggregate", fail)
+    fds = _open_fds()
+    with pytest.raises(BundleError) as err:
+        report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
+    assert err.value.stage == "analyses"
+    assert type(err.value.cause) is StatsError and str(err.value.cause) == "no provinces"
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def test_tables_are_written_in_process_while_another_thread_runs(tmp_path, monkeypatch):
+    """A write in a child would fail; in process the bundle has the serial bytes."""
+    config = RunConfig.from_file(FIXTURE / "run_config.json")
+    report.build_bundle(config, tmp_path / "serial")
+    _fan_out(monkeypatch, TABLE_GATE)
+    _write_json_in_parent_only(monkeypatch)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        report.build_bundle(config, tmp_path / "in_process")
+    finally:
+        stop.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert _bundle_bytes(tmp_path / "in_process") == _bundle_bytes(tmp_path / "serial")
