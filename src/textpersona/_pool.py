@@ -1,23 +1,23 @@
 """Order-preserving map that splits its items across forked workers.
 
 report.build_bundle uses this map twice, each time only on corpora large
-enough to pay for a fork: it fans its per-user text pass out over one
-worker per CPU (report.text_features), and it writes the features and
-scores tables in a child while it runs the analyses itself. The
-threads= keyword of clean_corpus, segment_corpus and featurize goes
-through it too.
+enough to pay for a fork: report.text_features maps its per-user text
+pass over the users, as lexicon.featurize maps its per-user counts, and
+the features and scores tables are written in a child while the parent
+runs the analyses. The threads= keyword of clean_corpus, segment_corpus
+and featurize goes through it too.
 
 threads <= 1 (or fewer than two items) runs in-process. Otherwise the
-items are cut into min(threads, len(items)) contiguous shares; the
-parent maps share 0 itself and each other share goes to a child made
-by os.fork. A child inherits fn and the items, so nothing is pickled on
-the way in and closures or one-shot generators work as items. It sends
-back one pickled list of results, or the exception it raised, through a
-pipe. Results come back in input order, so output is byte-identical for
-every worker count. pickle is imported only when a map fans out, so a
-serial run never loads it. Where os.fork does not exist, or another
-thread runs, the map runs in-process.
-"""
+items are cut into min(threads, len(items)) contiguous shares of equal
+item count; the parent maps share 0 itself and each other share goes
+to a child made by os.fork. A child inherits fn and the items, so
+nothing is pickled on the way in and closures or one-shot generators
+work as items. It sends back one pickled list of results, or the
+exception it raised, through a pipe. Results come back in input order,
+so output is byte-identical for every worker count. pickle is imported
+only when a map fans out, so a serial run never loads it. Where os.fork
+does not exist, or another thread runs, the map runs in-process: callers
+size threads with fork_workers and leave that decision here."""
 
 from __future__ import annotations
 
@@ -30,12 +30,7 @@ R = TypeVar("R")
 
 
 def fork_workers(work: int, min_work: int) -> int:
-    """Workers for a task of size work: one per usable CPU while each gets min_work.
-
-    At least 1, and exactly 1 where os.fork does not exist.
-    """
-    if not hasattr(os, "fork"):
-        return 1
+    """Workers for a task of size work: one per usable CPU while each gets min_work, at least 1."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return max(1, min(cpus, work // min_work))
 

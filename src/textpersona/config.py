@@ -69,7 +69,7 @@ class RunConfig:
         with open(path, encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as err:  # invalid JSON or UTF-8
+            except (ValueError, RecursionError) as err:  # invalid JSON or UTF-8, or nested too deeply
                 raise InputFormatError(f"{path}: invalid config JSON: {err}") from err
         return cls.from_dict(doc, base_dir=Path(path).parent)
 

@@ -135,18 +135,20 @@ def _parse_post(record: dict) -> Post:
 def parse_json_line(line: str):
     """One JSONL record from a line read by _textio.open_text.
 
-    A line that was not UTF-8, or a string holding a lone surrogate,
-    raises ValueError. An escaped surrogate pair decodes to one character
-    and is fine. A lone one cannot be encoded as UTF-8, so no artifact
-    could carry it.
+    A line that was not UTF-8, nested too deeply for the decoder, or
+    holding a string with a lone surrogate raises ValueError. An escaped
+    surrogate pair decodes to one character and is fine. A lone one
+    cannot be encoded as UTF-8, so no artifact could carry it.
     """
     check_utf8(line)
-    record = json.loads(line)
-    if _SURROGATE_ESCAPE.search(line):
-        try:
+    try:
+        record = json.loads(line)
+        if _SURROGATE_ESCAPE.search(line):
             json.dumps(record, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError("a string holds a lone surrogate, which UTF-8 cannot encode") from None
+    except UnicodeEncodeError:
+        raise ValueError("a string holds a lone surrogate, which UTF-8 cannot encode") from None
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     return record
 
 
@@ -172,8 +174,17 @@ def _load_jsonl(path, parse):
 
 
 def load_profiles(path) -> tuple[list[UserProfile], int]:
-    """Profiles from one jsonl file; returns (records, malformed count)."""
-    return _load_jsonl(path, _parse_profile)
+    """Profiles from one jsonl file; returns (records, malformed count). A user_id's later lines are malformed."""
+    seen: set[str] = set()
+
+    def parse(record: dict) -> UserProfile:
+        profile = _parse_profile(record)
+        if profile.user_id in seen:
+            raise ValueError(f"user_id {profile.user_id!r} repeats an earlier line")
+        seen.add(profile.user_id)
+        return profile
+
+    return _load_jsonl(path, parse)
 
 
 def load_posts(path) -> tuple[list[Post], int]:

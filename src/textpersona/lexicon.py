@@ -256,19 +256,19 @@ def featurize(
     segment() of each post; it is consumed once.
     """
     user_ids = tuple(sorted(tokens_by_user))
-    # the lookup memo is this call's own dict; each worker gets its own copy
-    count_user = partial(_featurize_one, matcher, {})
+    count_user = partial(featurize_user, matcher, {})  # this call's memo; each worker gets a copy
     counted = parallel_map(count_user, [tokens_by_user[uid] for uid in user_ids], threads=threads)
     return FeatureMatrix(
         matcher.category_names, user_ids, tuple(total for total, _ in counted), tuple(row for _, row in counted)
     )
 
 
-def _featurize_one(
+def featurize_user(
     matcher: CompiledMatcher,
     cache: dict[str, frozenset[int]],
     token_lists: Iterable[Sequence[str]],
 ) -> tuple[int, tuple[float, ...]]:
+    """One user's (token count, frequency row); cache memoizes matcher.lookup across users."""
     counts: dict[int, int] = {}
     total = 0
     for token, k in Counter(chain.from_iterable(token_lists)).items():

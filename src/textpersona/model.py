@@ -270,7 +270,7 @@ def load_model(path) -> MappingModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as err:  # invalid JSON or UTF-8
+    except (ValueError, RecursionError) as err:  # invalid JSON or UTF-8, or nested too deeply
         raise InputFormatError(f"{path}: not a model file: {err}") from None
 
     def bad(problem: str) -> InputFormatError:

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -254,44 +252,34 @@ def text_features(
     """Features and emoticon usage of each user, in one pass over their raw posts.
 
     Each post is cleaned, its emoticons counted, and its segment()
-    counted by featurize as it is made. The users, in id order, are cut
-    into contiguous shares of about equal post characters, one per
-    worker (_pool.fork_workers); each share comes back as one feature
-    matrix and one usage dict, so the result does not depend on the
-    worker count. Users without a kept emoticon are absent from usage.
+    counted by lexicon.featurize_user as it is made. The users are
+    mapped in id order, with one worker per MIN_CHARS_PER_WORKER raw
+    characters of the corpus (_pool.fork_workers), so the result does
+    not depend on the worker count. Users without a kept emoticon are
+    absent from usage.
     """
-    user_ids = sorted(texts_by_user)
-    ends = list(accumulate(sum(map(len, texts_by_user[uid])) for uid in user_ids))
-    total = ends[-1] if ends else 0
-    workers = fork_workers(total, MIN_CHARS_PER_WORKER)
-    cuts = [0, *(bisect_left(ends, total * w / workers) + 1 for w in range(1, workers)), len(user_ids)]
+    user_ids = tuple(sorted(texts_by_user))
+    count = partial(lexicon_mod.featurize_user, matcher, {})  # one lookup memo, copied into each worker
 
-    def share_features(share: Sequence[str]):
-        usage: dict[str, Counter[str]] = {}
+    def one_user(uid: str) -> tuple[int, tuple[float, ...], Counter[str]]:
+        usage: Counter[str] = Counter()
 
-        def tokens_of(uid: str):
+        def tokens():
             for text in texts_by_user[uid]:
                 res = clean(text)
                 if not res.dropped:
                     if res.emoticons:
-                        usage.setdefault(uid, Counter()).update(res.emoticons)
+                        usage.update(res.emoticons)
                     yield segmenter_mod.segment(res.clean_text, word_list)
 
-        return lexicon_mod.featurize({uid: tokens_of(uid) for uid in share}, matcher), usage
+        return (*count(tokens()), usage)
 
-    shares = [user_ids[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    parts = parallel_map(share_features, shares, threads=workers)
-    matrices = [matrix for matrix, _ in parts]
+    chars = sum(len(text) for texts in texts_by_user.values() for text in texts)
+    counted = parallel_map(one_user, user_ids, threads=fork_workers(chars, MIN_CHARS_PER_WORKER))
     features = lexicon_mod.FeatureMatrix(
-        matcher.category_names,
-        tuple(chain.from_iterable(m.user_ids for m in matrices)),
-        tuple(chain.from_iterable(m.token_counts for m in matrices)),
-        tuple(chain.from_iterable(m.rows for m in matrices)),
+        matcher.category_names, user_ids, tuple(n for n, _, _ in counted), tuple(row for _, row, _ in counted)
     )
-    usage: dict[str, Counter[str]] = {}
-    for _, share_usage in parts:
-        usage.update(share_usage)  # the shares hold disjoint users
-    return features, usage
+    return features, {uid: usage for uid, (_, _, usage) in zip(user_ids, counted) if usage}
 
 
 # a bundle needs these; the spam keyword and system template paths may be unset
@@ -312,7 +300,9 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     -> analyses; loading the spam and template rules counts as clean,
     loading the word list as segment. Any stage failure aborts with the
     stage name. Clean, segment and featurize are one pass per user (see
-    text_features), so no post's cleaned text or token list is kept.
+    text_features), so no post's cleaned text or token list is kept; on
+    corpora with enough raw characters the users are mapped over forked
+    workers.
 
     After predict, features.* and scores.* depend on nothing the
     analyses compute. On corpora whose two per-user tables hold enough
@@ -400,7 +390,7 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         lambda: [write(features_table(features, lexicon.category_names)), write(scores_table(scores))],
     ]
     cells = len(features.user_ids) * (len(features.names) + 2) + len(scores) * (len(TRAITS) + 1)
-    threads = min(2, fork_workers(cells, MIN_TABLE_CELLS_PER_WORKER))
+    threads = fork_workers(cells, MIN_TABLE_CELLS_PER_WORKER)  # parallel_map caps it at the two tasks
     written, per_user = parallel_map(lambda task: task(), tasks, threads=threads)
     artifacts = per_user + written
 

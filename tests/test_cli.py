@@ -417,6 +417,25 @@ def test_segment_rejects_punctuated_word_exit_2(staged, tmp_path, capsys):
     assert f"{words}: word '不,错'" in one_error_line(capsys, EXIT_FORMAT)
 
 
+# deeper than the JSON decoder recurses; json.dumps cannot write it, so it is built as text
+DEEP_JSON = '{"alpha": ' + "[" * 100_000
+
+
+@pytest.mark.parametrize("command", ["report", "predict"])
+def test_deeply_nested_config_or_model_exit_2(tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON, encoding="utf-8")
+    features = tmp_path / "features.csv"
+    features.write_text(TINY_FEATURES, encoding="utf-8")
+    argv = {
+        "report": ["--config", deep, "--out-dir", tmp_path / "bundle"],
+        "predict": ["--model", deep, "--features", features, "--out", tmp_path / "s.csv"],
+    }[command]
+    assert run(command, *argv) == EXIT_FORMAT
+    error = one_error_line(capsys, EXIT_FORMAT)
+    assert f"{deep}:" in error and "recursion" in error
+
+
 @pytest.mark.parametrize(
     "doc, reason",
     [

@@ -82,14 +82,14 @@ def _set_value(draw, data: bytes, json_values, csv_values) -> bytes:
     """Replace one JSON value (a top-level one or a list item) or one CSV cell."""
     try:
         whole = json.loads(data)
-    except ValueError:
+    except (ValueError, RecursionError):  # deep_nesting may have run first
         whole = None
     if isinstance(whole, dict) and whole:  # a JSON document such as model.json
         return json.dumps(_set_in_record(draw, whole, json_values), indent=2).encode()
     lines, i = _pick_line(draw, data)
     try:
         record = json.loads(lines[i])
-    except ValueError:
+    except (ValueError, RecursionError):
         record = None
     if isinstance(record, dict) and record:
         lines[i] = json.dumps(_set_in_record(draw, record, json_values)).encode()
@@ -152,8 +152,16 @@ def invalid_utf8(draw, data):
     return data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xb3\xbf"])) + data[at:]
 
 
+def deep_nesting(draw, data):
+    """Open 100 000 arrays before one line: deeper than the JSON decoder recurses, and
+    built as text, since json.dumps cannot write it."""
+    lines, i = _pick_line(draw, data)
+    lines[i] = b"[" * 100_000 + lines[i]
+    return b"\n".join(lines)
+
+
 MUTATIONS = [
-    truncate, drop_line, swap_type, non_finite, reverse_header, add_cell, empty, invalid_utf8
+    truncate, drop_line, swap_type, non_finite, reverse_header, add_cell, empty, invalid_utf8, deep_nesting
 ]
 
 
@@ -209,6 +217,25 @@ def test_invalid_utf8_is_a_format_error_or_a_skipped_line(inputs, command, data)
     code = run_with(inputs, command, name, content)
     if name in ("posts", "profiles"):
         kept = b"\n".join(line for line in content.split(b"\n") if _is_utf8(line))
+        assert code == run_with(inputs, command, name, kept)
+    else:
+        assert code == 2
+
+
+JSON_INPUTS = ("posts", "profiles", "cleaned", "tokens", "model")
+
+
+@pytest.mark.parametrize("command", sorted(c for c, (_, names) in COMMANDS.items() if set(names) & set(JSON_INPUTS)))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_deep_nesting_is_a_format_error_or_a_skipped_line(inputs, command, data):
+    """A JSON file or line nested too deeply exits 2, except in a corpus file,
+    whose loaders skip the line as if it were not there."""
+    name = data.draw(st.sampled_from([n for n in COMMANDS[command][1] if n in JSON_INPUTS]))
+    content = deep_nesting(data.draw, Path(inputs[name]).read_bytes())
+    code = run_with(inputs, command, name, content)
+    if name in ("posts", "profiles"):
+        kept = b"\n".join(line for line in content.split(b"\n") if not line.startswith(b"[["))
         assert code == run_with(inputs, command, name, kept)
     else:
         assert code == 2

@@ -12,6 +12,7 @@ from textpersona.corpus import (
     ValidityReport,
     compute_age,
     load_corpus,
+    load_profiles,
     validate_users,
     with_credible_age,
 )
@@ -104,6 +105,25 @@ def test_infinite_follower_count_is_malformed(tmp_path):
     profiles, _, summary = load_corpus(ppath, spath)
     assert [p.user_id for p in profiles] == ["u2"]
     assert summary.malformed_lines == 1
+
+
+def test_repeated_profile_user_id_first_line_wins(tmp_path):
+    """A later line with the same user_id is malformed, whatever it holds."""
+    ppath = tmp_path / "p.jsonl"
+    write_jsonl(ppath, [profile_rec("u0"), profile_rec("u1"), profile_rec("u0", follower_count=5), profile_rec("u2")])
+    profiles, malformed = load_profiles(ppath)
+    assert [(p.user_id, p.follower_count) for p in profiles] == [("u0", 100), ("u1", 100), ("u2", 100)]
+    assert malformed == 1
+
+
+def test_deeply_nested_line_is_malformed(tmp_path):
+    """json.loads raises RecursionError on it; the loaders skip it like any bad line."""
+    ppath, spath = tmp_path / "p.jsonl", tmp_path / "s.jsonl"
+    write_jsonl(ppath, [profile_rec("u0"), "[" * 100_000 + json.dumps(profile_rec("u1"))])
+    write_jsonl(spath, [post_rec("u0"), '{"user_id": "u0", "text": ' + "[" * 100_000, post_rec("u0")])
+    profiles, posts, summary = load_corpus(ppath, spath)
+    assert [p.user_id for p in profiles] == ["u0"] and len(posts) == 2
+    assert summary.malformed_lines == 2
 
 
 # a stray byte, a cut two-byte sequence, an encoded surrogate

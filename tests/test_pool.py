@@ -6,11 +6,12 @@ import os
 import signal
 import sys
 import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from textpersona import report, segmenter, stats
+from textpersona import cleaner, report, segmenter, stats
 from textpersona._pool import parallel_map
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.errors import BundleError, StatsError
@@ -247,6 +248,26 @@ def test_fixture_bundle_forks_no_worker(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", no_fork)
     report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
+
+
+def test_text_pass_forks_no_worker_for_a_single_user(monkeypatch):
+    """Three CPUs and the text gate open give three workers, but one user is one item."""
+    _fan_out(monkeypatch, TEXT_GATE)
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    clean = partial(cleaner.clean, spam_keywords=())
+    words = WordList.from_words(["甲乙"])
+    features, usage = report.text_features({"u0": ["甲乙 [心]"]}, clean, words, _matcher("A", "甲乙"))
+    assert report.fork_workers(10**6, report.MIN_CHARS_PER_WORKER) == 3
+    assert forks == []
+    assert (features.user_ids, features.token_counts, features.rows) == (("u0",), (1,), ((100.0,),))
+    assert usage == {"u0": {"[心]": 1}}
 
 
 def test_edge_corpus_has_its_edge_cases(tmp_path):

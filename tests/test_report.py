@@ -194,6 +194,25 @@ def test_build_bundle_deterministic(tmp_path):
     assert _bundle_bytes(tmp_path / "a") == _bundle_bytes(tmp_path / "b")
 
 
+def test_repeated_profile_user_id_counts_once(tmp_path):
+    """The first line with a user_id wins, for a scored user and for one validation rejects."""
+    lines = (FIXTURE / "profiles.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    flipped = json.dumps({**first, "verified": not first.get("verified", False)}, ensure_ascii=False)
+    silent = json.dumps({"user_id": "silent", "follower_count": 5})  # has no posts
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text("\n".join([*lines, flipped, silent, silent]) + "\n", encoding="utf-8")
+    cfg = fixture_config()
+    cfg.profiles_path = str(profiles)
+    build_bundle(fixture_config(), tmp_path / "fixture")
+    build_bundle(cfg, tmp_path / "repeated")
+    expected, got = _bundle_bytes(tmp_path / "fixture"), _bundle_bytes(tmp_path / "repeated")
+    manifest = json.loads(got.pop("manifest.json"))
+    del expected["manifest.json"]
+    assert got == expected  # demographics counts the 120 users with their first line
+    assert manifest["validity"] == {"accepted": 120, "rejected": [["silent", "no_posts"]], "total_users": 121}
+
+
 def test_build_bundle_zero_users_fails_at_validate(tmp_path):
     profiles = tmp_path / "profiles.jsonl"
     posts = tmp_path / "posts.jsonl"
