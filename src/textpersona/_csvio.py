@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import csv
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from ._textio import utf8_lines
 from .errors import InputFormatError
+
+T = TypeVar("T")
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -35,3 +37,25 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     except csv.Error as err:  # e.g. a cell beyond csv.field_size_limit()
         raise InputFormatError(f"{path}:{reader.line_num}: {err}") from None
     return header, rows
+
+
+def read_keyed_rows(path, header: list[str], rows, parse: Callable[[list[str]], T], error) -> dict[str, T]:
+    """parse(cells) of each of read_csv's rows, keyed on its user_id cell, in file order.
+
+    A row whose cell count differs from the header's, whose user_id an
+    earlier line holds, or that parse refuses with ValueError raises the
+    exception class error, naming path:line.
+    """
+    parsed: dict[str, T] = {}
+    first_line: dict[str, int] = {}
+    for line_no, cells in rows:
+        try:
+            if len(cells) != len(header):
+                raise ValueError(f"{len(cells)} cells, header has {len(header)}")
+            if cells[0] in first_line:
+                raise ValueError(f"user_id {cells[0]!r} repeats line {first_line[cells[0]]}")
+            parsed[cells[0]] = parse(cells)
+        except ValueError as err:
+            raise error(f"{path}:{line_no}: {err}") from None
+        first_line[cells[0]] = line_no
+    return parsed

@@ -13,6 +13,7 @@ import datetime as dt
 import json
 import logging
 import sys
+from collections import Counter
 
 from . import __version__
 from . import cleaner as cleaner_mod
@@ -22,7 +23,7 @@ from . import model as model_mod
 from . import report as report_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
-from ._textio import open_text
+from ._textio import utf8_lines
 from .config import RunConfig
 from .errors import BundleError, InputFormatError, TextPersonaError
 from .model import TRAITS
@@ -150,42 +151,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_jsonl(path, str_keys: tuple[str, ...], list_key: str):
-    """Yield each record of a CLI interchange file.
+def _read_jsonl(path, str_keys: tuple[str, ...], list_key: str) -> list[dict]:
+    """The records of a CLI interchange file.
 
     A line that is not a JSON object with strings under str_keys and a
     list of strings under list_key raises InputFormatError naming path:line.
     """
     shape = f"a JSON object with strings {', '.join(str_keys)} and a list of strings {list_key}"
-    with open_text(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = corpus_mod.parse_json_line(line)
-            except ValueError as err:
-                raise InputFormatError(f"{path}:{line_no}: {err}") from None
-            if not (
-                isinstance(rec, dict)
-                and all(isinstance(rec.get(key), str) for key in str_keys)
-                and isinstance(rec.get(list_key), list)
-                and all(isinstance(item, str) for item in rec[list_key])
-            ):
-                raise InputFormatError(f"{path}:{line_no}: a record must be {shape}")
-            yield rec
-
-
-def _read_cleaned(path) -> list[tuple[str, cleaner_mod.CleanResult]]:
-    return [
-        (
-            rec["user_id"],
-            cleaner_mod.CleanResult(
-                clean_text=rec["clean_text"], emoticons=tuple(rec["emoticons"]), dropped=False
-            ),
-        )
-        for rec in _read_jsonl(path, ("user_id", "clean_text"), "emoticons")
-    ]
+    records = []
+    for line_no, line in utf8_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = corpus_mod.parse_json_line(line)
+        except ValueError as err:
+            raise InputFormatError(f"{path}:{line_no}: {err}") from None
+        if not (
+            isinstance(rec, dict)
+            and all(isinstance(rec.get(key), str) for key in str_keys)
+            and isinstance(rec.get(list_key), list)
+            and all(isinstance(item, str) for item in rec[list_key])
+        ):
+            raise InputFormatError(f"{path}:{line_no}: a record must be {shape}")
+        records.append(rec)
+    return records
 
 
 def _write_jsonl(path, records) -> None:
@@ -214,9 +204,9 @@ def cmd_clean(args) -> int:
 
 
 def cmd_segment(args) -> int:
-    cleaned = _read_cleaned(args.cleaned)
+    cleaned = _read_jsonl(args.cleaned, ("user_id", "clean_text"), "emoticons")
     word_list = segmenter_mod.load_word_list(args.words)
-    tokenized = segmenter_mod.segment_corpus([(uid, res.clean_text) for uid, res in cleaned], word_list)
+    tokenized = segmenter_mod.segment_corpus([(rec["user_id"], rec["clean_text"]) for rec in cleaned], word_list)
     _write_jsonl(args.out, ({"user_id": user_id, "tokens": tokens} for user_id, tokens in tokenized))
     log.info("segment: %d posts tokenized", len(tokenized))
     return EXIT_OK
@@ -252,7 +242,7 @@ def cmd_predict(args) -> int:
     mapping = model_mod.load_model(args.model)
     features = lexicon_mod.read_features_csv(args.features)
     scores, skipped = model_mod.predict(mapping, features)
-    model_mod.write_scores_csv(scores, args.out)
+    report_mod.scores_table(scores).write_csv(args.out)
     log.info("predict: %d scored, %d degenerate skipped", len(scores), len(skipped))
     return EXIT_OK
 
@@ -302,15 +292,17 @@ def cmd_demographics(args) -> int:
 
 
 def cmd_emoticons(args) -> int:
-    cleaned = _read_cleaned(args.cleaned)
+    usage: dict[str, Counter[str]] = {}
+    for rec in _read_jsonl(args.cleaned, ("user_id", "clean_text"), "emoticons"):
+        if rec["emoticons"]:
+            usage.setdefault(rec["user_id"], Counter()).update(rec["emoticons"])
     scores = model_mod.read_scores_csv(args.scores)
-    usage = stats_mod.emoticon_usage(cleaned)
     split = stats_mod.polarity_split(
         [(uid, score.get(args.trait)) for uid, score in scores],
         args.quantile,
         trait=args.trait,
     )
-    contrast = stats_mod.emoticon_contrast(split, usage, args.min_count, args.alpha)
+    (contrast,) = stats_mod.emoticon_contrasts([split], usage, args.min_count, args.alpha)
     if contrast.warning:
         log.warning("emoticons: %s", contrast.warning)
     _write_table(report_mod.emoticons_table([contrast]), args)

@@ -95,21 +95,32 @@ def _parse_profile(record: dict) -> UserProfile:
     else:
         gender = _GENDER_CODES[gender_code]
     birth_date = record.get("birth_date")
+    verified = record.get("verified", False)
+    follower_count = record.get("follower_count", 0)
     tags = record.get("tags", [])
+    location = record.get("location")
     schools = record.get("schools", [])
-    if not all(isinstance(t, str) for t in tags):
-        raise ValueError("tags must be strings")
-    if not all(isinstance(s, str) for s in schools):
-        raise ValueError("schools must be strings")
+    introduction = record.get("introduction")
+    # plain type() tests: they run once per corpus line
+    if type(verified) is not bool:
+        raise ValueError("verified must be a JSON bool")
+    if type(follower_count) is not int:
+        raise ValueError("follower_count must be a JSON integer")
+    if type(tags) is not list or not all(type(t) is str for t in tags):
+        raise ValueError("tags must be a list of strings")
+    if type(schools) is not list or not all(type(s) is str for s in schools):
+        raise ValueError("schools must be a list of strings")
+    if not (location is None or type(location) is str) or not (introduction is None or type(introduction) is str):
+        raise ValueError("location and introduction must be strings or null")
     return UserProfile(
         user_id=user_id,
         gender=gender,
-        verified=bool(record.get("verified", False)),
-        follower_count=int(record.get("follower_count", 0)),
+        verified=verified,
+        follower_count=follower_count,
         tags=tuple(tags),
-        location=record.get("location") or None,
+        location=location or None,
         schools=tuple(schools),
-        introduction=record.get("introduction") or None,
+        introduction=introduction or None,
         birth_date=dt.date.fromisoformat(birth_date) if birth_date else None,
     )
 
@@ -124,12 +135,10 @@ def _parse_post(record: dict) -> Post:
     created_at = record.get("created_at")
     if created_at is not None and not isinstance(created_at, str):
         raise ValueError("created_at must be a string")
-    return Post(
-        user_id=user_id,
-        text=text,
-        is_repost=bool(record.get("is_repost", False)),
-        created_at=created_at,
-    )
+    is_repost = record.get("is_repost", False)
+    if type(is_repost) is not bool:
+        raise ValueError("is_repost must be a JSON bool")
+    return Post(user_id=user_id, text=text, is_repost=is_repost, created_at=created_at)
 
 
 def parse_json_line(line: str):

@@ -26,14 +26,13 @@ agrees with a brute-force scan over every entry, for every token.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
-from ._csvio import read_csv
+from ._csvio import read_csv, read_keyed_rows
 from ._pool import parallel_map
 from ._textio import utf8_lines
 from .errors import LexiconParseError, PipelineError
@@ -307,24 +306,12 @@ def read_features_csv(path) -> FeatureMatrix:
     if header[:2] != ["user_id", "token_count"]:
         raise LexiconParseError(f"{path}: not a feature CSV (header {header[:2]})")
     names = tuple(header[2:])
-    first_line: dict[str, int] = {}  # each user's line, in file order
-    counts, values = [], []
-    for line_no, parts in rows:
-        try:
-            if parts[0] in first_line:
-                raise ValueError(f"user_id {parts[0]!r} repeats line {first_line[parts[0]]}")
-            total, row = _parse_feature_row(parts, names)
-        except ValueError as err:
-            raise LexiconParseError(f"{path}:{line_no}: {err}") from None
-        first_line[parts[0]] = line_no
-        counts.append(total)
-        values.append(row)
-    return FeatureMatrix(names, tuple(first_line), tuple(counts), tuple(values))
+    parsed = read_keyed_rows(path, header, rows, partial(_parse_feature_row, names=names), LexiconParseError)
+    counted = parsed.values()
+    return FeatureMatrix(names, tuple(parsed), tuple(n for n, _ in counted), tuple(row for _, row in counted))
 
 
 def _parse_feature_row(parts: list[str], names: tuple[str, ...]) -> tuple[int, tuple[float, ...]]:
-    if len(parts) != len(names) + 2:
-        raise ValueError(f"{len(parts)} cells, header has {len(names) + 2}")
     raw_total, cells = parts[1], parts[2:]
     if not raw_total.isdecimal():
         raise ValueError(f"token_count {raw_total!r} is not a non-negative integer")
@@ -335,7 +322,8 @@ def _parse_feature_row(parts: list[str], names: tuple[str, ...]) -> tuple[int, t
     row = []
     for name, cell in zip(names, cells):
         value = float(cell)
-        count = round(value * total / 100) if math.isfinite(value) else -1
+        # a cell outside [0, 100] (NaN and infinities too) is refused before rounding can overflow
+        count = round(value * total / 100) if 0 <= value <= 100 else -1
         freq = count * scale
         on_lattice = 0 <= count <= total and abs(value - freq) <= _CELL_TOL
         if not on_lattice or (total == 0 and value != 0):

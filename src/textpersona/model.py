@@ -36,7 +36,7 @@ from math import fsum, sqrt
 from operator import mul
 from typing import Sequence
 
-from ._csvio import read_csv, write_csv
+from ._csvio import read_csv, read_keyed_rows, write_csv
 from .config import RunConfig
 from .errors import InputFormatError, ModelError
 from .lexicon import FeatureMatrix
@@ -331,16 +331,6 @@ def read_scores_csv(path) -> list[tuple[str, BigFive]]:
     header, rows = read_csv(path)
     if header != ["user_id", *TRAITS]:
         raise InputFormatError(f"{path}: not a score CSV (header {','.join(header)!r})")
-    first_line: dict[str, int] = {}
-    scores = []
-    for line_no, parts in rows:
-        try:
-            if len(parts) != 1 + len(TRAITS):
-                raise ValueError(f"{len(parts)} cells, header has {1 + len(TRAITS)}")
-            if parts[0] in first_line:
-                raise ValueError(f"user_id {parts[0]!r} repeats line {first_line[parts[0]]}")
-            scores.append((parts[0], BigFive(*(float(v) for v in parts[1:]))))
-        except ValueError as err:  # a cell count, a non-numeric or non-finite score, a repeated id
-            raise InputFormatError(f"{path}:{line_no}: {err}") from None
-        first_line[parts[0]] = line_no
-    return scores
+    # float refuses a non-numeric score, BigFive a non-finite one
+    parsed = read_keyed_rows(path, header, rows, lambda cells: BigFive(*map(float, cells[1:])), InputFormatError)
+    return list(parsed.items())

@@ -19,7 +19,6 @@ from math import fsum, sqrt
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
-from .cleaner import CleanResult
 from .config import RunConfig
 from .corpus import UserProfile
 from .errors import StatsError
@@ -109,6 +108,8 @@ def correlation_matrix(
     once, exactly as pearson centres it, so every r and p equals
     pearson's on the same joined, user-id-sorted columns.
     """
+    if not 0.0 < alpha < 1.0:
+        raise StatsError(f"alpha must be in (0, 1), got {alpha}")
     score_by_id = dict(scores)
     joined = sorted((uid, row) for uid, row in zip(features.user_ids, features.rows) if uid in score_by_id)
     if len(joined) < 3:
@@ -347,15 +348,6 @@ def two_proportion_z_p(x1: int, n1: int, x2: int, n2: int) -> float:
     return normal_two_sided_p(z)
 
 
-def emoticon_usage(cleaned: Iterable[tuple[str, CleanResult]]) -> dict[str, Counter[str]]:
-    """Per-user emoticon counts over cleaned posts; users without any are absent."""
-    usage: dict[str, Counter[str]] = {}
-    for user_id, res in cleaned:
-        if res.emoticons:
-            usage.setdefault(user_id, Counter()).update(res.emoticons)
-    return usage
-
-
 def emoticon_contrast(
     split: PolaritySplit,
     emoticon_usage: Mapping[str, Mapping[str, int]],
@@ -383,6 +375,8 @@ def emoticon_contrasts(
     """
     if min_count < 0:
         raise StatsError("min_count must be >= 0")
+    if not 0.0 < alpha < 1.0:
+        raise StatsError(f"alpha must be in (0, 1), got {alpha}")
 
     def group_counts(ids: Iterable[str]) -> dict[str, int]:
         # plain dict adds: Counter.update into a non-empty Counter is a slower Python loop

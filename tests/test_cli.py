@@ -134,6 +134,7 @@ def test_report_loads_no_process_pool_machinery(tmp_path):
         ("u1,4,25.000000,-25.000000", "B"),  # negative hit count
         ("u1,4,25.000000,125.000000", "B"),  # more hits than tokens
         ("u1,4,25.000000,nan", "B"),
+        ("u1,4,25.000000,1e308", "B"),  # overflows the hit count unless refused first
         ("u1,4,25.000000,abc", "abc"),
         ("u0,4,25.000000,50.000000", "'u0' repeats line 2"),  # a user scored twice
     ],
@@ -466,27 +467,58 @@ def test_report_rejects_mistyped_config_exit_2(tmp_path, capsys, doc, reason):
     assert reason in one_error_line(capsys, EXIT_FORMAT)
 
 
-@pytest.mark.parametrize(
-    "command, config_changes, reason",
-    [
-        ("demographics", None, "age range 47-10 is empty"),
-        ("report", {"age_range": [47, 10]}, "age range 47-10 is empty"),
-        ("contrast", None, "top_k must be >= 0"),
-        ("report", {"top_k_tags": -1}, "top_k must be >= 0"),
-    ],
-)
-def test_inverted_age_range_and_negative_top_k_exit_3(staged, tmp_path, capsys, command, config_changes, reason):
-    """Both front ends refuse an age range with no ages in it and a negative row count."""
+def test_report_leaves_out_a_profile_with_a_mistyped_field(tmp_path):
+    """A location of 5 is a malformed profile line, not an analyses failure."""
+    lines = (FIXTURE / "profiles.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    assert first["user_id"] == "u00000"
+    lines[0] = json.dumps({**first, "location": 5}, ensure_ascii=False)
+    profiles = tmp_path / "profiles.jsonl"
+    profiles.write_text("\n".join(lines) + "\n", encoding="utf-8")
     config = tmp_path / "config.json"
-    config.write_text(fixture_config(**(config_changes or {})), encoding="utf-8")
+    config.write_text(fixture_config(profiles_path=str(profiles)), encoding="utf-8")
+    assert run("report", "--config", config, "--out-dir", tmp_path / "bundle") == 0
+    scored = [uid for uid, _ in read_scores_csv(tmp_path / "bundle" / "scores.csv")]
+    assert "u00000" not in scored and scored
+    validity = json.loads((tmp_path / "bundle" / "manifest.json").read_text(encoding="utf-8"))["validity"]
+    assert validity["total_users"] == len(lines) - 1
+
+
+ALPHAS_OUTSIDE = [0, 1, 7, float("nan")]
+
+
+@pytest.mark.parametrize(
+    "command, changes, reason",
+    [
+        ("demographics", ["--min-age", "47", "--max-age", "10"], "age range 47-10 is empty"),
+        ("report", {"age_range": [47, 10]}, "age range 47-10 is empty"),
+        ("contrast", ["--top-k", "-1"], "top_k must be >= 0"),
+        ("report", {"top_k_tags": -1}, "top_k must be >= 0"),
+        *(("correlate", ["--alpha", str(alpha)], "alpha must be in (0, 1)") for alpha in ALPHAS_OUTSIDE),
+        *(("emoticons", ["--alpha", str(alpha)], "alpha must be in (0, 1)") for alpha in ALPHAS_OUTSIDE),
+        *(("report", {"alpha": alpha}, "alpha must be in (0, 1)") for alpha in ALPHAS_OUTSIDE),
+    ],
+    ids=str,
+)
+def test_inverted_age_range_and_negative_top_k_exit_3(staged, tmp_path, capsys, command, changes, reason):
+    """Both front ends refuse an age range with no ages in it, a negative row count and an alpha outside (0, 1).
+
+    changes are the flags added to a stage command, or the changes made to the fixture config.
+    """
+    config = tmp_path / "config.json"
+    config.write_text(fixture_config(**(changes if command == "report" else {})), encoding="utf-8")
     argv = {
         "demographics": ["--profiles", FIXTURE / "profiles.jsonl", "--reference-date", "2018-06-01",
-                         "--min-age", "47", "--max-age", "10", "--out-csv", tmp_path / "demo.csv"],
+                         "--out-csv", tmp_path / "demo.csv"],
         "contrast": ["--scores", staged / "scores.csv", "--profiles", FIXTURE / "profiles.jsonl",
-                     "--trait", "O", "--top-k", "-1", "--out-csv", tmp_path / "tags.csv"],
+                     "--trait", "O", "--out-csv", tmp_path / "tags.csv"],
+        "correlate": ["--features", staged / "features.csv", "--scores", staged / "scores.csv",
+                      "--out-csv", tmp_path / "corr.csv"],
+        "emoticons": ["--cleaned", staged / "cleaned.jsonl", "--scores", staged / "scores.csv",
+                      "--trait", "O", "--out-csv", tmp_path / "emo.csv"],
         "report": ["--config", config, "--out-dir", tmp_path / "bundle"],
     }[command]
-    assert run(command, *argv) == EXIT_PIPELINE
+    assert run(command, *argv, *([] if command == "report" else changes)) == EXIT_PIPELINE
     assert reason in one_error_line(capsys, EXIT_PIPELINE)
 
 

@@ -107,6 +107,60 @@ def test_infinite_follower_count_is_malformed(tmp_path):
     assert summary.malformed_lines == 1
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("location", 5),
+        ("location", ["北京"]),
+        ("introduction", 5),
+        ("introduction", {"text": "hi"}),
+        ("tags", "music"),
+        ("tags", ["music", 1]),
+        ("schools", "PKU"),
+        ("schools", [None]),
+        ("verified", "false"),
+        ("verified", 0),
+        ("verified", None),
+        ("follower_count", 3.9),
+        ("follower_count", True),
+        ("follower_count", "100"),
+        ("follower_count", None),
+    ],
+    ids=repr,
+)
+def test_mistyped_profile_field_is_malformed(tmp_path, field, value):
+    ppath = tmp_path / "p.jsonl"
+    write_jsonl(ppath, [profile_rec("u1", **{field: value}), profile_rec("u2"), profile_rec("u3")])
+    profiles, malformed = load_profiles(ppath)
+    assert [p.user_id for p in profiles] == ["u2", "u3"]
+    assert malformed == 1
+
+
+@pytest.mark.parametrize("value", ["false", 0, 1, None], ids=repr)
+def test_mistyped_is_repost_is_malformed(tmp_path, value):
+    ppath, spath = tmp_path / "p.jsonl", tmp_path / "s.jsonl"
+    write_jsonl(ppath, [profile_rec("u1")])
+    write_jsonl(spath, [post_rec("u1", is_repost=value), post_rec("u1"), post_rec("u1")])
+    _, posts, summary = load_corpus(ppath, spath)
+    assert len(posts) == 2 and summary.malformed_lines == 1
+
+
+def test_well_typed_optional_fields_load(tmp_path):
+    ppath = tmp_path / "p.jsonl"
+    write_jsonl(ppath, [
+        profile_rec("u1", location=None, introduction=None, tags=[], schools=[]),
+        profile_rec("u2", location="北京", introduction="", tags=["music"], schools=["PKU"], verified=True),
+        {"user_id": "u3"},
+    ])
+    profiles, malformed = load_profiles(ppath)
+    assert malformed == 0
+    assert [(p.location, p.introduction, p.tags, p.schools, p.verified) for p in profiles] == [
+        (None, None, (), (), False),
+        ("北京", None, ("music",), ("PKU",), True),
+        (None, None, (), (), False),
+    ]
+
+
 def test_repeated_profile_user_id_first_line_wins(tmp_path):
     """A later line with the same user_id is malformed, whatever it holds."""
     ppath = tmp_path / "p.jsonl"
