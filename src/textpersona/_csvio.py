@@ -42,9 +42,9 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
 def read_keyed_rows(path, header: list[str], rows, parse: Callable[[list[str]], T], error) -> dict[str, T]:
     """parse(cells) of each of read_csv's rows, keyed on its user_id cell, in file order.
 
-    A row whose cell count differs from the header's, whose user_id an
-    earlier line holds, or that parse refuses with ValueError raises the
-    exception class error, naming path:line.
+    A row whose cell count differs from the header's, whose user_id is
+    empty or an earlier line holds, or that parse refuses with ValueError
+    raises the exception class error, naming path:line.
     """
     parsed: dict[str, T] = {}
     first_line: dict[str, int] = {}
@@ -52,6 +52,8 @@ def read_keyed_rows(path, header: list[str], rows, parse: Callable[[list[str]], 
         try:
             if len(cells) != len(header):
                 raise ValueError(f"{len(cells)} cells, header has {len(header)}")
+            if not cells[0]:
+                raise ValueError("empty user_id")
             if cells[0] in first_line:
                 raise ValueError(f"user_id {cells[0]!r} repeats line {first_line[cells[0]]}")
             parsed[cells[0]] = parse(cells)

@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import ClassVar
 
 from ._textio import utf8_lines
-from .errors import InputFormatError
+from .errors import InputFormatError, PipelineError
 
 
 def builtin_data_path(*parts: str) -> Path:
@@ -60,6 +60,17 @@ class RunConfig:
         "model_path",
     )
 
+    # key -> (test, message) of the values corpus and stats accept, checked by
+    # from_dict so that a run refuses its config before it loads anything
+    RANGES: ClassVar[dict] = {
+        "alpha": (lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1), got {}"),
+        "quantile": (lambda v: 0.0 < v <= 0.5, "quantile must be in (0, 0.5], got {}"),
+        "top_k_tags": (lambda v: v >= 0, "top_k must be >= 0"),
+        "emoticon_min_count": (lambda v: v >= 0, "min_count must be >= 0"),
+        "min_followers": (lambda v: v >= 0, "min_followers must be >= 0"),
+        "age_range": (lambda v: v[0] <= v[1], "age range {0[0]}-{0[1]} is empty: its lowest age is above its highest"),
+    }
+
     # key -> (joined path, path as the config file wrote it), set by from_dict;
     # a plain attribute, not a field, so it is neither a config key nor a knob
     _written_paths: ClassVar[dict[str, tuple[str, str]]] = {}
@@ -75,7 +86,11 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, base_dir: Path | None = None) -> "RunConfig":
-        """Config from a JSON object; an unknown key or a mistyped value raises InputFormatError."""
+        """Config from a JSON object.
+
+        An unknown key or a mistyped value raises InputFormatError, a value
+        outside its RANGES entry PipelineError.
+        """
         if not isinstance(doc, dict):
             raise InputFormatError("a run config is one JSON object")
         known = {f.name for f in fields(cls)}
@@ -95,6 +110,9 @@ class RunConfig:
                 cfg._written_paths[key] = (joined, value)
                 value = joined
             setattr(cfg, key, value)
+        for key, (ok, message) in cls.RANGES.items():
+            if not ok(getattr(cfg, key)):
+                raise PipelineError(f"config key {key!r}: {message.format(getattr(cfg, key))}")
         return cfg
 
     @classmethod

@@ -88,8 +88,8 @@ def fit(
     users are joined on user_id and processed in sorted id order, so the
     fit is reproducible regardless of input ordering.
     """
-    if ridge_lambda < 0:
-        raise ModelError("ridge lambda must be >= 0")
+    if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0):
+        raise ModelError(f"ridge lambda must be a finite number >= 0, got {ridge_lambda}")
     if len({uid for uid, _ in labels}) < 2:
         raise ModelError("need at least 2 distinct labeled users")
     by_id = dict(zip(features.user_ids, zip(features.token_counts, features.rows)))

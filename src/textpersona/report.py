@@ -1,9 +1,10 @@
 """Assembly of pipeline outputs into table-shaped artifacts.
 
-Every artifact is a CSV plus an equivalent JSON document. Numeric cells
-are written with 6 decimal places, undefined values as an empty CSV
-cell / JSON null, and all row orders are fixed, so a bundle built twice
-from the same inputs is byte-identical.
+Every artifact is a CSV plus an equivalent JSON document, written
+compactly (no indentation or spaces; only manifest.json is indented).
+Numeric cells are written with 6 decimal places, undefined values as an
+empty CSV cell / JSON null, and all row orders are fixed, so a bundle
+built twice from the same inputs is byte-identical.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ def fmt(value) -> str:
     return str(value)
 
 
-# the C encoder does not indent, so a row's line breaks are its item separator
-_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",\n      ", ": "))
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -58,23 +58,22 @@ class Table:
         write_csv(path, self.columns, rows)
 
     def write_json(self, path) -> None:
-        """Write {columns, name, rows, schema_version} with floats rounded to 6 places.
+        """Write {columns, name, rows, schema_version} as compact JSON, floats rounded to 6 places.
 
-        The bytes are those of json.dump(doc, indent=2, sort_keys=True,
-        ensure_ascii=False) plus a newline, but the rows are streamed one
-        at a time through the C encoder, so the document is never built
-        in memory. A table has at least one column.
+        The bytes are those of json.dumps(doc, ensure_ascii=False,
+        sort_keys=True, separators=(",", ":")) plus a newline, but the rows
+        are streamed one at a time through the C encoder, so the document
+        is never built in memory. A table has at least one column.
         """
-        head = json.dumps({"columns": list(self.columns), "name": self.name}, ensure_ascii=False, indent=2)
         encode = _ROW_ENCODER.encode
+        head = encode({"columns": list(self.columns), "name": self.name})  # keys in sorted order
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(head[:-2] + ',\n  "rows": [')
-            sep = "\n    "
+            fh.write(head[:-1] + ',"rows":[')
+            sep = ""
             for row in self.rows:
-                cells = [round(v, 6) if isinstance(v, float) else v for v in row]
-                fh.write(f"{sep}[\n      {encode(cells)[1:-1]}\n    ]")
-                sep = ",\n    "
-            fh.write(("\n  ]" if self.rows else "]") + f',\n  "schema_version": {SCHEMA_VERSION}\n}}\n')
+                fh.write(sep + encode([round(v, 6) if isinstance(v, float) else v for v in row]))
+                sep = ","
+            fh.write(f'],"schema_version":{SCHEMA_VERSION}}}\n')
 
 
 def demographic_summary(profiles: Sequence[corpus_mod.UserProfile]) -> Table:

@@ -68,6 +68,15 @@ def test_fit_then_predict_round_trip(staged, tmp_path):
     assert model_path.read_bytes() == (FIXTURE / "model.json").read_bytes()
 
 
+@pytest.mark.parametrize("ridge_lambda", ["nan", "inf"])
+def test_fit_refuses_a_ridge_lambda_that_is_not_finite_exit_3(staged, tmp_path, capsys, ridge_lambda):
+    code = run("fit", "--features", staged / "features.csv", "--labels", FIXTURE / "labels.csv",
+               "--out", tmp_path / "model.json", "--ridge-lambda", ridge_lambda)
+    assert code == EXIT_PIPELINE
+    assert f"ridge lambda must be a finite number >= 0, got {ridge_lambda}" in one_error_line(capsys, EXIT_PIPELINE)
+    assert not (tmp_path / "model.json").exists()
+
+
 NO_NUMPY = """
 import sys
 sys.modules["numpy"] = None  # every import of numpy now raises ImportError
@@ -137,6 +146,7 @@ def test_report_loads_no_process_pool_machinery(tmp_path):
         ("u1,4,25.000000,1e308", "B"),  # overflows the hit count unless refused first
         ("u1,4,25.000000,abc", "abc"),
         ("u0,4,25.000000,50.000000", "'u0' repeats line 2"),  # a user scored twice
+        (",4,25.000000,50.000000", "empty user_id"),
     ],
 )
 def test_predict_rejects_unrebuildable_features_exit_2(tmp_path, capsys, row, reason):
@@ -176,6 +186,7 @@ TINY_FEATURES = "user_id,token_count,A,B\nu0,2,50.000000,0.000000\n"
         ("u1,abc,50,50,50,50", "abc"),
         ("u1,50,50,nan,50,50", "finite"),
         ("u0,40,40,40,40,40", "'u0' repeats line 2"),  # a user trained on twice
+        (",40,40,40,40,40", "empty user_id"),
     ],
 )
 def test_fit_rejects_malformed_labels_exit_2(tmp_path, capsys, row, reason):
@@ -520,6 +531,29 @@ def test_inverted_age_range_and_negative_top_k_exit_3(staged, tmp_path, capsys, 
     }[command]
     assert run(command, *argv, *([] if command == "report" else changes)) == EXIT_PIPELINE
     assert reason in one_error_line(capsys, EXIT_PIPELINE)
+
+
+@pytest.mark.parametrize(
+    "changes, reason",
+    [
+        ({"alpha": 7}, "config key 'alpha': alpha must be in (0, 1), got 7"),
+        ({"quantile": 0.9}, "config key 'quantile': quantile must be in (0, 0.5], got 0.9"),
+        ({"quantile": 0}, "quantile must be in (0, 0.5]"),
+        ({"top_k_tags": -1}, "config key 'top_k_tags': top_k must be >= 0"),
+        ({"emoticon_min_count": -3}, "config key 'emoticon_min_count': min_count must be >= 0"),
+        ({"min_followers": -1}, "config key 'min_followers': min_followers must be >= 0"),
+        ({"age_range": [47, 10]}, "config key 'age_range': age range 47-10 is empty"),
+    ],
+    ids=str,
+)
+def test_report_refuses_a_config_out_of_range_before_loading_exit_3(tmp_path, capsys, changes, reason):
+    """No input is read and no bundle directory is made: the corpus paths do not even exist."""
+    config = tmp_path / "config.json"
+    missing = str(tmp_path / "missing.jsonl")
+    config.write_text(fixture_config(profiles_path=missing, posts_path=missing, **changes), encoding="utf-8")
+    assert run("report", "--config", config, "--out-dir", tmp_path / "bundle") == EXIT_PIPELINE
+    assert reason in one_error_line(capsys, EXIT_PIPELINE)
+    assert not (tmp_path / "bundle").exists()
 
 
 def test_correlate(staged, tmp_path):

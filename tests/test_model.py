@@ -292,13 +292,14 @@ def test_model_json_round_trip_bit_exact(tmp_path):
 def test_scores_csv_round_trips_any_user_id(tmp_path_factory, rows):
     """Ids with commas, quotes or line breaks come back whole; 6-decimal scores exactly.
 
-    A file that repeats an id is refused instead.
+    A file with an empty or a repeated id is refused instead.
     """
     scores = [(uid, BigFive(*(k / 10**6 for k in micros))) for uid, micros in rows]
     path = tmp_path_factory.getbasetemp() / "round_trip_scores.csv"
     write_scores_csv(scores, path)
-    if len({uid for uid, _ in scores}) < len(scores):
-        with pytest.raises(InputFormatError, match="repeats line"):
+    ids = [uid for uid, _ in scores]
+    if "" in ids or len(set(ids)) < len(ids):
+        with pytest.raises(InputFormatError, match="empty user_id|repeats line"):
             read_scores_csv(path)
     else:
         assert read_scores_csv(path) == scores

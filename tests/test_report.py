@@ -5,6 +5,7 @@ import datetime as dt
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -73,7 +74,7 @@ def json_dump_oracle(table: Table, path) -> None:
         "rows": [[round(v, 6) if isinstance(v, float) else v for v in row] for row in table.rows],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, ensure_ascii=False, indent=2, sort_keys=True)
+        json.dump(doc, fh, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
@@ -108,7 +109,44 @@ def test_bundle_json_is_canonical_json_dump(tmp_path):
     assert len(paths) == 11
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), ensure_ascii=False, indent=2, sort_keys=True) + "\n", path.name
+        layout = {"indent": 2} if path.name == "manifest.json" else {"separators": (",", ":")}
+        assert text == json.dumps(json.loads(text), ensure_ascii=False, sort_keys=True, **layout) + "\n", path.name
+
+
+# the CSV cell types of every bundle column; every other column holds 6-decimal floats
+STRING_COLUMNS = {"user_id", "item", "detail", "feature", "trait", "group", "tag", "grouping", "label",
+                  "binning", "bin", "province", "emoticon"}
+INT_COLUMNS = {"token_count", "n", "rank", "count", "excluded_count", "high_count", "low_count"}
+BOOL_COLUMNS = {"significant", "strong", "low_support"}
+
+
+def csv_value(column: str, cell: str):
+    """A bundle CSV cell read back as the value its JSON copy holds."""
+    if column in STRING_COLUMNS:
+        return cell
+    if cell == "":
+        return None
+    if column in BOOL_COLUMNS:
+        return {"true": True, "false": False}[cell]
+    if column in INT_COLUMNS:
+        return int(cell)
+    assert re.fullmatch(r"-?\d+\.\d{6}", cell), (column, cell)
+    return float(cell)
+
+
+def test_bundle_json_holds_the_csv_values(tmp_path):
+    """Whatever the JSON layout, each table's JSON copy holds its CSV's header and cells."""
+    config = fixture_config()
+    config.emoticon_min_count = 50  # the default 500 leaves the emoticon table empty
+    bundle = build_bundle(config, tmp_path / "out")
+    assert len(bundle.artifacts) == 10
+    for name, csv_name, json_name, n_rows in bundle.artifacts:
+        with open(tmp_path / "out" / csv_name, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        doc = json.loads((tmp_path / "out" / json_name).read_text(encoding="utf-8"))
+        assert doc["name"] == name and doc["columns"] == header and doc["schema_version"] == 1
+        assert doc["rows"] == [[csv_value(col, cell) for col, cell in zip(header, row)] for row in rows], name
+        assert 0 < len(rows) == n_rows, name
 
 
 def test_demographic_summary_two_users():
