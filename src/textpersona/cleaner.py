@@ -24,9 +24,8 @@ with no "]" within 20 characters is literal text, not an emoticon.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .config import load_keyword_file
 from .corpus import Post
@@ -65,8 +64,7 @@ _EMOJI = (
 _EMOTICON_RE = re.compile(f"({_BRACKET_EMOTE}|{_EMOJI})")
 
 
-@dataclass(frozen=True)
-class CleanResult:
+class CleanResult(NamedTuple):
     """Outcome of cleaning one post.
 
     dropped=True means the post was system-generated or spam; in that

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
-from typing import ClassVar
 
 from ._textio import utf8_lines
 from .errors import InputFormatError, PipelineError
@@ -29,9 +27,11 @@ def load_keyword_file(path) -> tuple[str, ...]:
     return tuple(entries)
 
 
-@dataclass
 class RunConfig:
-    """Everything a report run needs; library and CLI defaults read these fields."""
+    """Everything a report run needs; library and CLI defaults read these class attributes.
+
+    An instance starts at the defaults; from_dict, or assigning to a key, sets its own values.
+    """
 
     reference_date: dt.date | None = None
     min_followers: int = 10
@@ -50,6 +50,8 @@ class RunConfig:
     system_templates_path: str | None = None
     model_path: str | None = None
 
+    KEYS = tuple(__annotations__)  # the config keys: the annotated attributes above
+
     PATH_KEYS = (
         "profiles_path",
         "posts_path",
@@ -60,20 +62,21 @@ class RunConfig:
         "model_path",
     )
 
-    # key -> (test, message) of the values corpus and stats accept, checked by
+    # key -> (test, message) of the values corpus, stats and model.fit accept, checked by
     # from_dict so that a run refuses its config before it loads anything
-    RANGES: ClassVar[dict] = {
+    RANGES = {
         "alpha": (lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1), got {}"),
         "quantile": (lambda v: 0.0 < v <= 0.5, "quantile must be in (0, 0.5], got {}"),
         "top_k_tags": (lambda v: v >= 0, "top_k must be >= 0"),
         "emoticon_min_count": (lambda v: v >= 0, "min_count must be >= 0"),
         "min_followers": (lambda v: v >= 0, "min_followers must be >= 0"),
         "age_range": (lambda v: v[0] <= v[1], "age range {0[0]}-{0[1]} is empty: its lowest age is above its highest"),
+        "ridge_lambda": (lambda v: 0.0 <= v < float("inf"), "ridge lambda must be a finite number >= 0, got {}"),
     }
 
     # key -> (joined path, path as the config file wrote it), set by from_dict;
-    # a plain attribute, not a field, so it is neither a config key nor a knob
-    _written_paths: ClassVar[dict[str, tuple[str, str]]] = {}
+    # not annotated, so it is neither a config key nor a knob
+    _written_paths = {}
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
@@ -93,11 +96,10 @@ class RunConfig:
         """
         if not isinstance(doc, dict):
             raise InputFormatError("a run config is one JSON object")
-        known = {f.name for f in fields(cls)}
         cfg = cls()
         cfg._written_paths = {}
         for key, value in doc.items():
-            if key not in known:
+            if key not in cls.KEYS:
                 raise InputFormatError(f"unknown config key {key!r}")
             try:
                 value = cls._parse_value(key, value)
@@ -117,7 +119,7 @@ class RunConfig:
 
     @classmethod
     def _parse_value(cls, key: str, value):
-        """value as the field holds it, or ValueError saying what JSON value it must be."""
+        """value as the config holds it, or ValueError saying what JSON value it must be."""
 
         def require(ok: bool, what: str) -> None:
             if not ok:
@@ -143,19 +145,19 @@ class RunConfig:
         return value
 
     def to_jsonable(self) -> dict:
-        """The fields as JSON values, each path from a config file as the file wrote it.
+        """The keys' values as JSON values, each path from a config file as the file wrote it.
 
         So a manifest does not depend on how the config file's own path was
         spelled. A path set again since is recorded as set.
         """
         doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for key in self.KEYS:
+            value = getattr(self, key)
             if isinstance(value, dt.date):
                 value = value.isoformat()
             elif isinstance(value, tuple):
                 value = list(value)
-            doc[f.name] = value
+            doc[key] = value
         for key, (joined, written) in self._written_paths.items():
             if doc[key] == joined:
                 doc[key] = written

@@ -11,8 +11,7 @@ import datetime as dt
 import enum
 import json
 import re
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._textio import check_utf8, open_text
 from .config import RunConfig
@@ -27,8 +26,7 @@ MAX_TAGS = 10
 _SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
-@dataclass(frozen=True)
-class UserProfile:
+class _UserProfile(NamedTuple):
     user_id: str
     age: int | None = None
     gender: str = "unknown"
@@ -40,17 +38,24 @@ class UserProfile:
     introduction: str | None = None
     birth_date: dt.date | None = None
 
-    def __post_init__(self):
+
+# NamedTuple allows no __new__ of its own, so a thin subclass checks the fields
+class UserProfile(_UserProfile):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = _UserProfile.__new__(cls, *args, **kwargs)
         if self.gender not in GENDERS:
             raise ValueError(f"gender must be one of {GENDERS}, got {self.gender!r}")
         if self.follower_count < 0:
             raise ValueError("follower_count must be non-negative")
         if len(self.tags) > MAX_TAGS:
             raise ValueError(f"at most {MAX_TAGS} tags allowed")
+        return self
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
     user_id: str
     text: str
     is_repost: bool = False
@@ -62,23 +67,28 @@ class RejectReason(enum.Enum):
     NO_POSTS = "no_posts"
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class _ValidityReport(NamedTuple):
     total_users: int
     accepted: int
     rejected: tuple[tuple[str, RejectReason], ...]
 
-    def __post_init__(self):
+
+class ValidityReport(_ValidityReport):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __new__(cls, total_users, accepted, rejected):
+        self = _ValidityReport.__new__(cls, total_users, accepted, rejected)
         distinct = len({user_id for user_id, _ in self.rejected})
         if self.accepted + distinct != self.total_users:
             raise ValueError(
                 "accounting identity violated: "
                 f"{self.accepted} accepted + {distinct} rejected != {self.total_users} total"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class LoadSummary:
+class LoadSummary(NamedTuple):
     users: int
     posts: int
     malformed_lines: int
@@ -242,7 +252,7 @@ def with_credible_age(
         age = compute_age(profile.birth_date, reference_date)
         if not low <= age <= high:
             age = None
-    return replace(profile, age=age)
+    return profile._replace(age=age)
 
 
 def validate_users(

@@ -27,10 +27,9 @@ agrees with a brute-force scan over every entry, for every token.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._csvio import read_csv, read_keyed_rows
 from ._pool import parallel_map
@@ -44,15 +43,13 @@ _CATS = ""
 _EMPTY: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     pattern: str
     wildcard: bool
     category_ids: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(NamedTuple):
     categories: tuple[tuple[int, str], ...]
     entries: tuple[LexiconEntry, ...]
 
@@ -211,8 +208,14 @@ def brute_force_lookup(lexicon: Lexicon, token: str) -> frozenset[int]:
     return frozenset(acc)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
+class _FeatureMatrix(NamedTuple):
+    names: tuple[str, ...]
+    user_ids: tuple[str, ...]
+    token_counts: tuple[int, ...]
+    rows: tuple[tuple[float, ...], ...]
+
+
+class FeatureMatrix(_FeatureMatrix):
     """Category frequencies in percent of total tokens, one row per user.
 
     rows[i] holds the frequencies of user_ids[i] in names order, from
@@ -223,12 +226,11 @@ class FeatureMatrix:
     PipelineError.
     """
 
-    names: tuple[str, ...]
-    user_ids: tuple[str, ...]
-    token_counts: tuple[int, ...]
-    rows: tuple[tuple[float, ...], ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, names, user_ids, token_counts, rows):
+        self = _FeatureMatrix.__new__(cls, names, user_ids, token_counts, rows)
         n = len(self.user_ids)
         if len(self.token_counts) != n or len(self.rows) != n:
             raise PipelineError(
@@ -237,6 +239,7 @@ class FeatureMatrix:
         if len(set(self.user_ids)) != n:
             repeated = Counter(self.user_ids).most_common(1)[0][0]
             raise PipelineError(f"user_id {repeated!r} appears twice in the feature matrix")
+        return self
 
 
 def featurize(

@@ -31,10 +31,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
 from math import fsum, sqrt
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._csvio import read_csv, read_keyed_rows, write_csv
 from .config import RunConfig
@@ -46,30 +45,35 @@ TRAITS = ("O", "C", "E", "A", "N")
 MODEL_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class BigFive:
-    """One user's five trait scores (nominal 0-100 scale, not clamped)."""
-
+class _BigFive(NamedTuple):
     o: float
     c: float
     e: float
     a: float
     n: float
 
-    def __post_init__(self):
-        for trait, value in zip(TRAITS, self.as_tuple()):
-            if not math.isfinite(value):
-                raise ValueError(f"trait {trait} must be finite, got {value}")
-
     def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.o, self.c, self.e, self.a, self.n)
+        return self
 
     def get(self, trait: str) -> float:
-        return self.as_tuple()[TRAITS.index(trait)]
+        return self[TRAITS.index(trait)]
 
 
-@dataclass(frozen=True)
-class MappingModel:
+class BigFive(_BigFive):
+    """One user's five trait scores (nominal 0-100 scale, not clamped)."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
+
+    def __new__(cls, o, c, e, a, n):
+        self = _BigFive.__new__(cls, o, c, e, a, n)
+        for trait, value in zip(TRAITS, self):
+            if not math.isfinite(value):
+                raise ValueError(f"trait {trait} must be finite, got {value}")
+        return self
+
+
+class MappingModel(NamedTuple):
     category_names: tuple[str, ...]
     W: tuple[tuple[float, ...], ...]  # K x 5, rows follow category_names
     b: tuple[float, ...]  # 5-vector intercept

@@ -12,10 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import cleaner as cleaner_mod
 from . import corpus as corpus_mod
@@ -47,8 +46,7 @@ def fmt(value) -> str:
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     name: str
     columns: tuple[str, ...]
     rows: tuple[tuple, ...]
@@ -285,8 +283,7 @@ def text_features(
 REQUIRED_KEYS = ("profiles_path", "posts_path", "lexicon_path", "word_list_path", "model_path", "reference_date")
 
 
-@dataclass(frozen=True)
-class ReportBundle:
+class ReportBundle(NamedTuple):
     out_dir: Path
     artifacts: tuple[tuple[str, str, str, int], ...]  # (name, csv, json, rows)
     manifest_path: Path

@@ -16,9 +16,8 @@ segment() of each post, keeping no tokens.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._pool import parallel_map
 from .config import load_keyword_file
@@ -35,8 +34,7 @@ def _is_separator(ch: str) -> bool:
     return ch.isspace() or unicodedata.category(ch)[0] in ("P", "S")
 
 
-@dataclass(frozen=True)
-class WordList:
+class WordList(NamedTuple):
     """Immutable segmentation dictionary.
 
     lengths maps the first two characters of each word of length at
@@ -48,8 +46,17 @@ class WordList:
     """
 
     words: frozenset[str]
-    # derived from words, and a dict: kept out of == and hash()
-    lengths: Mapping[str, tuple[int, ...]] = field(compare=False)
+    lengths: Mapping[str, tuple[int, ...]]
+
+    # lengths derives from words, and is a dict: ==, != and hash() read words alone
+    def __eq__(self, other):
+        return isinstance(other, WordList) and self.words == other.words
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash(self.words)
 
     @classmethod
     def from_words(cls, words: Iterable[str]) -> "WordList":

@@ -14,10 +14,9 @@ do not depend on summation order.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import fsum, sqrt
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import RunConfig
 from .corpus import UserProfile
@@ -82,8 +81,7 @@ def _centred_r_p(x: tuple[list[float], float], y: tuple[list[float], float]) -> 
     return r, student_t_two_sided_p(t, len(dx) - 2)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     feature_name: str
     trait: str
     r: float | None  # None when either variable is constant
@@ -129,8 +127,7 @@ def correlation_matrix(
     return results
 
 
-@dataclass(frozen=True)
-class PolaritySplit:
+class PolaritySplit(NamedTuple):
     trait: str
     high_ids: tuple[str, ...]  # sorted by user_id
     low_ids: tuple[str, ...]
@@ -161,8 +158,7 @@ def polarity_split(
     return PolaritySplit(trait=trait, high_ids=high, low_ids=low)
 
 
-@dataclass(frozen=True)
-class TagContrast:
+class TagContrast(NamedTuple):
     trait: str
     high: tuple[tuple[str, float], ...]  # (tag, share of group carrying it)
     low: tuple[tuple[str, float], ...]
@@ -193,8 +189,7 @@ def tag_contrast(
     return TagContrast(trait=split.trait, high=ranked(split.high_ids), low=ranked(split.low_ids))
 
 
-@dataclass(frozen=True)
-class MeanRow:
+class MeanRow(NamedTuple):
     """Per-trait means of one group, bin or province."""
 
     label: str
@@ -206,8 +201,7 @@ class MeanRow:
         return self.count < LOW_SUPPORT_GROUP_SIZE
 
 
-@dataclass(frozen=True)
-class Grouping:
+class Grouping(NamedTuple):
     """The rows of one grouping or binning, and how many users it left out."""
 
     name: str
@@ -319,8 +313,7 @@ def province_aggregate(users: Sequence[ScoredUser]) -> list[MeanRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class EmoticonRow:
+class EmoticonRow(NamedTuple):
     emoticon: str
     high_count: int
     low_count: int
@@ -330,8 +323,7 @@ class EmoticonRow:
     significant: bool
 
 
-@dataclass(frozen=True)
-class EmoticonContrast:
+class EmoticonContrast(NamedTuple):
     trait: str
     rows: tuple[EmoticonRow, ...]
     warning: str | None = None

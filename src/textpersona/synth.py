@@ -30,9 +30,8 @@ nothing that `import textpersona` loads imports it.
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,8 +82,7 @@ def stratified_normal(rng: np.random.Generator, n: int, sd: float) -> np.ndarray
     return sd * np.array([_NORMAL.inv_cdf(u) for u in grid])
 
 
-@dataclass(frozen=True)
-class SynthCorpus:
+class SynthCorpus(NamedTuple):
     profiles: tuple[UserProfile, ...]
     scores: dict[str, BigFive]
     emoticon_usage: dict[str, dict[str, int]]

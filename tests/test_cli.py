@@ -129,6 +129,27 @@ def test_report_loads_no_process_pool_machinery(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
+SLOW_IMPORTS = """
+import sys
+import textpersona
+code = 0
+if sys.argv[1:]:
+    from textpersona.cli import main
+    code = main(sys.argv[1:])
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("report", [False, True], ids=["import", "report"])
+def test_textpersona_loads_neither_dataclasses_nor_inspect(tmp_path, report):
+    """Every process pays for what the package imports, and dataclasses brings inspect, ast and dis."""
+    argv = ["report", "--config", FIXTURE / "run_config.json", "--out-dir", tmp_path / "b"] if report else []
+    done = run_script(SLOW_IMPORTS, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "row, reason",
     [
@@ -543,6 +564,9 @@ def test_inverted_age_range_and_negative_top_k_exit_3(staged, tmp_path, capsys, 
         ({"emoticon_min_count": -3}, "config key 'emoticon_min_count': min_count must be >= 0"),
         ({"min_followers": -1}, "config key 'min_followers': min_followers must be >= 0"),
         ({"age_range": [47, 10]}, "config key 'age_range': age range 47-10 is empty"),
+        ({"ridge_lambda": float("nan")}, "config key 'ridge_lambda': ridge lambda must be a finite number >= 0, got nan"),
+        ({"ridge_lambda": float("inf")}, "config key 'ridge_lambda': ridge lambda must be a finite number >= 0, got inf"),
+        ({"ridge_lambda": -1}, "config key 'ridge_lambda': ridge lambda must be a finite number >= 0, got -1"),
     ],
     ids=str,
 )

@@ -102,7 +102,7 @@ def main() -> None:
     ids = [p.user_id for p in corpus_data.profiles]
 
     labeled = ids[:N_LABELED]
-    model.write_scores_csv([(uid, corpus_data.scores[uid]) for uid in labeled], FIXTURE / "labels.csv")
+    report.scores_table([(uid, corpus_data.scores[uid]) for uid in labeled]).write_csv(FIXTURE / "labels.csv")
 
     # pipeline: clean -> segment -> featurize over the fixture posts
     cleaned, _ = cleaner.clean_corpus(posts, cleaner.DEFAULT_SPAM_KEYWORDS)
@@ -138,7 +138,7 @@ def main() -> None:
 
     # frozen goldens for the test suite
     scores, _ = model.predict(mapping, features)
-    model.write_scores_csv(scores, TESTDATA / "scores_golden.csv")
+    report.scores_table(scores).write_csv(TESTDATA / "scores_golden.csv")
 
     validated, _, validity = corpus.validate_users(
         list(corpus_data.profiles),
