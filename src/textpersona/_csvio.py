@@ -8,6 +8,7 @@ tags or emoticons comes back from csv.reader as the cell it was.
 from __future__ import annotations
 
 import csv
+import re
 from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -15,6 +16,8 @@ from ._textio import utf8_lines
 from .errors import InputFormatError
 
 T = TypeVar("T")
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
@@ -26,6 +29,11 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> Non
         writer = csv.writer(lf_file, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def quote(cell: str) -> str:
+    """cell as write_csv writes it in a row of two or more cells."""
+    return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
 
 
 def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:

@@ -70,6 +70,7 @@ class RunConfig:
         "top_k_tags": (lambda v: v >= 0, "top_k must be >= 0"),
         "emoticon_min_count": (lambda v: v >= 0, "min_count must be >= 0"),
         "min_followers": (lambda v: v >= 0, "min_followers must be >= 0"),
+        "ad_url_patterns": (all, "an ad URL pattern must not be empty"),
         "age_range": (lambda v: v[0] <= v[1], "age range {0[0]}-{0[1]} is empty: its lowest age is above its highest"),
         "ridge_lambda": (lambda v: 0.0 <= v < float("inf"), "ridge lambda must be a finite number >= 0, got {}"),
     }

@@ -151,23 +151,32 @@ def _parse_post(record: dict) -> Post:
     return Post(user_id=user_id, text=text, is_repost=is_repost, created_at=created_at)
 
 
-def parse_json_line(line: str):
-    """One JSONL record from a line read by _textio.open_text.
+# json.loads without its per-call wrapper: the stripped line starts at its value
+_scan_once = json.JSONDecoder().scan_once
 
-    A line that was not UTF-8, nested too deeply for the decoder, or
-    holding a string with a lone surrogate raises ValueError. An escaped
-    surrogate pair decodes to one character and is fine. A lone one
-    cannot be encoded as UTF-8, so no artifact could carry it.
+
+def parse_json_line(line: str):
+    """One JSONL record from a stripped line read by _textio.open_text.
+
+    A line that was not UTF-8, is not one JSON value and nothing after
+    it, nests too deeply for the decoder, or holds a string with a lone
+    surrogate raises ValueError. An escaped surrogate pair decodes to one
+    character and is fine. A lone one cannot be encoded as UTF-8, so no
+    artifact could carry it.
     """
     check_utf8(line)
     try:
-        record = json.loads(line)
+        record, end = _scan_once(line, 0)
         if _SURROGATE_ESCAPE.search(line):
             json.dumps(record, ensure_ascii=False).encode("utf-8")
+    except StopIteration:
+        raise ValueError("not a JSON value") from None
     except UnicodeEncodeError:
         raise ValueError("a string holds a lone surrogate, which UTF-8 cannot encode") from None
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    if end != len(line):
+        raise ValueError(f"data after the JSON value at character {end + 1}")
     return record
 
 
@@ -276,6 +285,8 @@ def validate_users(
     """
     if min_followers < 0:
         raise ValueError("min_followers must be >= 0")
+    if not all(ad_url_patterns):  # "" is in every post
+        raise ValueError("an ad URL pattern must not be empty")
     posts = list(posts)
     posts_by_user: dict[str, list[Post]] = {}
     for post in posts:

@@ -160,11 +160,12 @@ class CompiledMatcher:
     the brute-force all-entries scan.
     """
 
-    __slots__ = ("categories", "category_names", "_exact", "_trie")
+    __slots__ = ("categories", "category_names", "positions", "_exact", "_trie")
 
     def __init__(self, lexicon: Lexicon):
         self.categories = lexicon.categories
         self.category_names = lexicon.category_names
+        self.positions = {cid: i for i, (cid, _) in enumerate(lexicon.categories)}  # category id -> row position
         exact: dict[str, frozenset[int]] = {}
         trie: dict = {}
         for entry in lexicon.entries:
@@ -267,22 +268,30 @@ def featurize(
 
 def featurize_user(
     matcher: CompiledMatcher,
-    cache: dict[str, frozenset[int]],
+    cache: dict[str, tuple[int, ...]],
     token_lists: Iterable[Sequence[str]],
 ) -> tuple[int, tuple[float, ...]]:
-    """One user's (token count, frequency row); cache memoizes matcher.lookup across users."""
+    """One user's (token count, frequency row); cache memoizes each token's row positions across users.
+
+    The row starts as 0.0 everywhere and only the categories hit are
+    scaled: k * scale is the float a cell-by-cell row holds, and there
+    0 * scale is 0.0 too.
+    """
     counts: dict[int, int] = {}
     total = 0
     for token, k in Counter(chain.from_iterable(token_lists)).items():
         total += k
-        cats = cache.get(token)
-        if cats is None:
-            cats = matcher.lookup(token)
-            cache[token] = cats
-        for cid in cats:
-            counts[cid] = counts.get(cid, 0) + k
-    scale = 100.0 / total if total else 0.0
-    return total, tuple(counts.get(cid, 0) * scale for cid, _ in matcher.categories)
+        hits = cache.get(token)
+        if hits is None:
+            hits = cache[token] = tuple(map(matcher.positions.__getitem__, matcher.lookup(token)))
+        for i in hits:
+            counts[i] = counts.get(i, 0) + k
+    row = [0.0] * len(matcher.categories)
+    if total:
+        scale = 100.0 / total
+        for i, k in counts.items():
+            row[i] = k * scale
+    return total, tuple(row)
 
 
 # a 6-decimal cell lies within half a unit in the last place of the true

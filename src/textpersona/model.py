@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from itertools import compress
 from math import fsum, sqrt
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -196,7 +197,10 @@ def predict(
     The matrix's category names must be the model's, in its order; they
     are checked once. Scores are rounded to the 6 decimals scores.csv
     publishes, so every analysis of them gives the same result from the
-    file as in process.
+    file as in process. Only a row's nonzero cells are summed: a zero
+    cell adds an exact zero, which cannot move fsum's correctly rounded
+    sum (nor its sign: fsum keeps no zero term), and load_model and
+    featurize keep weights and cells finite.
     """
     _check_names(model.category_names, features.names)
     scores: list[tuple[str, BigFive]] = []
@@ -207,7 +211,8 @@ def predict(
         if count == 0:
             skipped.append(user_id)
             continue
-        y = (round(fsum([*map(mul, x, w_col), b_t]), 6) for w_col, b_t in zip(w_cols, model.b))
+        hit = [*compress(x, x)]
+        y = (round(fsum([*map(mul, hit, compress(w_col, x)), b_t]), 6) for w_col, b_t in zip(w_cols, model.b))
         scores.append((user_id, BigFive(*y)))
     return scores, skipped
 

@@ -563,6 +563,7 @@ def test_inverted_age_range_and_negative_top_k_exit_3(staged, tmp_path, capsys, 
         ({"top_k_tags": -1}, "config key 'top_k_tags': top_k must be >= 0"),
         ({"emoticon_min_count": -3}, "config key 'emoticon_min_count': min_count must be >= 0"),
         ({"min_followers": -1}, "config key 'min_followers': min_followers must be >= 0"),
+        ({"ad_url_patterns": ["taobao", ""]}, "config key 'ad_url_patterns': an ad URL pattern must not be empty"),
         ({"age_range": [47, 10]}, "config key 'age_range': age range 47-10 is empty"),
         ({"ridge_lambda": float("nan")}, "config key 'ridge_lambda': ridge lambda must be a finite number >= 0, got nan"),
         ({"ridge_lambda": float("inf")}, "config key 'ridge_lambda': ridge lambda must be a finite number >= 0, got inf"),

@@ -1,18 +1,23 @@
 """Ingestion, validation, and age computation."""
 
+import contextlib
 import datetime as dt
 import json
 
 import pytest
 
+from textpersona.config import RunConfig
 from textpersona.corpus import (
     Post,
     RejectReason,
     UserProfile,
     ValidityReport,
+    _parse_post,
     compute_age,
     load_corpus,
+    load_posts,
     load_profiles,
+    parse_json_line,
     validate_users,
     with_credible_age,
 )
@@ -180,6 +185,57 @@ def test_deeply_nested_line_is_malformed(tmp_path):
     assert summary.malformed_lines == 2
 
 
+def json_loads_refuses(line: str) -> bool:
+    """Whether the loader refused the stripped line when it parsed through json.loads."""
+    try:
+        json.dumps(json.loads(line), ensure_ascii=False).encode("utf-8")  # a lone surrogate cannot be encoded
+    except (ValueError, RecursionError):
+        return True
+    return False
+
+
+def post_refuses(line: str) -> bool:
+    try:
+        _parse_post(json.loads(line))
+    except (KeyError, ValueError, TypeError, RecursionError):
+        return True
+    return False
+
+
+POST = json.dumps(post_rec("u0"), ensure_ascii=False)
+LINE_SHAPES = {
+    "valid": POST,
+    "spaced": '{ "user_id" : "u0" ,\t"text" : "好" }',
+    "trailing data": POST + ' {"x": 1}',
+    "trailing garbage": POST + "x",
+    "two values": POST + POST,
+    "cut": POST[:-1],
+    "bom": "\ufeff" + POST,
+    "empty array": "[]",
+    "empty object": "{}",
+    "bare number": "5",
+    "bare string": '"u0"',
+    "NaN": "NaN",
+    "deep nesting": "[" * 100_000 + "]" * 100_000,
+    "escaped lone surrogate": '{"user_id": "u0", "text": "\\ud800"}',
+    "escaped pair": '{"user_id": "u0", "text": "\\ud83d\\ude00"}',
+    "lone quote": '"',
+    "comma": ",",
+}
+
+
+@pytest.mark.parametrize("line", LINE_SHAPES.values(), ids=LINE_SHAPES.keys())
+def test_post_line_is_malformed_exactly_when_json_loads_refuses_it(tmp_path, line):
+    refused = json_loads_refuses(line)
+    with pytest.raises(ValueError) if refused else contextlib.nullcontext():
+        parse_json_line(line)
+    path = tmp_path / "s.jsonl"
+    write_jsonl(path, [post_rec("u0"), line, post_rec("u0")])
+    posts, malformed = load_posts(path)
+    assert malformed == int(refused or post_refuses(line))
+    assert len(posts) == 3 - malformed
+
+
 # a stray byte, a cut two-byte sequence, an encoded surrogate
 NOT_UTF8 = [b"\xff", b"\xc3", b"\xed\xb3\xbf"]
 
@@ -311,6 +367,21 @@ def test_validate_exclusions_and_demotion():
     assert reasons["silent"] == RejectReason.NO_POSTS
     assert report.total_users == 6 and report.accepted == 4
     assert all(p.user_id in by_id for p in kept_posts)
+
+
+def test_validate_refuses_an_empty_ad_url_pattern():
+    """"" is in every post, so it would reject every low-follower user who posts."""
+    with pytest.raises(ValueError, match="an ad URL pattern must not be empty"):
+        validate_users(
+            [UserProfile("u1", follower_count=3)], [Post("u1", "hello world")], ad_url_patterns=["taobao", ""],
+            reference_date=REF,
+        )
+    with pytest.raises(PipelineError, match="config key 'ad_url_patterns': an ad URL pattern must not be empty"):
+        RunConfig.from_dict({"ad_url_patterns": [""]})
+    accepted, _, _ = validate_users(
+        [UserProfile("u1", follower_count=3)], [Post("u1", "hello world")], ad_url_patterns=[], reference_date=REF
+    )
+    assert [p.user_id for p in accepted] == ["u1"]
 
 
 def test_validate_idempotent():

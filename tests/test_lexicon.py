@@ -255,6 +255,14 @@ def test_featurize_one_shot_equals_per_token_count(lexicon, tokens_by_user):
     generators give the vectors of lists, and both equal a count that
     looks every token up in turn."""
     matcher = compile_lexicon(lexicon)
+    expected = brute_force_features(lexicon, tokens_by_user)
+    one_shot = {uid: (tuple(post) for post in posts) for uid, posts in tokens_by_user.items()}
+    assert featurize(tokens_by_user, matcher) == expected
+    assert featurize(one_shot, matcher) == expected
+
+
+def brute_force_features(lexicon, tokens_by_user) -> FeatureMatrix:
+    """Every token looked up by brute force in turn, each category counted in declaration order."""
     counts, rows = [], []
     for uid, posts in sorted(tokens_by_user.items()):
         tokens = [token for post in posts for token in post]
@@ -262,10 +270,18 @@ def test_featurize_one_shot_equals_per_token_count(lexicon, tokens_by_user):
         scale = 100.0 / len(tokens) if tokens else 0.0
         counts.append(len(tokens))
         rows.append(tuple(sum(cid in cats for cats in hits) * scale for cid, _ in lexicon.categories))
-    expected = FeatureMatrix(lexicon.category_names, tuple(sorted(tokens_by_user)), tuple(counts), tuple(rows))
-    one_shot = {uid: (tuple(post) for post in posts) for uid, posts in tokens_by_user.items()}
-    assert featurize(tokens_by_user, matcher) == expected
-    assert featurize(one_shot, matcher) == expected
+    return FeatureMatrix(lexicon.category_names, tuple(sorted(tokens_by_user)), tuple(counts), tuple(rows))
+
+
+def test_featurize_places_categories_in_declaration_order_not_by_id(tmp_path):
+    """A row is filled at each category's declared position: id 125 is column 0, id 1 column 1."""
+    path = write_dic(tmp_path, "%\n125\tHigh\n1\tOne\n31\tMid\n%\n好\t125\n坏*\t1\t31\n坏事\t31\n平\t1\n")
+    lexicon = parse_lexicon(path)
+    tokens_by_user = {"u1": [["好", "坏事", "平"], ["坏", "好"]], "u2": [["平", "平", "无"]], "u3": [], "u4": [["无"]]}
+    features = featurize(tokens_by_user, compile_lexicon(lexicon))
+    assert features == brute_force_features(lexicon, tokens_by_user)
+    assert features.names == ("High", "One", "Mid")
+    assert features.rows[0] == (40.0, 60.0, 40.0)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """Mapping model: planted-truth recovery, optimality, serialization."""
 
+from math import fsum
+from operator import mul
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,6 +206,53 @@ def test_predict_round_trip_noiseless():
     truth = dict(labels)
     for uid, score in scores:
         assert np.allclose(score.as_tuple(), truth[uid].as_tuple(), atol=1e-6)
+
+
+def dense_scores(model, features):
+    """Every cell multiplied and summed, zeros included: the hex of each user's five scores."""
+    w_cols = [[row[t] for row in model.W] for t in range(len(TRAITS))]
+    return [
+        (uid, [round(fsum([*map(mul, x, w_col), b_t]), 6).hex() for w_col, b_t in zip(w_cols, model.b)])
+        for uid, count, x in zip(features.user_ids, features.token_counts, features.rows)
+        if count
+    ]
+
+
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_predict_equals_the_dense_sum_bit_for_bit(data):
+    """Rows at least 70% zero, all-zero rows of users with tokens, and signed zeros in W and b."""
+    k = data.draw(st.integers(10, 30))
+    # large weights of both signs cancel, which only a correctly rounded sum survives
+    weight = st.floats(-1e3, 1e3) | SIGNED_ZEROS | st.sampled_from([5e-324, -5e-324, 1e-300, 1e15, -1e15])
+    W = tuple(tuple(data.draw(weight) for _ in TRAITS) for _ in range(k))
+    b = tuple(data.draw(weight | SIGNED_ZEROS) for _ in TRAITS)
+    rows = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        row = [0.0] * k
+        for i in data.draw(st.sets(st.integers(0, k - 1), max_size=3 * k // 10)):
+            row[i] = data.draw(st.floats(0.0, 100.0, exclude_min=True) | st.sampled_from([5e-324, 100.0]))
+        rows.append(tuple(row))
+    counts = tuple(data.draw(st.integers(0, 50)) for _ in rows)
+    features = FeatureMatrix(tuple(CATS[:k]), tuple(f"u{i}" for i in range(len(rows))), counts, tuple(rows))
+    model = MappingModel(features.names, W, b, ridge_lambda=1.0, n_train=2)
+    scores, skipped = predict(model, features)
+    assert [(uid, [v.hex() for v in score]) for uid, score in scores] == dense_scores(model, features)
+    assert skipped == [uid for uid, count in zip(features.user_ids, counts) if not count]
+
+
+@pytest.mark.parametrize("b", [(0.0,) * 5, (-0.0,) * 5, (-0.0, 0.0, -0.0, 1e-9, -1e-9)])
+@pytest.mark.parametrize("w", [0.0, -0.0, -2.5])
+def test_predict_keeps_the_dense_sign_of_a_zero_score(b, w):
+    """An all-zero row of a user with tokens scores b, rounded as the dense sum rounds it."""
+    k = 10
+    model = MappingModel(tuple(CATS[:k]), ((w,) * 5,) * k, b, ridge_lambda=1.0, n_train=2)
+    features = FeatureMatrix(model.category_names, ("u", "v"), (3, 3), ((0.0,) * k, (0.0,) * (k - 1) + (1e-12,)))
+    scores, _ = predict(model, features)
+    assert [(uid, [v.hex() for v in score]) for uid, score in scores] == dense_scores(model, features)
 
 
 def test_predict_skips_degenerate():

@@ -299,15 +299,16 @@ def test_worker_error_is_a_bundle_error_naming_the_stage(tmp_path, monkeypatch):
 
 
 def _write_json_in_parent_only(patch) -> None:
+    """features.json, the child's first JSON file, has its own writer."""
     parent = os.getpid()
-    real_write_json = report.Table.write_json
+    real_write_json = report.FeatureTable.write_json
 
     def write_json(table, path):
         if os.getpid() != parent:
             raise OSError(errno.ENOSPC, f"no space for {table.name}.json")
         real_write_json(table, path)
 
-    patch.setattr(report.Table, "write_json", write_json)
+    patch.setattr(report.FeatureTable, "write_json", write_json)
 
 
 def test_table_writer_error_is_reraised_with_its_type_and_message(tmp_path, monkeypatch):

@@ -64,6 +64,7 @@ RECORDS = [
     model.BigFive(1.0, 2.0, 3.0, 4.0, 5.0),
     model.MappingModel((), (), (0.0,) * 5, 1.0, 0),
     report.Table("t", ("a",), ()),
+    report.FeatureTable("features", ("user_id", "token_count"), ()),
     report.ReportBundle(Path("out"), (), Path("out/manifest.json")),
     segmenter.WordList.from_words(["今天"]),
     stats.CorrelationResult("PosEmo", "O", None, None, 3, False),

@@ -2,7 +2,10 @@
 
 import csv
 import datetime as dt
+import gc
 import hashlib
+import importlib.util
+import io
 import json
 import math
 import re
@@ -12,13 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from textpersona import report
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.corpus import UserProfile, load_corpus, validate_users
 from textpersona.errors import BundleError
+from textpersona.lexicon import FeatureMatrix, parse_lexicon
 from textpersona.report import (
     Table,
     build_bundle,
     demographic_summary,
+    features_table,
     fmt,
 )
 
@@ -111,6 +117,96 @@ def test_bundle_json_is_canonical_json_dump(tmp_path):
         text = path.read_text(encoding="utf-8")
         layout = {"indent": 2} if path.name == "manifest.json" else {"separators": (",", ":")}
         assert text == json.dumps(json.loads(text), ensure_ascii=False, sort_keys=True, **layout) + "\n", path.name
+
+
+def csv_writer_oracle(table: Table) -> bytes:
+    """The per-cell CSV: csv.writer on each row, floats as f"{v:.6f}", each row's "\\r\\n" made "\\n"."""
+    lines = []
+    for row in (table.columns, *table.rows):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow([f"{v:.6f}" if isinstance(v, float) else str(v) for v in row])
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+ID_TEXT = ANY_TEXT | st.sampled_from([",", "x\r", "\r\n", 'a"b,c', ""])
+
+
+@st.composite
+def feature_matrices(draw):
+    """Frequencies k * 100 / n as featurize makes them, two in three zero, zero-token rows
+    included, under user ids and names of any text."""
+    names = tuple(draw(st.lists(ID_TEXT, max_size=6)))
+    user_ids = draw(st.lists(ID_TEXT, unique=True, max_size=8))
+    counts, rows = [], []
+    for _ in user_ids:
+        n = draw(st.sampled_from([0, 1, 3, 7]) | st.integers(0, 10**7))
+        scale = 100.0 / n if n else 0.0
+        counts.append(n)
+        rows.append(tuple(draw(st.just(0) | st.just(0) | st.integers(0, n)) * scale for _ in names))
+    return FeatureMatrix(names, tuple(user_ids), tuple(counts), tuple(rows))
+
+
+@given(feature_matrices())
+@settings(max_examples=300, deadline=None)
+def test_features_writers_equal_the_per_cell_writers(tmp_path_factory, features):
+    """features.csv and .json format each distinct value once, with the per-cell bytes."""
+    table = features_table(features, features.names)
+    base = tmp_path_factory.getbasetemp()
+    table.write_csv(base / "memo.csv")
+    table.write_json(base / "memo.json")
+    json_dump_oracle(table, base / "oracle.json")
+    assert (base / "memo.csv").read_bytes() == csv_writer_oracle(table)
+    assert (base / "memo.json").read_bytes() == (base / "oracle.json").read_bytes()
+
+
+def _cyclic_garbage_of_a_run(config: RunConfig, out_dir: Path) -> int:
+    gc.collect()
+    build_bundle(config, out_dir)
+    assert gc.isenabled()
+    return gc.collect()
+
+
+def test_collector_pause_leaves_garbage_that_does_not_grow_with_the_corpus(tmp_path):
+    """The cycles a paused run leaves are the same on the fixture and on a synth corpus ten times its size."""
+    tool_path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", tool_path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.N_USERS *= 10
+    tool.write_corpus(tmp_path, parse_lexicon(builtin_data_path("sc_liwc_fixture.dic")))
+    large = fixture_config()
+    large.profiles_path, large.posts_path = str(tmp_path / "profiles.jsonl"), str(tmp_path / "posts.jsonl")
+    small = _cyclic_garbage_of_a_run(fixture_config(), tmp_path / "fixture")
+    assert 0 < small < 100
+    assert _cyclic_garbage_of_a_run(large, tmp_path / "large") == small
+    assert len((tmp_path / "large" / "features.csv").read_text(encoding="utf-8").splitlines()) > 1000
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+def test_build_bundle_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, enabled, fails):
+    seen = []
+
+    def province_aggregate(joined):
+        seen.append(gc.isenabled())
+        if fails:
+            raise ValueError("no provinces")
+        return real(joined)
+
+    real = report.stats_mod.province_aggregate
+    monkeypatch.setattr(report.stats_mod, "province_aggregate", province_aggregate)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fails:
+            with pytest.raises(BundleError, match="no provinces"):
+                build_bundle(fixture_config(), tmp_path / "out")
+        else:
+            build_bundle(fixture_config(), tmp_path / "out")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == [False]
 
 
 # the CSV cell types of every bundle column; every other column holds 6-decimal floats
