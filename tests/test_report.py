@@ -8,7 +8,11 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -29,6 +33,7 @@ from textpersona.report import (
 )
 
 TESTDATA = Path(__file__).parent / "data"
+REPO = Path(__file__).resolve().parent.parent
 FIXTURE = builtin_data_path("fixture_corpus")
 
 
@@ -169,7 +174,7 @@ def _cyclic_garbage_of_a_run(config: RunConfig, out_dir: Path) -> int:
 
 def test_collector_pause_leaves_garbage_that_does_not_grow_with_the_corpus(tmp_path):
     """The cycles a paused run leaves are the same on the fixture and on a synth corpus ten times its size."""
-    tool_path = Path(__file__).resolve().parent.parent / "tools" / "make_fixtures.py"
+    tool_path = REPO / "tools" / "make_fixtures.py"
     spec = importlib.util.spec_from_file_location("make_fixtures", tool_path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
@@ -384,3 +389,48 @@ def test_bundle_scores_match_frozen_golden(tmp_path):
     produced = (tmp_path / "out" / "scores.csv").read_bytes()
     golden = (TESTDATA / "scores_golden.csv").read_bytes()
     assert produced == golden
+
+
+def test_bundle_matches_its_golden_digests(tmp_path):
+    """Every file report writes on the fixture has the sha256 that tools/make_fixtures.py recorded."""
+    bundle = build_bundle(fixture_config(), tmp_path / "out")
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in bundle.out_dir.iterdir()}
+    assert len(got) == 21
+    assert got == json.loads((TESTDATA / "bundle_golden.json").read_text(encoding="utf-8"))
+
+
+def _files(root: Path) -> dict[str, Path]:
+    return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file() and "__pycache__" not in p.parts}
+
+
+def test_make_fixtures_reproduces_the_committed_files(tmp_path):
+    """The tool, run on a copy of src/, tools/ and tests/data/, rewrites each of its files with the same bytes."""
+    for part in ("src", "tools", "tests/data"):
+        shutil.copytree(REPO / part, tmp_path / part, ignore=shutil.ignore_patterns("__pycache__"))
+    copied = _files(tmp_path)
+    for path in copied.values():
+        os.utime(path, ns=(0, 0))  # so a file the tool writes is one whose mtime is no longer 0
+    done = subprocess.run(
+        [sys.executable, str(tmp_path / "tools" / "make_fixtures.py")],
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    after = _files(tmp_path)
+    assert after.keys() == copied.keys()
+    written = sorted(name for name, path in after.items() if path.stat().st_mtime_ns != 0)
+    assert written == [
+        "src/textpersona/data/fixture_corpus/labels.csv",
+        "src/textpersona/data/fixture_corpus/model.json",
+        "src/textpersona/data/fixture_corpus/posts.jsonl",
+        "src/textpersona/data/fixture_corpus/profiles.jsonl",
+        "src/textpersona/data/fixture_corpus/run_config.json",
+        "src/textpersona/data/wordlist.txt",
+        "tests/data/bundle_golden.json",
+        "tests/data/demographics_golden.csv",
+        "tests/data/features_golden.csv",
+        "tests/data/scores_golden.csv",
+    ]
+    for name in written:
+        assert after[name].read_bytes() == (REPO / name).read_bytes(), name

@@ -13,8 +13,10 @@ repository root after changing the fixture lexicon or the generator:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -91,6 +93,16 @@ def write_corpus(out_dir: Path, lex) -> tuple[synth.SynthCorpus, list[corpus.Pos
     return corpus_data, posts
 
 
+def write_bundle_golden(path: Path) -> None:
+    """Write the sha256 of every file `textpersona report` writes on the fixture run config."""
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp)
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in bundle.out_dir.iterdir()}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(digests, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def main() -> None:
     defaults = RunConfig()
     FIXTURE.mkdir(parents=True, exist_ok=True)
@@ -148,6 +160,7 @@ def main() -> None:
         reference_date=synth.REFERENCE_DATE,
     )
     report.demographic_summary(validated).write_csv(TESTDATA / "demographics_golden.csv")
+    write_bundle_golden(TESTDATA / "bundle_golden.json")
 
     emoticon_totals = Counter()
     for counts in corpus_data.emoticon_usage.values():
