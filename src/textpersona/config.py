@@ -52,18 +52,10 @@ class RunConfig:
 
     KEYS = tuple(__annotations__)  # the config keys: the annotated attributes above
 
-    PATH_KEYS = (
-        "profiles_path",
-        "posts_path",
-        "lexicon_path",
-        "word_list_path",
-        "spam_keywords_path",
-        "system_templates_path",
-        "model_path",
-    )
+    PATH_KEYS = tuple(key for key in KEYS if key.endswith("_path"))
 
-    # key -> (test, message) of the values corpus, stats and model.fit accept, checked by
-    # from_dict so that a run refuses its config before it loads anything
+    # key -> (test, message) of the values corpus, stats and model.fit accept: they check
+    # their arguments with check, and from_dict checks a config before a run loads anything
     RANGES = {
         "alpha": (lambda v: 0.0 < v < 1.0, "alpha must be in (0, 1), got {}"),
         "quantile": (lambda v: 0.0 < v <= 0.5, "quantile must be in (0, 0.5], got {}"),
@@ -78,6 +70,13 @@ class RunConfig:
     # key -> (joined path, path as the config file wrote it), set by from_dict;
     # not annotated, so it is neither a config key nor a knob
     _written_paths = {}
+
+    @classmethod
+    def check(cls, key: str, value, error: type[Exception]) -> None:
+        """Raise error(message) when value fails the test of key's RANGES entry."""
+        ok, message = cls.RANGES[key]
+        if not ok(value):
+            raise error(message.format(value))
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -59,7 +59,6 @@ class Post(NamedTuple):
     user_id: str
     text: str
     is_repost: bool = False
-    created_at: str | None = None
 
 
 class RejectReason(enum.Enum):
@@ -142,13 +141,10 @@ def _parse_post(record: dict) -> Post:
         raise ValueError("user_id must be a non-empty string")
     if not isinstance(text, str) or not text:
         raise ValueError("post text must be non-empty")
-    created_at = record.get("created_at")
-    if created_at is not None and not isinstance(created_at, str):
-        raise ValueError("created_at must be a string")
     is_repost = record.get("is_repost", False)
     if type(is_repost) is not bool:
         raise ValueError("is_repost must be a JSON bool")
-    return Post(user_id=user_id, text=text, is_repost=is_repost, created_at=created_at)
+    return Post(user_id=user_id, text=text, is_repost=is_repost)
 
 
 # json.loads without its per-call wrapper: the stripped line starts at its value
@@ -253,9 +249,8 @@ def with_credible_age(
     profile: UserProfile, reference_date: dt.date, age_range: tuple[int, int]
 ) -> UserProfile:
     """The profile with its age from birth_date: None if unknown, future or outside age_range."""
+    RunConfig.check("age_range", age_range, PipelineError)
     low, high = age_range
-    if low > high:
-        raise PipelineError(f"age range {low}-{high} is empty: its lowest age is above its highest")
     age = None
     if profile.birth_date is not None and profile.birth_date <= reference_date:
         age = compute_age(profile.birth_date, reference_date)
@@ -283,10 +278,8 @@ def validate_users(
 
     Idempotent: running the output through again rejects nobody.
     """
-    if min_followers < 0:
-        raise ValueError("min_followers must be >= 0")
-    if not all(ad_url_patterns):  # "" is in every post
-        raise ValueError("an ad URL pattern must not be empty")
+    RunConfig.check("min_followers", min_followers, ValueError)
+    RunConfig.check("ad_url_patterns", ad_url_patterns, ValueError)  # "" is in every post
     posts = list(posts)
     posts_by_user: dict[str, list[Post]] = {}
     for post in posts:

@@ -53,9 +53,6 @@ class _BigFive(NamedTuple):
     a: float
     n: float
 
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return self
-
     def get(self, trait: str) -> float:
         return self[TRAITS.index(trait)]
 
@@ -93,8 +90,7 @@ def fit(
     users are joined on user_id and processed in sorted id order, so the
     fit is reproducible regardless of input ordering.
     """
-    if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0):
-        raise ModelError(f"ridge lambda must be a finite number >= 0, got {ridge_lambda}")
+    RunConfig.check("ridge_lambda", ridge_lambda, ModelError)
     if len({uid for uid, _ in labels}) < 2:
         raise ModelError("need at least 2 distinct labeled users")
     by_id = dict(zip(features.user_ids, zip(features.token_counts, features.rows)))
@@ -112,7 +108,7 @@ def fit(
         if count == 0:
             raise ModelError(f"labeled user {user_id!r} has a degenerate (zero-token) feature vector")
         rows.append(row)
-        targets.append(score.as_tuple())
+        targets.append(score)
 
     x_mean, x_cols = _centered_columns(rows)
     y_mean, y_cols = _centered_columns(targets)
@@ -236,7 +232,7 @@ def summarize_scores(scores: Sequence[BigFive]) -> dict[str, tuple[float, float]
         raise ModelError("cannot summarize an empty score list")
     n = len(scores)
     out: dict[str, tuple[float, float]] = {}
-    for trait, values in zip(TRAITS, zip(*(s.as_tuple() for s in scores))):
+    for trait, values in zip(TRAITS, zip(*scores)):
         mean = fsum(values) / n
         out[trait] = (mean, sqrt(fsum((v - mean) ** 2 for v in values) / n))
     return out
@@ -331,7 +327,7 @@ def _finite_rows(rows, n_rows: int, n_cols: int) -> bool:
 
 def write_scores_csv(scores: Sequence[tuple[str, BigFive]], path) -> None:
     """CSV 'user_id,O,C,E,A,N' with 6-decimal scores."""
-    rows = ((user_id, *(f"{v:.6f}" for v in score.as_tuple())) for user_id, score in scores)
+    rows = ((user_id, *(f"{v:.6f}" for v in score)) for user_id, score in scores)
     write_csv(path, ("user_id", *TRAITS), rows)
 
 

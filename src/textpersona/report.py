@@ -34,7 +34,7 @@ from ._pool import fork_workers, parallel_map
 from .config import RunConfig
 from .errors import BundleError, PipelineError
 from .model import TRAITS, BigFive
-from .stats import CorrelationResult, EmoticonContrast, Grouping, MeanRow, TagContrast
+from .stats import CorrelationResult, EmoticonContrast, EmoticonRow, Grouping, MeanRow, TagContrast
 
 SCHEMA_VERSION = 1
 
@@ -170,7 +170,7 @@ def score_summary_table(summary: Mapping[str, tuple[float, float]]) -> Table:
 
 
 def scores_table(scores: Sequence[tuple[str, BigFive]]) -> Table:
-    rows = tuple((uid, *score.as_tuple()) for uid, score in scores)
+    rows = tuple((uid, *score) for uid, score in scores)
     return Table("scores", ("user_id", *TRAITS), rows)
 
 
@@ -183,15 +183,7 @@ def features_table(features: lexicon_mod.FeatureMatrix, category_names: Sequence
 
 
 def correlations_table(results: Sequence[CorrelationResult]) -> Table:
-    rows = tuple(
-        (res.feature_name, res.trait, res.r, res.p, res.n, res.significant, res.strong)
-        for res in results
-    )
-    return Table(
-        "correlations",
-        ("feature", "trait", "r", "p", "n", "significant", "strong"),
-        rows,
-    )
+    return Table("correlations", (*CorrelationResult._fields, "strong"), tuple((*res, res.strong) for res in results))
 
 
 def tag_contrast_table(contrasts: Sequence[TagContrast]) -> Table:
@@ -205,7 +197,7 @@ def tag_contrast_table(contrasts: Sequence[TagContrast]) -> Table:
 
 def group_means_table(groupings: Sequence[Grouping]) -> Table:
     rows = tuple(
-        (g.name, row.label, row.count, *(row.means[t] for t in TRAITS), row.low_support, g.excluded_count)
+        (g.name, row.label, row.count, *row.means, row.low_support, g.excluded_count)
         for g in groupings
         for row in g.rows
     )
@@ -214,7 +206,7 @@ def group_means_table(groupings: Sequence[Grouping]) -> Table:
 
 def trends_table(trends: Sequence[Grouping]) -> Table:
     rows = tuple(
-        (g.name, row.label, row.count, *(row.means[t] for t in TRAITS), g.excluded_count)
+        (g.name, row.label, row.count, *row.means, g.excluded_count)
         for g in trends
         for row in g.rows
     )
@@ -222,40 +214,13 @@ def trends_table(trends: Sequence[Grouping]) -> Table:
 
 
 def provinces_table(rows: Sequence[MeanRow]) -> Table:
-    out = tuple((row.label, row.count, *(row.means[t] for t in TRAITS)) for row in rows)
+    out = tuple((row.label, row.count, *row.means) for row in rows)
     return Table("province_means", ("province", "count", *TRAITS), out)
 
 
 def emoticons_table(contrasts: Sequence[EmoticonContrast]) -> Table:
-    rows: list[tuple] = []
-    for contrast in contrasts:
-        for row in contrast.rows:
-            rows.append(
-                (
-                    contrast.trait,
-                    row.emoticon,
-                    row.high_count,
-                    row.low_count,
-                    row.high_proportion,
-                    row.low_proportion,
-                    row.p,
-                    row.significant,
-                )
-            )
-    return Table(
-        "emoticon_contrast",
-        (
-            "trait",
-            "emoticon",
-            "high_count",
-            "low_count",
-            "high_proportion",
-            "low_proportion",
-            "p",
-            "significant",
-        ),
-        tuple(rows),
-    )
+    rows = tuple((contrast.trait, *row) for contrast in contrasts for row in contrast.rows)
+    return Table("emoticon_contrast", ("trait", *EmoticonRow._fields), rows)
 
 
 def _sha256(path) -> str:
@@ -421,7 +386,7 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         ids = [uid for uid, _ in scores]
         splits = [  # one score column per trait, empty when no user was scored
             stats_mod.polarity_split(list(zip(ids, col)), config.quantile, trait=trait)
-            for trait, *col in zip(TRAITS, *(score.as_tuple() for score in score_list))
+            for trait, *col in zip(TRAITS, *score_list)
         ]
         tag_contrasts = [stats_mod.tag_contrast(split, profiles, config.top_k_tags) for split in splits]
         emo_contrasts = stats_mod.emoticon_contrasts(

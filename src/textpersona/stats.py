@@ -82,7 +82,7 @@ def _centred_r_p(x: tuple[list[float], float], y: tuple[list[float], float]) -> 
 
 
 class CorrelationResult(NamedTuple):
-    feature_name: str
+    feature: str
     trait: str
     r: float | None  # None when either variable is constant
     p: float | None
@@ -106,14 +106,13 @@ def correlation_matrix(
     once, exactly as pearson centres it, so every r and p equals
     pearson's on the same joined, user-id-sorted columns.
     """
-    if not 0.0 < alpha < 1.0:
-        raise StatsError(f"alpha must be in (0, 1), got {alpha}")
+    RunConfig.check("alpha", alpha, StatsError)
     score_by_id = dict(scores)
     joined = sorted((uid, row) for uid, row in zip(features.user_ids, features.rows) if uid in score_by_id)
     if len(joined) < 3:
         raise StatsError(f"need at least 3 joined users, got {len(joined)}")
     n = len(joined)
-    trait_cols = [_centred(col) for col in zip(*(score_by_id[uid].as_tuple() for uid, _ in joined))]
+    trait_cols = [_centred(col) for col in zip(*(score_by_id[uid] for uid, _ in joined))]
     results = []
     for name, values in zip(features.names, zip(*(row for _, row in joined))):
         col = _centred(values)
@@ -144,8 +143,7 @@ def polarity_split(
     of that order and the high group the last k, so boundary ties
     resolve deterministically and the groups can never overlap.
     """
-    if not 0.0 < quantile <= 0.5:
-        raise StatsError(f"quantile must be in (0, 0.5], got {quantile}")
+    RunConfig.check("quantile", quantile, StatsError)
     n = len(scores)
     if n < 4:
         raise StatsError(f"need at least 4 users, got {n}")
@@ -170,8 +168,7 @@ def tag_contrast(
     top_k: int = RunConfig.top_k_tags,
 ) -> TagContrast:
     """Tag weights per polarity group, ranked for word-cloud rendering."""
-    if top_k < 0:
-        raise StatsError("top_k must be >= 0")
+    RunConfig.check("top_k_tags", top_k, StatsError)
     by_id = {p.user_id: p for p in profiles}
     missing = [uid for uid in (*split.high_ids, *split.low_ids) if uid not in by_id]
     if missing:
@@ -194,7 +191,7 @@ class MeanRow(NamedTuple):
 
     label: str
     count: int
-    means: Mapping[str, float]
+    means: BigFive
 
     @property
     def low_support(self) -> bool:
@@ -209,9 +206,9 @@ class Grouping(NamedTuple):
     excluded_count: int
 
 
-def _trait_means(scores: list[BigFive]) -> dict[str, float]:
+def _trait_means(scores: list[BigFive]) -> BigFive:
     n = len(scores)
-    return {trait: fsum(col) / n for trait, col in zip(TRAITS, zip(*(s.as_tuple() for s in scores)))}
+    return BigFive(*(fsum(col) / n for col in zip(*scores)))
 
 
 def _bucket(users: Iterable[ScoredUser], key) -> tuple[dict, int]:
@@ -309,7 +306,7 @@ def province_aggregate(users: Sequence[ScoredUser]) -> list[MeanRow]:
     buckets, _ = _bucket(users, lambda p: normalize_province(p.location))
     rows = list(_mean_rows(buckets, (*PROVINCES, "unknown")))
     if "unknown" not in buckets:
-        rows.append(MeanRow("unknown", 0, dict.fromkeys(TRAITS, 0.0)))
+        rows.append(MeanRow("unknown", 0, BigFive(0.0, 0.0, 0.0, 0.0, 0.0)))
     return rows
 
 
@@ -365,10 +362,8 @@ def emoticon_contrasts(
     significant flag records the z-test outcome. A split with a group
     that uses no emoticon gets no rows and a warning.
     """
-    if min_count < 0:
-        raise StatsError("min_count must be >= 0")
-    if not 0.0 < alpha < 1.0:
-        raise StatsError(f"alpha must be in (0, 1), got {alpha}")
+    RunConfig.check("emoticon_min_count", min_count, StatsError)
+    RunConfig.check("alpha", alpha, StatsError)
 
     def group_counts(ids: Iterable[str]) -> dict[str, int]:
         # plain dict adds: Counter.update into a non-empty Counter is a slower Python loop

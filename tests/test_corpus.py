@@ -150,6 +150,14 @@ def test_mistyped_is_repost_is_malformed(tmp_path, value):
     assert len(posts) == 2 and summary.malformed_lines == 1
 
 
+@pytest.mark.parametrize("extra", [{"created_at": 5}, {"created_at": "2018-06-01"}, {"reposts": [1]}], ids=repr)
+def test_a_post_key_the_pipeline_does_not_read_is_ignored(tmp_path, extra):
+    spath = tmp_path / "s.jsonl"
+    write_jsonl(spath, [{**post_rec("u1"), **extra}])
+    posts, malformed = load_posts(spath)
+    assert posts == [Post("u1", post_rec("u1")["text"])] and malformed == 0
+
+
 def test_well_typed_optional_fields_load(tmp_path):
     ppath = tmp_path / "p.jsonl"
     write_jsonl(ppath, [

@@ -90,7 +90,7 @@ def test_noisy_heldout_rmse_under_two_sigma():
         scores, _ = predict(model, test_features)
         idx = {f"u{i:04d}": i for i in range(len(features.user_ids))}
         truth = {u: X[idx[u]] @ W + b for u, _ in scores}
-        err = np.array([np.array(s.as_tuple()) - truth[u] for u, s in scores])
+        err = np.array([np.array(s) - truth[u] for u, s in scores])
         rmse = float(np.sqrt(np.mean(err**2)))
         assert rmse < 2 * sigma, (seed, rmse)
 
@@ -176,7 +176,7 @@ def test_ridge_norm_monotone_in_lambda():
 def test_affine_label_equivariance():
     features, labels, _, _, _, _ = make_planted(50, 6, seed=4, noise_sd=1.0)
     s, t = 2.5, -7.0
-    scaled = [(u, BigFive(*(s * v + t for v in y.as_tuple()))) for u, y in labels]
+    scaled = [(u, BigFive(*(s * v + t for v in y))) for u, y in labels]
     m1 = fit(features, labels, ridge_lambda=0.0)
     m2 = fit(features, scaled, ridge_lambda=0.0)
     W1, b1 = np.array(m1.W), np.array(m1.b)
@@ -188,14 +188,14 @@ def test_predict_zero_vector_returns_intercept():
     features, labels, _, _, _, _ = make_planted(30, 4, seed=5)
     model = fit(features, labels, ridge_lambda=1.0)
     (uid_score,), _ = predict(model, matrix([("z", [0.0] * 4)]))
-    assert np.allclose(uid_score[1].as_tuple(), model.b)
+    assert np.allclose(uid_score[1], model.b)
 
 
 
 def test_predict_with_no_categories_returns_intercept():
     model = MappingModel((), (), (1.0, 2.0, 3.0, 4.0, 5.0), ridge_lambda=1.0, n_train=2)
     (uid_score,), _ = predict(model, FeatureMatrix((), ("u",), (5,), ((),)))
-    assert uid_score[1].as_tuple() == model.b
+    assert uid_score[1] == model.b
 
 
 def test_predict_round_trip_noiseless():
@@ -205,7 +205,7 @@ def test_predict_round_trip_noiseless():
     assert not skipped
     truth = dict(labels)
     for uid, score in scores:
-        assert np.allclose(score.as_tuple(), truth[uid].as_tuple(), atol=1e-6)
+        assert np.allclose(score, truth[uid], atol=1e-6)
 
 
 def dense_scores(model, features):

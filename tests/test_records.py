@@ -1,5 +1,6 @@
 """The pipeline's records: immutable NamedTuples whose invariants raise as they always did."""
 
+import datetime as dt
 import math
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from textpersona import cleaner, corpus, lexicon, model, report, segmenter, stats
 from textpersona.config import RunConfig
 from textpersona.corpus import RejectReason, UserProfile, ValidityReport
-from textpersona.errors import PipelineError
+from textpersona.errors import ModelError, PipelineError, StatsError
 from textpersona.lexicon import FeatureMatrix
 from textpersona.model import BigFive
 
@@ -107,9 +108,10 @@ def test_replace_keeps_the_record_class():
 
 
 def test_bigfive_is_its_own_tuple():
+    """A BigFive is the tuple of its scores in TRAITS order, the order of every table's trait columns."""
     score = BigFive(1.0, 2.0, 3.0, 4.0, 5.0)
-    assert score.as_tuple() is score
-    assert score.as_tuple() == (1.0, 2.0, 3.0, 4.0, 5.0)
+    assert isinstance(score, tuple) and score == (1.0, 2.0, 3.0, 4.0, 5.0)
+    assert BigFive._fields == tuple(trait.lower() for trait in model.TRAITS)
     assert [score.get(trait) for trait in model.TRAITS] == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
@@ -145,4 +147,39 @@ def test_run_config_defaults_are_class_attributes():
         "model_path": None,
     }
     assert list(RunConfig().to_jsonable()) == list(RunConfig.KEYS)
+    assert RunConfig.PATH_KEYS == (
+        "profiles_path", "posts_path", "lexicon_path", "word_list_path",
+        "spam_keywords_path", "system_templates_path", "model_path",
+    )
+
+
+NO_USERS = FeatureMatrix((), (), (), ())
+REF = dt.date(2018, 6, 1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: stats.correlation_matrix(NO_USERS, [], alpha=1.0), StatsError, "alpha must be in (0, 1), got 1.0"),
+        (lambda: stats.polarity_split([], quantile=0.75), StatsError, "quantile must be in (0, 0.5], got 0.75"),
+        (lambda: stats.tag_contrast(stats.PolaritySplit("O", (), ()), [], top_k=-1), StatsError, "top_k must be >= 0"),
+        (lambda: stats.emoticon_contrasts([], {}, min_count=-1), StatsError, "min_count must be >= 0"),
+        (lambda: stats.emoticon_contrasts([], {}, alpha=0.0), StatsError, "alpha must be in (0, 1), got 0.0"),
+        (lambda: corpus.validate_users([], [], min_followers=-1, reference_date=REF), ValueError,
+         "min_followers must be >= 0"),
+        (lambda: corpus.validate_users([], [], ad_url_patterns=("a", ""), reference_date=REF), ValueError,
+         "an ad URL pattern must not be empty"),
+        (lambda: corpus.with_credible_age(UserProfile("u1"), REF, (47, 10)), PipelineError,
+         "age range 47-10 is empty: its lowest age is above its highest"),
+        (lambda: model.fit(NO_USERS, [], ridge_lambda=math.inf), ModelError,
+         "ridge lambda must be a finite number >= 0, got inf"),
+    ],
+    ids=["correlation-alpha", "quantile", "top-k", "min-count", "emoticon-alpha", "min-followers", "ad-url",
+         "age-range", "ridge-lambda"],
+)
+def test_library_range_checks_raise_their_run_config_message(call, error, message):
+    """corpus, stats and model.fit refuse a value outside RunConfig.RANGES with its message and their own error."""
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 

@@ -159,7 +159,7 @@ def test_correlation_matrix_identical_feature_and_trait():
         rows.append((f"u{i:02d}", (v, 1.0)))
         scores.append((f"u{i:02d}", b5(o=v)))
     results = correlation_matrix(matrix(("X", "Const"), rows), scores)
-    by_pair = {(r.feature_name, r.trait): r for r in results}
+    by_pair = {(r.feature, r.trait): r for r in results}
     assert by_pair[("X", "O")].r == 1.0
     assert by_pair[("X", "O")].significant
     # constant feature reported as undefined, not dropped
@@ -179,7 +179,7 @@ def test_correlation_matrix_planted_rho():
     features = matrix(("F",), ((f"u{i:03d}", (float(x[i]),)) for i in range(n)))
     scores = [(f"u{i:03d}", b5(e=float(y[i]))) for i in range(n)]
     results = correlation_matrix(features, scores)
-    r = next(res.r for res in results if res.feature_name == "F" and res.trait == "E")
+    r = next(res.r for res in results if res.feature == "F" and res.trait == "E")
     assert abs(r - rho) < 0.1
 
 
@@ -235,9 +235,9 @@ def test_correlation_matrix_equals_pearson_exactly(data):
                 r = p = None
             assert (r, p) == pairwise_pearson(x, y)
             expected.append((name, trait, r, p, len(joined), p is not None and p < 0.05))
-    got = [(res.feature_name, res.trait, res.r, res.p, res.n, res.significant) for res in results]
+    got = [(res.feature, res.trait, res.r, res.p, res.n, res.significant) for res in results]
     assert got == expected
-    assert all(res.r is None for res in results if res.feature_name == "Const" or res.trait == constant_trait)
+    assert all(res.r is None for res in results if res.feature == "Const" or res.trait == constant_trait)
 
 
 def test_correlation_matrix_requires_three_joined():
@@ -359,8 +359,8 @@ def test_group_means_single_user_groups():
     ]
     result = group_means(users, "gender")
     rows = {row.label: row for row in result.rows}
-    assert rows["male"].means["O"] == 40.0
-    assert rows["female"].means["O"] == 60.0
+    assert rows["male"].means.get("O") == 40.0
+    assert rows["female"].means.get("O") == 60.0
     assert rows["male"].low_support and rows["female"].low_support
     assert result.excluded_count == 0
 
@@ -392,9 +392,9 @@ def test_group_means_weighted_total_identity():
         )
     result = group_means(users, "verified")
     for t_idx, trait in enumerate(TRAITS):
-        weighted = sum(row.count * row.means[trait] for row in result.rows)
+        weighted = sum(row.count * row.means.get(trait) for row in result.rows)
         total = sum(row.count for row in result.rows)
-        overall = sum(u[1].as_tuple()[t_idx] for u in users) / len(users)
+        overall = sum(u[1][t_idx] for u in users) / len(users)
         assert abs(weighted / total - overall) < 1e-9
 
 
@@ -407,7 +407,7 @@ def test_group_means_planted_offset():
         users.append((prof(f"u{i:03d}", verified=verified), b5(c=c)))
     result = group_means(users, "verified")
     rows = {row.label: row for row in result.rows}
-    diff = rows["verified"].means["C"] - rows["unverified"].means["C"]
+    diff = rows["verified"].means.get("C") - rows["unverified"].means.get("C")
     assert abs(diff - 5.0) < 2.0  # ~2 standard errors at these sizes
 
 
@@ -453,7 +453,7 @@ def test_binned_trend_school_count_monotone_planted():
         c = 40.0 + 2.0 * s + float(rng.normal(0, 3))
         users.append((prof(f"u{i:04d}", schools=tuple(f"s{j}" for j in range(s))), b5(c=c)))
     trend = binned_trend(users, "school_count")
-    means = [row.means["C"] for row in trend.rows]
+    means = [row.means.get("C") for row in trend.rows]
     assert [row.label for row in trend.rows] == [str(s) for s in range(7)]
     assert all(a < b for a, b in zip(means, means[1:]))
 
@@ -506,7 +506,7 @@ def test_province_aggregate_planted_offsets():
         users.append((prof(f"u{i:03d}", location=province), b5(n=n_score)))
     rows = province_aggregate(users)
     named = [row for row in rows if row.label != "unknown"]
-    top2 = sorted(named, key=lambda row: -row.means["N"])[:2]
+    top2 = sorted(named, key=lambda row: -row.means.get("N"))[:2]
     assert {row.label for row in top2} == {"广东", "浙江"}
 
 
@@ -684,7 +684,7 @@ def test_small_corpus_matches_naive_oracle():
         for row, (_, _, means) in zip(rows, expected):
             assert row.low_support == (row.count < 5)
             for trait in TRAITS:
-                assert abs(row.means[trait] - means[trait]) < 1e-10
+                assert abs(row.means.get(trait) - means[trait]) < 1e-10
 
     # group means vs naive, every grouping
     groupers = {
@@ -732,7 +732,8 @@ def test_small_corpus_matches_naive_oracle():
     expected, _ = naive_rows(located, province, PROVINCES)
     rows = province_aggregate(located)
     assert_rows_equal(rows[:-1], expected)
-    assert (rows[-1].label, rows[-1].count, dict(rows[-1].means)) == ("unknown", 0, dict.fromkeys(TRAITS, 0.0))
+    assert rows[-1] == ("unknown", 0, BigFive(0.0, 0.0, 0.0, 0.0, 0.0))
+    assert all(type(row.means) is BigFive for row in rows)
 
     # polarity split vs naive sort
     pairs = [(uid, scores_by_id[uid].n) for uid in scores_by_id]
@@ -749,7 +750,7 @@ def test_small_corpus_matches_naive_oracle():
         assert row.count == len(members)
         if members:
             naive = sum(m.n for m in members) / len(members)
-            assert abs(row.means["N"] - naive) < 1e-10
+            assert abs(row.means.get("N") - naive) < 1e-10
 
     # correlation matrix vs direct pearson on each pair
     features = matrix(
@@ -761,7 +762,7 @@ def test_small_corpus_matches_naive_oracle():
     for res in results:
         if res.r is None:
             continue
-        j = features.names.index(res.feature_name)
+        j = features.names.index(res.feature)
         col = [features.rows[features.user_ids.index(uid)][j] for uid in ordered_ids]
         tcol = [scores_by_id[uid].get(res.trait) for uid in ordered_ids]
         r_ref, p_ref = oracle_pearson(col, tcol)
