@@ -42,3 +42,6 @@ class BundleError(PipelineError):
         super().__init__(f"stage '{stage}' failed: {cause}")
         self.stage = stage
         self.cause = cause
+
+    def __reduce__(self):  # pickle rebuilds an exception from args, which hold only the message
+        return type(self), (self.stage, self.cause)

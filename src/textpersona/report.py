@@ -9,8 +9,9 @@ built twice from the same inputs is byte-identical.
 features.csv and features.json format each distinct frequency once per
 file, not once per cell (FeatureTable). That is exact because a
 frequency is a finite float k * 100 / n >= 0, never -0.0, so equal
-cells are the same float. Every other table is formatted cell by cell:
-a score can be -0.0, which compares equal to 0.0 but is written apart.
+cells are the same float. Every other table is formatted cell by cell
+(scores.* by ScoreTable, with no per-cell type dispatch): a score can
+be -0.0, which compares equal to 0.0 but is written apart.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import hashlib
 import json
 from collections import Counter
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -67,6 +69,12 @@ class Table(NamedTuple):
         rows = (encode([round(v, 6) if isinstance(v, float) else v for v in row]) for row in self.rows)
         self._write_json_rows(path, rows)
 
+    def _write_csv_lines(self, path, lines: Iterable[str]) -> None:
+        """Write the quoted header, then lines, each a row's CSV cells ending in a newline."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(map(quote, self.columns)) + "\n")
+            fh.writelines(lines)
+
     def _write_json_rows(self, path, rows: Iterable[str]) -> None:
         """Write {columns, name, rows, schema_version} as compact JSON, floats rounded to 6 places.
 
@@ -103,15 +111,28 @@ class FeatureTable(Table):
 
     def write_csv(self, path) -> None:
         cell = _Memo("{:.6f}".format).__getitem__
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(map(quote, self.columns)) + "\n")
-            for row in self.rows:
-                fh.write(",".join([quote(row[0]), str(row[1]), *map(cell, row[2:])]) + "\n")
+        lines = (",".join([quote(row[0]), str(row[1]), *map(cell, row[2:])]) + "\n" for row in self.rows)
+        self._write_csv_lines(path, lines)
 
     def write_json(self, path) -> None:
         encode = _ROW_ENCODER.encode
         cell = _Memo(lambda v: repr(round(v, 6))).__getitem__  # the encoder's spelling of a finite float
         rows = ("[" + ",".join([encode(row[0]), str(row[1]), *map(cell, row[2:])]) + "]" for row in self.rows)
+        self._write_json_rows(path, rows)
+
+
+class ScoreTable(Table):
+    """scores_table's Table: (user_id, *finite floats) rows; its writers format every float on its own."""
+
+    __slots__ = ()
+
+    def write_csv(self, path) -> None:
+        line = ",".join(["%s", *["%.6f"] * (len(self.columns) - 1)]) + "\n"  # "%.6f" % v == f"{v:.6f}"
+        self._write_csv_lines(path, (line % (quote(row[0]), *row[1:]) for row in self.rows))
+
+    def write_json(self, path) -> None:
+        encode, six = _ROW_ENCODER.encode, repeat(6)  # repr(round(v, 6)): the encoder's spelling of Table's cell
+        rows = ("[" + encode(row[0]) + "," + ",".join(map(repr, map(round, row[1:], six))) + "]" for row in self.rows)
         self._write_json_rows(path, rows)
 
 
@@ -169,9 +190,9 @@ def score_summary_table(summary: Mapping[str, tuple[float, float]]) -> Table:
     return Table("score_summary", ("trait", "mean", "sd"), rows)
 
 
-def scores_table(scores: Sequence[tuple[str, BigFive]]) -> Table:
+def scores_table(scores: Sequence[tuple[str, BigFive]]) -> ScoreTable:
     rows = tuple((uid, *score) for uid, score in scores)
-    return Table("scores", ("user_id", *TRAITS), rows)
+    return ScoreTable("scores", ("user_id", *TRAITS), rows)
 
 
 def features_table(features: lexicon_mod.FeatureMatrix, category_names: Sequence[str]) -> FeatureTable:
@@ -238,17 +259,15 @@ def _sha256(path) -> str:
 MIN_CHARS_PER_WORKER = 300_000
 
 # cells of the per-user tables (features plus scores) per worker before
-# writing them in a forked child, while the parent runs the analyses,
-# pays for the fork; there are two workers, so it forks from 20k cells.
-# Measured on a 2-CPU machine: the fork lost about 5 ms at 3.7k cells
-# or fewer and won in the median from 7.5k on user-heavy corpora, but
-# was within noise on text-heavy ones of 7.5k. Measured again once
-# features were formatted per distinct value, which more than halved
-# the child's work: median ms of 12 alternating runs per user-heavy
-# corpus, forked minus in process, +3.6 at 3.7k cells, -8.8 at 7.5k,
-# -2.8 at 11k, -2.0 at 22k, -13.9 at 37k, -10.5 at 75k and -24.8 at
-# 112k. The gain shrank but the break-even did not move, so neither
-# did the gate.
+# running the share that reads the feature matrix (build_bundle) in a
+# forked child, while the parent runs the other share, pays for the
+# fork; there are two workers, so it forks from 20k cells. Measured on a
+# 2-CPU machine once the child also ran the correlations: median ms of
+# 12 alternating in-process runs per user-heavy corpus, forked minus in
+# process, -2.6 at 3.7k cells, -5.4 at 7.5k, -9.1 at 11k, -7.1 at 22k,
+# -3.5 at 37k, -36.4 at 75k and -36.6 at 112k. The break-even fell
+# below 3.7k, but below 20k the gain is a few ms, within the noise of a
+# shared machine, so the gate was kept (the fixture corpus stays serial).
 MIN_TABLE_CELLS_PER_WORKER = 10_000
 
 
@@ -312,13 +331,16 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     corpora with enough raw characters the users are mapped over forked
     workers.
 
-    After predict, features.* and scores.* depend on nothing the
-    analyses compute. On corpora whose two per-user tables hold enough
-    cells (MIN_TABLE_CELLS_PER_WORKER), a forked child writes them while
-    the parent runs the analyses and writes the other tables; a child's
-    write error is re-raised here. So an analyses failure may leave
-    features.* and scores.* written, as a write failure midway leaves a
-    partial bundle on either path.
+    After predict the work splits into two shares of about equal time:
+    one reads the feature matrix (features.*, then correlation_matrix and
+    correlations.*), the other writes scores.* and runs and writes the
+    analyses of profiles and scores. On corpora whose per-user tables
+    hold enough cells (MIN_TABLE_CELLS_PER_WORKER) a forked child runs
+    the first while the parent runs the second, and a child's error, a
+    BundleError included, is re-raised here; otherwise the second runs,
+    then the first. Either way a failure in one share may leave the
+    other's tables written, as a write failure midway leaves a partial
+    bundle.
 
     The cyclic garbage collector is paused for the run, forked workers
     included, and the caller's setting is restored after it, also when a
@@ -395,7 +417,6 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         return [
             score_summary_table(model_mod.summarize_scores(score_list)),
             demographic_summary(profiles),
-            correlations_table(stats_mod.correlation_matrix(features, scores, config.alpha)),
             tag_contrast_table(tag_contrasts),
             group_means_table([stats_mod.group_means(joined, key) for key in stats_mod.GROUPING_KEYS]),
             trends_table([stats_mod.binned_trend(joined, binning) for binning in stats_mod.BINNINGS]),
@@ -409,14 +430,18 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         table.write_json(out_dir / json_name)
         return table.name, csv_name, json_name, len(table.rows)
 
-    tasks = [  # share 0 runs here, share 1 in a forked child when the gate opens
-        lambda: [write(table) for table in stage("analyses", analyses)],
-        lambda: [write(features_table(features, lexicon.category_names)), write(scores_table(scores))],
+    tasks = [  # share 0 runs here; share 1, what reads the feature matrix, in a child when the gate opens
+        lambda: [write(scores_table(scores)), *map(write, stage("analyses", analyses))],
+        lambda: [
+            write(features_table(features, lexicon.category_names)),
+            write(correlations_table(stage("analyses", stats_mod.correlation_matrix, features, scores, config.alpha))),
+        ],
     ]
     cells = len(features.user_ids) * (len(features.names) + 2) + len(scores) * (len(TRAITS) + 1)
     threads = fork_workers(cells, MIN_TABLE_CELLS_PER_WORKER)  # parallel_map caps it at the two tasks
-    written, per_user = parallel_map(lambda task: task(), tasks, threads=threads)
-    artifacts = per_user + written
+    here, child = parallel_map(lambda task: task(), tasks, threads=threads)
+    # the manifest lists features, scores, score_summary, demographics, correlations, then the rest
+    artifacts = [child[0], *here[:3], child[1], *here[3:]]
 
     input_hashes = {
         key.removesuffix("_path"): _sha256(path)

@@ -303,7 +303,8 @@ def normalize_province(location: str | None) -> str:
 
 def province_aggregate(users: Sequence[ScoredUser]) -> list[MeanRow]:
     """Choropleth-ready per-province mean scores; 'unknown' always last."""
-    buckets, _ = _bucket(users, lambda p: normalize_province(p.location))
+    province = {loc: normalize_province(loc) for loc in {p.location for p, _ in users}}  # once per location
+    buckets, _ = _bucket(users, lambda p: province[p.location])
     rows = list(_mean_rows(buckets, (*PROVINCES, "unknown")))
     if "unknown" not in buckets:
         rows.append(MeanRow("unknown", 0, BigFive(0.0, 0.0, 0.0, 0.0, 0.0)))
@@ -365,22 +366,21 @@ def emoticon_contrasts(
     RunConfig.check("emoticon_min_count", min_count, StatsError)
     RunConfig.check("alpha", alpha, StatsError)
 
-    def group_counts(ids: Iterable[str]) -> dict[str, int]:
-        # plain dict adds: Counter.update into a non-empty Counter is a slower Python loop
-        totals: dict[str, int] = {}
-        for uid in ids:
-            for emoticon, count in emoticon_usage.get(uid, {}).items():
-                totals[emoticon] = totals.get(emoticon, 0) + count
-        return totals
+    totals: dict[str, int] = {}
+    for usage in emoticon_usage.values():
+        for emoticon, count in usage.items():
+            totals[emoticon] = totals.get(emoticon, 0) + count
+    qualifying = sorted(e for e, c in totals.items() if c > min_count)
+    zero = (0,) * (len(qualifying) + 1)  # per user: usage.get(e, 0) of each qualifying e, then their total
+    user_counts = {uid: (*map(u.get, qualifying, zero), sum(u.values())) for uid, u in emoticon_usage.items()}
 
-    qualifying = sorted(e for e, c in group_counts(emoticon_usage).items() if c > min_count)
+    def group_counts(ids: Iterable[str]) -> list[int]:
+        return list(map(sum, zip(zero, *(user_counts.get(uid, zero) for uid in ids))))
 
     contrasts = []
     for split in splits:
-        high_counts = group_counts(split.high_ids)
-        low_counts = group_counts(split.low_ids)
-        high_total = sum(high_counts.values())
-        low_total = sum(low_counts.values())
+        *high_counts, high_total = group_counts(split.high_ids)
+        *low_counts, low_total = group_counts(split.low_ids)
         if high_total == 0 or low_total == 0:
             side = "high" if high_total == 0 else "low"
             warning = f"{side} group has zero emoticon usage; contrast is empty"
@@ -388,9 +388,7 @@ def emoticon_contrasts(
             continue
 
         rows = []
-        for emoticon in qualifying:
-            x_high = high_counts.get(emoticon, 0)
-            x_low = low_counts.get(emoticon, 0)
+        for emoticon, x_high, x_low in zip(qualifying, high_counts, low_counts):
             if x_high + x_low == 0:
                 p_value = 1.0
             else:

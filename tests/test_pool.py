@@ -3,6 +3,8 @@
 import errno
 import json
 import os
+import pickle
+import random
 import signal
 import sys
 import threading
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from textpersona import cleaner, report, segmenter, stats
+from textpersona import cleaner, cli, report, segmenter, stats
 from textpersona._pool import parallel_map
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.errors import BundleError, StatsError
@@ -337,6 +339,90 @@ def test_analyses_error_beside_the_table_writer_is_a_bundle_error(tmp_path, monk
     assert type(err.value.cause) is StatsError and str(err.value.cause) == "no provinces"
     assert _no_child_left()
     assert _open_fds() == fds
+
+
+def test_bundle_error_survives_the_pipe():
+    """A child sends its error pickled; a BundleError comes back with its stage and cause."""
+    err = pickle.loads(pickle.dumps(BundleError("analyses", StatsError("x"))))
+    assert (type(err), err.stage, type(err.cause), str(err.cause)) == (BundleError, "analyses", StatsError, "x")
+    assert str(err) == "stage 'analyses' failed: x"
+
+
+def _fail_correlations_in_the_child(patch) -> None:
+    parent = os.getpid()
+
+    def correlation_matrix(features, scores, alpha):
+        if os.getpid() == parent:
+            raise AssertionError("correlation_matrix ran in the parent")
+        raise StatsError("no correlations")
+
+    patch.setattr(stats, "correlation_matrix", correlation_matrix)
+
+
+def test_correlation_error_in_the_table_writer_is_a_bundle_error(tmp_path, monkeypatch):
+    _fan_out(monkeypatch, TABLE_GATE)
+    _fail_correlations_in_the_child(monkeypatch)
+    fds = _open_fds()
+    with pytest.raises(BundleError) as err:
+        report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
+    assert err.value.stage == "analyses"
+    assert type(err.value.cause) is StatsError and str(err.value.cause) == "no correlations"
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def test_correlation_error_in_the_table_writer_is_one_json_line_exit_3(tmp_path, monkeypatch, capsys):
+    _fan_out(monkeypatch, TABLE_GATE)
+    _fail_correlations_in_the_child(monkeypatch)
+    code = cli.main(["report", "--config", str(FIXTURE / "run_config.json"), "--out-dir", str(tmp_path / "out")])
+    assert code == cli.EXIT_PIPELINE == 3
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line) == {"error": "stage 'analyses' failed: no correlations", "exit_code": 3}
+    assert _no_child_left()
+
+
+def _corpus_copy(corpus: Path, rng: random.Random | None) -> RunConfig:
+    """The fixture corpus in corpus, its JSONL lines shuffled by rng if given, with emoticon rows.
+
+    Its run config names the corpus files as the fixture's does and every
+    other file by absolute path, so two copies record the same config."""
+    corpus.mkdir()
+    for name in ("profiles.jsonl", "posts.jsonl"):
+        lines = (FIXTURE / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        if rng is not None:
+            rng.shuffle(lines)
+        (corpus / name).write_text("".join(lines), encoding="utf-8")
+    doc = json.loads((FIXTURE / "run_config.json").read_text(encoding="utf-8"))
+    for key, value in doc.items():
+        if key.endswith("_path") and key not in ("profiles_path", "posts_path"):
+            doc[key] = str((FIXTURE / value).resolve())
+    doc["emoticon_min_count"] = 50  # the default leaves the emoticon table without rows
+    (corpus / "run_config.json").write_text(json.dumps(doc), encoding="utf-8")
+    return RunConfig.from_file(corpus / "run_config.json")
+
+
+@pytest.mark.parametrize("gates", [(), (TABLE_GATE,)], ids=["serial", "tables"])
+def test_bundle_does_not_depend_on_input_line_order(gates, tmp_path, monkeypatch):
+    """Every table keeps its bytes; the manifest, whose artifact list is put
+    together from both shares, differs only in the input hashes."""
+    _fan_out(monkeypatch, *gates)
+    ordered = _corpus_copy(tmp_path / "ordered", None)
+    shuffled = _corpus_copy(tmp_path / "shuffled", random.Random(7))
+    for name in ("profiles.jsonl", "posts.jsonl"):
+        assert (tmp_path / "shuffled" / name).read_bytes() != (FIXTURE / name).read_bytes()
+    report.build_bundle(ordered, tmp_path / "ordered_out")
+    report.build_bundle(shuffled, tmp_path / "shuffled_out")
+    got, want = _bundle_bytes(tmp_path / "shuffled_out"), _bundle_bytes(tmp_path / "ordered_out")
+    manifests = [json.loads(files.pop("manifest.json")) for files in (got, want)]
+    assert got == want
+    hashes = [manifest.pop("input_hashes") for manifest in manifests]
+    assert manifests[0] == manifests[1]
+    assert [key for key in hashes[0] if hashes[0][key] != hashes[1][key]] == ["posts", "profiles"]
+    assert [a["name"] for a in manifests[0]["artifacts"]] == [
+        "features", "scores", "score_summary", "demographics", "correlations",
+        "tag_contrast", "group_means", "trends", "province_means", "emoticon_contrast",
+    ]
+    assert _no_child_left()
 
 
 def test_tables_are_written_in_process_while_another_thread_runs(tmp_path, monkeypatch):

@@ -66,6 +66,7 @@ RECORDS = [
     model.MappingModel((), (), (0.0,) * 5, 1.0, 0),
     report.Table("t", ("a",), ()),
     report.FeatureTable("features", ("user_id", "token_count"), ()),
+    report.ScoreTable("scores", ("user_id", "O"), ()),
     report.ReportBundle(Path("out"), (), Path("out/manifest.json")),
     segmenter.WordList.from_words(["今天"]),
     stats.CorrelationResult("PosEmo", "O", None, None, 3, False),

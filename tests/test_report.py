@@ -24,6 +24,7 @@ from textpersona.config import RunConfig, builtin_data_path
 from textpersona.corpus import UserProfile, load_corpus, validate_users
 from textpersona.errors import BundleError
 from textpersona.lexicon import FeatureMatrix, parse_lexicon
+from textpersona.model import BigFive
 from textpersona.report import (
     Table,
     build_bundle,
@@ -163,6 +164,39 @@ def test_features_writers_equal_the_per_cell_writers(tmp_path_factory, features)
     json_dump_oracle(table, base / "oracle.json")
     assert (base / "memo.csv").read_bytes() == csv_writer_oracle(table)
     assert (base / "memo.json").read_bytes() == (base / "oracle.json").read_bytes()
+
+
+# finite scores: any float, values not at 6 decimals (as predict makes them), and zeros of either sign
+SCORES = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(min_value=-100.0, max_value=100.0)
+    | st.floats(min_value=-5e-7, max_value=5e-7)
+    | st.sampled_from([-0.0, 0.0, -1e-7, 0.1234565])
+)
+
+
+@given(st.lists(st.tuples(ID_TEXT | st.sampled_from(["用户,甲", '说"你好"', "é\n"]), *[SCORES] * 5), max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_scores_writers_equal_the_generic_table_writers(tmp_path_factory, rows):
+    """scores.csv and .json format each score on its own, with the generic writers' bytes; -0.0 keeps its sign."""
+    scores = [(uid, BigFive(*values)) for uid, *values in rows]
+    table = report.scores_table(scores)
+    generic = Table(table.name, table.columns, table.rows)
+    base = tmp_path_factory.getbasetemp()
+    for suffix in ("csv", "json"):
+        getattr(table, f"write_{suffix}")(base / f"scores.{suffix}")
+        getattr(generic, f"write_{suffix}")(base / f"generic.{suffix}")
+        assert (base / f"scores.{suffix}").read_bytes() == (base / f"generic.{suffix}").read_bytes()
+
+
+def test_scores_writers_keep_the_sign_of_zero(tmp_path):
+    table = report.scores_table([("u,1", BigFive(-0.0, 0.0, -1e-7, 1e-7, 2.5))])
+    table.write_csv(tmp_path / "s.csv")
+    table.write_json(tmp_path / "s.json")
+    assert (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()[1] == (
+        '"u,1",-0.000000,0.000000,-0.000000,0.000000,2.500000'
+    )
+    assert '["u,1",-0.0,0.0,-0.0,0.0,2.5]' in (tmp_path / "s.json").read_text(encoding="utf-8")
 
 
 def _cyclic_garbage_of_a_run(config: RunConfig, out_dir: Path) -> int:
@@ -399,6 +433,16 @@ def test_bundle_matches_its_golden_digests(tmp_path):
     assert got == json.loads((TESTDATA / "bundle_golden.json").read_text(encoding="utf-8"))
 
 
+def test_bundle_with_emoticon_rows_matches_its_golden_digests(tmp_path):
+    """At emoticon_min_count 50 the fixture's emoticon table has rows, so its counts are pinned byte for byte."""
+    config = fixture_config()
+    config.emoticon_min_count = 50
+    bundle = build_bundle(config, tmp_path / "out")
+    assert dict((name, rows) for name, _, _, rows in bundle.artifacts)["emoticon_contrast"] == 50
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in bundle.out_dir.iterdir()}
+    assert got == json.loads((TESTDATA / "bundle_golden_emoticons.json").read_text(encoding="utf-8"))
+
+
 def _files(root: Path) -> dict[str, Path]:
     return {str(p.relative_to(root)): p for p in sorted(root.rglob("*")) if p.is_file() and "__pycache__" not in p.parts}
 
@@ -428,6 +472,7 @@ def test_make_fixtures_reproduces_the_committed_files(tmp_path):
         "src/textpersona/data/fixture_corpus/run_config.json",
         "src/textpersona/data/wordlist.txt",
         "tests/data/bundle_golden.json",
+        "tests/data/bundle_golden_emoticons.json",
         "tests/data/demographics_golden.csv",
         "tests/data/features_golden.csv",
         "tests/data/scores_golden.csv",

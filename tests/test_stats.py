@@ -17,6 +17,9 @@ from textpersona.stats import (
     GROUPING_KEYS,
     PROVINCES,
     TRAITS,
+    EmoticonContrast,
+    EmoticonRow,
+    PolaritySplit,
     binned_trend,
     correlation_matrix,
     emoticon_contrast,
@@ -610,6 +613,70 @@ def test_emoticon_contrasts_equal_one_split_at_a_time(data):
         for row in contrast.rows:
             assert row.high_count == sum(usage.get(uid, {}).get(row.emoticon, 0) for uid in split.high_ids)
             assert row.low_count == sum(usage.get(uid, {}).get(row.emoticon, 0) for uid in split.low_ids)
+
+
+def emoticon_contrast_oracle(split, usage, min_count, alpha):
+    """Brute force: one Counter summed per group, every emoticon looked up in it."""
+    totals, high, low = Counter(), Counter(), Counter()
+    for counts in usage.values():
+        totals.update(counts)
+    for ids, group in ((split.high_ids, high), (split.low_ids, low)):
+        for uid in ids:
+            group.update(usage.get(uid, {}))
+    n_high, n_low = sum(high.values()), sum(low.values())
+    if n_high == 0 or n_low == 0:
+        side = "high" if n_high == 0 else "low"
+        return EmoticonContrast(split.trait, (), f"{side} group has zero emoticon usage; contrast is empty")
+    rows = []
+    for emoticon in (e for e in totals if totals[e] > min_count):
+        x_high, x_low = high[emoticon], low[emoticon]
+        p = 1.0 if x_high == x_low == 0 else two_proportion_z_p(x_high, n_high, x_low, n_low)
+        rows.append(EmoticonRow(emoticon, x_high, x_low, x_high / n_high, x_low / n_low, p, p < alpha))
+    rows.sort(key=lambda row: (-abs(row.high_proportion - row.low_proportion), row.emoticon))
+    return EmoticonContrast(split.trait, tuple(rows))
+
+
+EMOTICON_USERS = tuple(f"u{i}" for i in range(12))
+# some users are absent from the usage map, some have an empty Counter or zero counts
+emoticon_usages = st.dictionaries(
+    st.sampled_from(EMOTICON_USERS),
+    st.dictionaries(st.sampled_from(EMOTICONS), st.integers(0, 20)).map(Counter),
+)
+user_groups = st.lists(st.sampled_from(EMOTICON_USERS), unique=True, max_size=6).map(lambda ids: tuple(sorted(ids)))
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_emoticon_contrasts_equal_a_brute_force_oracle(data):
+    usage = data.draw(emoticon_usages)
+    splits = data.draw(
+        st.lists(st.builds(PolaritySplit, st.sampled_from(TRAITS), user_groups, user_groups), max_size=5)
+    )
+    totals = sorted(set(Counter(e for counts in usage.values() for e in counts.elements()).values()))
+    min_count = data.draw(st.integers(0, 60) | st.sampled_from(totals or [0]))  # or a total exactly at min_count
+    got = emoticon_contrasts(splits, usage, min_count, 0.05)
+    assert got == [emoticon_contrast_oracle(split, usage, min_count, 0.05) for split in splits]
+
+
+def test_emoticon_contrast_oracle_meets_its_edge_cases():
+    """The cases the oracle test draws, each met once by hand."""
+    usage = {
+        "u0": Counter({"[心]": 3, "[哈哈]": 2}),
+        "u1": Counter(),
+        "u2": Counter({"[月亮]": 4}),
+        "u3": Counter({"[心]": 1}),
+    }
+    splits = [
+        PolaritySplit("O", ("u0",), ("u3", "u9")),  # u9 has no usage; [月亮] is used by neither group
+        PolaritySplit("C", ("u1", "u9"), ("u0",)),  # the high group uses no emoticon
+    ]
+    got = emoticon_contrasts(splits, usage, min_count=2, alpha=0.05)
+    assert got == [emoticon_contrast_oracle(split, usage, 2, 0.05) for split in splits]
+    rows = {row.emoticon: row for row in got[0].rows}
+    assert set(rows) == {"[心]", "[月亮]"}  # [哈哈]'s total of 2 equals min_count, so it does not qualify
+    assert (rows["[月亮]"].high_count, rows["[月亮]"].low_count, rows["[月亮]"].p) == (0, 0, 1.0)
+    assert (rows["[心]"].high_count, rows["[心]"].low_count) == (3, 1)
+    assert got[1].rows == () and got[1].warning == "high group has zero emoticon usage; contrast is empty"
 
 
 def test_emoticon_contrasts_rejects_negative_min_count():

@@ -93,10 +93,13 @@ def write_corpus(out_dir: Path, lex) -> tuple[synth.SynthCorpus, list[corpus.Pos
     return corpus_data, posts
 
 
-def write_bundle_golden(path: Path) -> None:
-    """Write the sha256 of every file `textpersona report` writes on the fixture run config."""
+def write_bundle_golden(path: Path, **settings) -> None:
+    """Write the sha256 of every file `textpersona report` writes on the fixture run config, with settings set."""
+    config = RunConfig.from_file(FIXTURE / "run_config.json")
+    for key, value in settings.items():
+        setattr(config, key, value)
     with tempfile.TemporaryDirectory() as tmp:
-        bundle = report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp)
+        bundle = report.build_bundle(config, tmp)
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in bundle.out_dir.iterdir()}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(digests, fh, indent=2, sort_keys=True)
@@ -161,6 +164,8 @@ def main() -> None:
     )
     report.demographic_summary(validated).write_csv(TESTDATA / "demographics_golden.csv")
     write_bundle_golden(TESTDATA / "bundle_golden.json")
+    # the default emoticon_min_count leaves the fixture's emoticon table empty; 50 gives it 50 rows
+    write_bundle_golden(TESTDATA / "bundle_golden_emoticons.json", emoticon_min_count=50)
 
     emoticon_totals = Counter()
     for counts in corpus_data.emoticon_usage.values():
