@@ -2,14 +2,16 @@
 
 RFC 4180 quoting with "\n" line ends: a cell is quoted only when it holds
 a comma, a double quote or a line break, so any Unicode in user ids,
-tags or emoticons comes back from csv.reader as the cell it was.
+tags or emoticons comes back from csv.reader as the cell it was. quote
+is the whole write dialect for rows of two or more cells; the csv
+module's writer also quotes a lone empty cell, and no table has one
+column.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from ._textio import utf8_lines
@@ -20,19 +22,15 @@ T = TypeVar("T")
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
-def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+def write_csv(path, header: Sequence[str], lines: Iterable[str]) -> None:
+    """Write the quoted header, then lines, each a row's quoted cells joined by commas, ending in "\n"."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        # csv.writer quotes only the line-break characters of its own line
-        # terminator, so it is given "\r\n" (a lone "\r" gets quoted too)
-        # and each row it hands over is written ending in "\n" instead
-        lf_file = SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n"))
-        writer = csv.writer(lf_file, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(map(quote, header)) + "\n")
+        fh.writelines(lines)
 
 
 def quote(cell: str) -> str:
-    """cell as write_csv writes it in a row of two or more cells."""
+    """cell as a CSV writer writes it in a row of two or more cells."""
     return '"' + cell.replace('"', '""') + '"' if _NEEDS_QUOTES.search(cell) else cell
 
 

@@ -160,10 +160,9 @@ class CompiledMatcher:
     the brute-force all-entries scan.
     """
 
-    __slots__ = ("categories", "category_names", "positions", "_exact", "_trie")
+    __slots__ = ("category_names", "positions", "_exact", "_trie")
 
     def __init__(self, lexicon: Lexicon):
-        self.categories = lexicon.categories
         self.category_names = lexicon.category_names
         self.positions = {cid: i for i, (cid, _) in enumerate(lexicon.categories)}  # category id -> row position
         exact: dict[str, frozenset[int]] = {}
@@ -286,7 +285,7 @@ def featurize_user(
             hits = cache[token] = tuple(map(matcher.positions.__getitem__, matcher.lookup(token)))
         for i in hits:
             counts[i] = counts.get(i, 0) + k
-    row = [0.0] * len(matcher.categories)
+    row = [0.0] * len(matcher.category_names)
     if total:
         scale = 100.0 / total
         for i, k in counts.items():

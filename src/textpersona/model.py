@@ -36,7 +36,7 @@ from math import fsum, sqrt
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from ._csvio import read_csv, read_keyed_rows, write_csv
+from ._csvio import read_csv, read_keyed_rows
 from .config import RunConfig
 from .errors import InputFormatError, ModelError
 from .lexicon import FeatureMatrix
@@ -326,9 +326,10 @@ def _finite_rows(rows, n_rows: int, n_cols: int) -> bool:
 
 
 def write_scores_csv(scores: Sequence[tuple[str, BigFive]], path) -> None:
-    """CSV 'user_id,O,C,E,A,N' with 6-decimal scores."""
-    rows = ((user_id, *(f"{v:.6f}" for v in score)) for user_id, score in scores)
-    write_csv(path, ("user_id", *TRAITS), rows)
+    """CSV 'user_id,O,C,E,A,N' with 6-decimal scores: report's scores.csv."""
+    from .report import scores_table  # report imports this module
+
+    scores_table(scores).write_csv(path)
 
 
 def read_scores_csv(path) -> list[tuple[str, BigFive]]:

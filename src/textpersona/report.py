@@ -4,7 +4,9 @@ Every artifact is a CSV plus an equivalent JSON document, written
 compactly (no indentation or spaces; only manifest.json is indented).
 Numeric cells are written with 6 decimal places, undefined values as an
 empty CSV cell / JSON null, and all row orders are fixed, so a bundle
-built twice from the same inputs is byte-identical.
+built twice from the same inputs is byte-identical. Every CSV, and
+model.write_scores_csv's too, goes through _csvio.write_csv: the header
+cells and every row cell that may need quoting pass _csvio.quote.
 
 features.csv and features.json format each distinct frequency once per
 file, not once per cell (FeatureTable). That is exact because a
@@ -61,19 +63,12 @@ class Table(NamedTuple):
     rows: tuple[tuple, ...]
 
     def write_csv(self, path) -> None:
-        rows = ([f"{v:.6f}" if isinstance(v, float) else fmt(v) for v in row] for row in self.rows)
-        write_csv(path, self.columns, rows)
+        write_csv(path, self.columns, (",".join([quote(fmt(v)) for v in row]) + "\n" for row in self.rows))
 
     def write_json(self, path) -> None:
         encode = _ROW_ENCODER.encode
         rows = (encode([round(v, 6) if isinstance(v, float) else v for v in row]) for row in self.rows)
         self._write_json_rows(path, rows)
-
-    def _write_csv_lines(self, path, lines: Iterable[str]) -> None:
-        """Write the quoted header, then lines, each a row's CSV cells ending in a newline."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(map(quote, self.columns)) + "\n")
-            fh.writelines(lines)
 
     def _write_json_rows(self, path, rows: Iterable[str]) -> None:
         """Write {columns, name, rows, schema_version} as compact JSON, floats rounded to 6 places.
@@ -112,7 +107,7 @@ class FeatureTable(Table):
     def write_csv(self, path) -> None:
         cell = _Memo("{:.6f}".format).__getitem__
         lines = (",".join([quote(row[0]), str(row[1]), *map(cell, row[2:])]) + "\n" for row in self.rows)
-        self._write_csv_lines(path, lines)
+        write_csv(path, self.columns, lines)
 
     def write_json(self, path) -> None:
         encode = _ROW_ENCODER.encode
@@ -128,7 +123,7 @@ class ScoreTable(Table):
 
     def write_csv(self, path) -> None:
         line = ",".join(["%s", *["%.6f"] * (len(self.columns) - 1)]) + "\n"  # "%.6f" % v == f"{v:.6f}"
-        self._write_csv_lines(path, (line % (quote(row[0]), *row[1:]) for row in self.rows))
+        write_csv(path, self.columns, (line % (quote(row[0]), *row[1:]) for row in self.rows))
 
     def write_json(self, path) -> None:
         encode, six = _ROW_ENCODER.encode, repeat(6)  # repr(round(v, 6)): the encoder's spelling of Table's cell

@@ -150,9 +150,9 @@ def polarity_split(
     k = int(n * quantile)
     if k < 1:
         raise StatsError(f"n * quantile = {n * quantile} selects no users")
-    ordered = sorted(scores, key=lambda pair: (pair[1], pair[0]))
-    low = tuple(sorted(uid for uid, _ in ordered[:k]))
-    high = tuple(sorted(uid for uid, _ in ordered[-k:]))
+    ordered = sorted([(score, uid) for uid, score in scores])
+    low = tuple(sorted(uid for _, uid in ordered[:k]))
+    high = tuple(sorted(uid for _, uid in ordered[-k:]))
     return PolaritySplit(trait=trait, high_ids=high, low_ids=low)
 
 

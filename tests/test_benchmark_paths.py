@@ -1,16 +1,28 @@
-"""The benchmark's traced extras and its per-stage CLI chain, run on the fixture corpus.
+"""The benchmark's set-up probe, traced extras and per-stage CLI chain, run on the fixture corpus.
 
-The untraced benchmark only runs `report`; these are the package calls
-that `perfbench --trace 1` adds, so a change that breaks one fails here.
+The untraced benchmark runs `report` and its set-up probe; the rest are
+the package calls that `perfbench --trace 1` adds, so a change that
+breaks one fails here.
 """
 
 import json
+from pathlib import Path
 
 from perfbench import checks, programs, traced
 from textpersona.cli import main
 from textpersona.config import RunConfig, builtin_data_path
 
 FIXTURE = builtin_data_path("fixture_corpus")
+REPO = Path(programs.__file__).resolve().parents[1]
+
+
+def test_setup_probe_loads_the_fixture_inputs(tmp_path, monkeypatch):
+    """The probe imports its names from the package root, so a root that drops one fails here."""
+    monkeypatch.chdir(tmp_path)
+    programs.CACHE_DIR.mkdir()  # the probe's stderr is spooled there, relative to the working directory
+    run = programs.setup_probe(FIXTURE / "run_config.json", programs.program_env(REPO))
+    assert run.returncode == 0, run.stderr
+    assert checks.error_lines(run.stderr) == []
 
 
 def test_traced_run_with_extras(tmp_path):

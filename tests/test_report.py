@@ -16,10 +16,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textpersona import report
+from textpersona import model, report
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.corpus import UserProfile, load_corpus, validate_users
 from textpersona.errors import BundleError
@@ -63,15 +63,30 @@ def test_table_csv_and_json(tmp_path):
 
 
 
-@given(
-    st.tuples(st.text(), st.text()),
-    st.lists(st.tuples(st.text(), st.text() | st.none() | st.floats(allow_nan=False)), max_size=4),
+CSV_TEXT = st.text(st.characters(codec="utf-8")) | st.sampled_from(
+    ["", ",", '"', "x\r", "\r\n", "a\nb", 'a"b,c', "用户,甲"]
 )
+CSV_CELLS = (
+    CSV_TEXT
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.sampled_from([-0.0, 0.0, 1e15, -1e15])
+)
+
+
+@given(st.data())
 @settings(max_examples=300, deadline=None)
-def test_table_csv_round_trips_any_unicode(tmp_path_factory, columns, rows):
-    """Commas, quotes and line breaks in ids or tags come back as the same cells."""
+def test_table_csv_round_trips_any_unicode(tmp_path_factory, data):
+    """Commas, quotes and line breaks in ids or tags come back as the same cells, in csv.writer's bytes."""
+    width = data.draw(st.integers(2, 4))
+    columns = tuple(data.draw(st.lists(CSV_TEXT, min_size=width, max_size=width)))
+    rows = tuple(data.draw(st.lists(st.tuples(*[CSV_CELLS] * width), max_size=4)))
+    table = Table("t", columns, rows)
     path = tmp_path_factory.getbasetemp() / "round_trip_table.csv"
-    Table("t", columns, tuple(rows)).write_csv(path)
+    table.write_csv(path)
+    assert path.read_bytes() == csv_writer_oracle(table)
     with open(path, encoding="utf-8", newline="") as fh:
         back = list(csv.reader(fh))
     assert back == [list(columns), *([fmt(v) for v in row] for row in rows)]
@@ -126,11 +141,15 @@ def test_bundle_json_is_canonical_json_dump(tmp_path):
 
 
 def csv_writer_oracle(table: Table) -> bytes:
-    """The per-cell CSV: csv.writer on each row, floats as f"{v:.6f}", each row's "\\r\\n" made "\\n"."""
+    """The per-cell CSV: csv.writer on each row of fmt cells, each row's "\\r\\n" made "\\n".
+
+    csv.writer quotes only the line-break characters of its own line
+    terminator, so it is given "\\r\\n", and a lone "\\r" gets quoted too.
+    """
     lines = []
     for row in (table.columns, *table.rows):
         buf = io.StringIO()
-        csv.writer(buf, lineterminator="\r\n").writerow([f"{v:.6f}" if isinstance(v, float) else str(v) for v in row])
+        csv.writer(buf, lineterminator="\r\n").writerow([fmt(v) for v in row])
         lines.append(buf.getvalue()[:-2] + "\n")
     return "".join(lines).encode("utf-8")
 
@@ -175,10 +194,14 @@ SCORES = (
 )
 
 
-@given(st.lists(st.tuples(ID_TEXT | st.sampled_from(["用户,甲", '说"你好"', "é\n"]), *[SCORES] * 5), max_size=6))
+@given(st.lists(st.tuples(ID_TEXT | st.sampled_from(["用户,甲", '说"你好"', "é\n", "x\r"]), *[SCORES] * 5), max_size=6))
+@example([("用户,甲", -0.0, 0.0, 1.0, -1e-7, 2.5), ('说"你好"', 0.0, -0.0, -0.0, 0.0, 0.0)])
 @settings(max_examples=300, deadline=None)
 def test_scores_writers_equal_the_generic_table_writers(tmp_path_factory, rows):
-    """scores.csv and .json format each score on its own, with the generic writers' bytes; -0.0 keeps its sign."""
+    """scores.csv and .json, and model's scores CSV, format each score on its own, with the generic writers' bytes.
+
+    -0.0 keeps its sign.
+    """
     scores = [(uid, BigFive(*values)) for uid, *values in rows]
     table = report.scores_table(scores)
     generic = Table(table.name, table.columns, table.rows)
@@ -187,6 +210,8 @@ def test_scores_writers_equal_the_generic_table_writers(tmp_path_factory, rows):
         getattr(table, f"write_{suffix}")(base / f"scores.{suffix}")
         getattr(generic, f"write_{suffix}")(base / f"generic.{suffix}")
         assert (base / f"scores.{suffix}").read_bytes() == (base / f"generic.{suffix}").read_bytes()
+    model.write_scores_csv(scores, base / "model_scores.csv")
+    assert (base / "model_scores.csv").read_bytes() == csv_writer_oracle(table) == (base / "scores.csv").read_bytes()
 
 
 def test_scores_writers_keep_the_sign_of_zero(tmp_path):

@@ -274,6 +274,29 @@ def test_polarity_split_paper_scale_arithmetic():
     assert len(split.high_ids) == 1616 and len(split.low_ids) == 1616
 
 
+def keyed_sort_split(scores, quantile):
+    """The split as ordered by a (score, user_id) sort key."""
+    k = int(len(scores) * quantile)
+    ordered = sorted(scores, key=lambda pair: (pair[1], pair[0]))
+    return tuple(sorted(uid for uid, _ in ordered[:k])), tuple(sorted(uid for uid, _ in ordered[-k:]))
+
+
+@given(
+    st.lists(
+        st.tuples(st.text(max_size=3), st.sampled_from([-0.0, 0.0, 1.0, -1.0]) | st.floats(-3, 3)),
+        min_size=4,
+        max_size=40,
+        unique_by=lambda pair: pair[0],
+    ),
+    st.sampled_from([0.25, 0.3, 0.5]),
+)
+@settings(max_examples=300, deadline=None)
+def test_polarity_split_equals_the_keyed_sort(scores, quantile):
+    """Tied scores, +0.0 and -0.0 included, split as a (score, user_id) key orders them."""
+    split = polarity_split(scores, quantile)
+    assert (split.low_ids, split.high_ids) == keyed_sort_split(scores, quantile)
+
+
 def test_polarity_split_boundary_invariants():
     rng = np.random.default_rng(3)
     values = [float(v) for v in rng.integers(0, 5, size=40)]
