@@ -8,9 +8,14 @@ Rule order, applied once per post:
    list, e.g. the deleted-post notice). A hit drops the whole post.
 3. In-place removals: reply/repost marker words, geo-location markup,
    URLs (scheme through the next whitespace), @mentions, paired #...#
-   hashtags including content.
+   hashtags including content. Each runs only where its literal occurs
+   (the marker word, "我在这里", "://", "@", "#"), which every match
+   contains, so skipping it changes nothing.
 4. Emoticon extraction: bracketed emote names like "[心]" and Unicode
-   emoji codepoints are collected in order of appearance and removed.
+   emoji codepoints are collected in order of appearance and removed,
+   by one pattern led by one character class ("[", the BMP emoji and
+   one range over the astral emoji blocks), so the scan skips ahead to
+   where an emoticon can start.
 5. Whitespace runs collapse to a single space; ends are trimmed.
 
 Marker words are removed before URL/mention/hashtag patterns so that a
@@ -48,20 +53,24 @@ _MENTION_RE = re.compile(r"@[\w·\-]+")
 _HASHTAG_RE = re.compile(r"#[^#\n]*#")
 _GEO_RE = re.compile(r"我在这里[:：]?")
 
-_BRACKET_EMOTE = r"\[[^\[\]\s]{1,20}\]"
-_EMOJI = (
-    "["
-    "☀-➿"  # misc symbols, dingbats
-    "⭐⭕"
+_BMP_EMOJI = "☀-➿⭐⭕"  # misc symbols, dingbats
+_ASTRAL_EMOJI = (
     "\U0001f300-\U0001f5ff"
     "\U0001f600-\U0001f64f"
     "\U0001f680-\U0001f6ff"
     "\U0001f900-\U0001f9ff"
     "\U0001fa70-\U0001faff"
-    "]️?"
 )
-# one capturing group: split() returns text and emoticons alternately
-_EMOTICON_RE = re.compile(f"({_BRACKET_EMOTE}|{_EMOJI})")
+# The leading class spans the astral emoji blocks with one range, which
+# the scan tests at every character faster than five; the emoji branch's
+# lookbehind keeps only the listed ranges. Each lookbehind reads the
+# character the class took. One capturing group: split() returns text
+# and emoticons alternately.
+_EMOTICON_RE = re.compile(
+    r"([\[" + _BMP_EMOJI + "\U0001f300-\U0001faff]"
+    r"(?:(?<=\[)[^\[\]\s]{1,20}\]"  # after "[": a bracketed emote name
+    r"|(?<=[" + _BMP_EMOJI + _ASTRAL_EMOJI + r"])\ufe0f?))"  # after an emoji: an optional U+FE0F
+)
 
 
 class CleanResult(NamedTuple):
@@ -108,11 +117,16 @@ def clean(
 
     s = text
     for marker in DEFAULT_MARKER_WORDS:
-        s = s.replace(marker, " ")
-    s = _GEO_RE.sub(" ", s)
-    s = _URL_RE.sub(" ", s)
-    s = _MENTION_RE.sub(" ", s)
-    s = _HASHTAG_RE.sub(" ", s)
+        if marker in s:
+            s = s.replace(marker, " ")
+    if "我在这里" in s:
+        s = _GEO_RE.sub(" ", s)
+    if "://" in s:
+        s = _URL_RE.sub(" ", s)
+    if "@" in s:
+        s = _MENTION_RE.sub(" ", s)
+    if "#" in s:
+        s = _HASHTAG_RE.sub(" ", s)
 
     parts = _EMOTICON_RE.split(s)
     # str.split() splits on exactly the characters regex \s matches

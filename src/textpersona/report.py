@@ -248,9 +248,12 @@ def _sha256(path) -> str:
 
 
 # raw characters of accepted posts each forked worker needs before the
-# text pass pays for its fork. Measured on a 2-CPU machine: long posts
-# paid from about 30k per worker, but short emoticon-dense posts, whose
-# characters the cleaner's regex strips cheaply, barely paid at 240k.
+# text pass pays for its fork. Measured on a 2-CPU machine, median ms of
+# 12 to 24 alternating in-process runs, two forked workers minus in
+# process: long posts lost at 32k per worker (+1.7) and paid from 61k
+# (-6.3; -22 at 121k, -217 at 726k), but short emoticon-dense posts,
+# whose many users each send back a row, were even at 120k (+7.9, -0.6
+# on two corpora) and barely paid at 240k (-13.1, -1.8).
 MIN_CHARS_PER_WORKER = 300_000
 
 # cells of the per-user tables (features plus scores) per worker before
@@ -274,8 +277,9 @@ def text_features(
 ) -> tuple[lexicon_mod.FeatureMatrix, dict[str, Counter[str]]]:
     """Features and emoticon usage of each user, in one pass over their raw posts.
 
-    Each post is cleaned, its emoticons counted, and its segment()
-    counted by lexicon.featurize_user as it is made. The users are
+    Each post is cleaned and its segment() counted by
+    lexicon.featurize_user as it is made; a user's emoticons are gathered
+    in one list and counted once, after their last post. The users are
     mapped in id order, with one worker per MIN_CHARS_PER_WORKER raw
     characters of the corpus (_pool.fork_workers), so the result does
     not depend on the worker count. Users without a kept emoticon are
@@ -283,19 +287,21 @@ def text_features(
     """
     user_ids = tuple(sorted(texts_by_user))
     count = partial(lexicon_mod.featurize_user, matcher, {})  # one lookup memo, copied into each worker
+    segment = segmenter_mod.segment  # read per call, so a patched segment() is the one run
 
     def one_user(uid: str) -> tuple[int, tuple[float, ...], Counter[str]]:
-        usage: Counter[str] = Counter()
+        emoticons: list[str] = []
 
         def tokens():
             for text in texts_by_user[uid]:
-                res = clean(text)
-                if not res.dropped:
-                    if res.emoticons:
-                        usage.update(res.emoticons)
-                    yield segmenter_mod.segment(res.clean_text, word_list)
+                clean_text, found, dropped = clean(text)
+                if not dropped:
+                    if found:
+                        emoticons.extend(found)
+                    yield segment(clean_text, word_list)
 
-        return (*count(tokens()), usage)
+        n, row = count(tokens())
+        return n, row, Counter(emoticons)
 
     chars = sum(len(text) for texts in texts_by_user.values() for text in texts)
     counted = parallel_map(one_user, user_ids, threads=fork_workers(chars, MIN_CHARS_PER_WORKER))

@@ -40,9 +40,11 @@ class WordList(NamedTuple):
     lengths maps the first two characters of each word of length at
     least 2 to the lengths of the words starting with them, longest
     first, so segment() tries only the lengths that can match at a
-    position. Words led by an ASCII letter or digit are left out, as the
-    ASCII-run rule always wins there; a one-character word changes
-    nothing, because an unmatched character is a token anyway.
+    position. A length of 2 under a pair means the pair itself is a word,
+    so segment() takes it without probing words. Words led by an ASCII
+    letter or digit are left out, as the ASCII-run rule always wins
+    there; a one-character word changes nothing, because an unmatched
+    character is a token anyway.
     """
 
     words: frozenset[str]
@@ -91,9 +93,14 @@ def segment(text: str, word_list: WordList) -> list[str]:
     n = len(text)
     i = 0
     while i < n:
+        pair = text[i : i + 2]
         # a candidate cut short at the end is still exact: a word equal to
         # it has its length in the tuple too, and longer candidates failed
-        for length in lengths_of.get(text[i : i + 2], ()):
+        for length in lengths_of.get(pair, ()):
+            if length == 2:  # the pair itself is a word
+                tokens.append(pair)
+                i += 2
+                break
             piece = text[i : i + length]
             if piece in words:
                 tokens.append(piece)

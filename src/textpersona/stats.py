@@ -14,8 +14,9 @@ do not depend on summation order.
 from __future__ import annotations
 
 from collections import Counter
-from math import fsum, sqrt
+from math import frexp, fsum, inf, ldexp, sqrt
 from operator import mul
+from sys import float_info
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import RunConfig
@@ -50,7 +51,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, int]:
 
     p comes from t = r sqrt((n-2)/(1-r^2)) under t with n-2 degrees of
     freedom. r is clamped to [-1, 1] against rounding; |r| = 1 yields
-    p = 0. Constant input is a domain error: r is undefined there.
+    p = 0. Constant input is a domain error: r is undefined there; so is
+    input whose deviations from the mean overflow.
     """
     n = len(x)
     if len(y) != n:
@@ -68,12 +70,39 @@ def _centred(values: Sequence[float]) -> tuple[list[float], float]:
     return dev, fsum(map(mul, dev, dev))
 
 
-def _centred_r_p(x: tuple[list[float], float], y: tuple[list[float], float]) -> tuple[float, float]:
-    """Pearson r and p of two centred columns of the same length n >= 3."""
-    (dx, sxx), (dy, syy) = x, y
-    if sxx == 0.0 or syy == 0.0:
+_MIN_NORMAL, _MAX = float_info.min, float_info.max
+
+
+def _rescaled(dev: list[float]) -> tuple[list[float], float]:
+    """dev times the power of two that puts its largest magnitude in [0.5, 1), and its sum of squares.
+
+    The scaling is exact except for a deviation pushed below the normal
+    range, whose square lies far below the sum's rounding anyway.
+    """
+    top = max(map(abs, dev))
+    if top == 0.0:
         raise StatsError("correlation undefined for a constant vector")
-    r = fsum(map(mul, dx, dy)) / sqrt(sxx * syy)
+    if top == inf:  # a deviation overflowed
+        raise StatsError("correlation undefined for deviations beyond the float range")
+    shift = -frexp(top)[1]
+    scaled = [ldexp(v, shift) for v in dev]
+    return scaled, fsum(map(mul, scaled, scaled))
+
+
+def _centred_r_p(x: tuple[list[float], float], y: tuple[list[float], float]) -> tuple[float, float]:
+    """Pearson r and p of two centred columns of the same length n >= 3.
+
+    When sxx, syy or their product is not a normal float (it underflowed
+    or overflowed), r comes from each column's deviations rescaled by a
+    power of two (_rescaled); every other r keeps the bits of the direct
+    formula.
+    """
+    (dx, sxx), (dy, syy) = x, y
+    den = sxx * syy
+    if not (_MIN_NORMAL <= sxx <= _MAX and _MIN_NORMAL <= syy <= _MAX and _MIN_NORMAL <= den <= _MAX):
+        (dx, sxx), (dy, syy) = _rescaled(dx), _rescaled(dy)
+        den = sxx * syy
+    r = fsum(map(mul, dx, dy)) / sqrt(den)
     r = min(1.0, max(-1.0, r))
     if abs(r) == 1.0:
         return r, 0.0

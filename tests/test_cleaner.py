@@ -125,16 +125,22 @@ def test_determinism(text):
     assert clean(text, DEFAULT_SPAM_KEYWORDS) == clean(text, DEFAULT_SPAM_KEYWORDS)
 
 
-_FORMER_EMOTICON_RE = re.compile(f"(?:{cleaner._BRACKET_EMOTE})|(?:{cleaner._EMOJI})")
+# the emoticon pattern as it was before it was led by one character class
+_FORMER_EMOTICON_RE = re.compile(
+    r"\[[^\[\]\s]{1,20}\]"
+    "|[☀-➿⭐⭕\U0001f300-\U0001f5ff\U0001f600-\U0001f64f\U0001f680-\U0001f6ff\U0001f900-\U0001f9ff"
+    "\U0001fa70-\U0001faff]\ufe0f?"
+)
 
 
-def former_clean(text, spam_keywords):
-    """The earlier pipeline: a substring test per spam keyword, then
-    emoticons by findall and sub, then a \\s+ regex and strip()."""
+def former_clean(text, spam_keywords, system_templates):
+    """The earlier pipeline: a substring test per spam keyword and per
+    template, every removal run unconditionally, then emoticons by findall
+    and sub, then a \\s+ regex and strip()."""
     lowered = text.lower()
     if any(keyword.lower() in lowered for keyword in spam_keywords):
         return CleanResult("", (), True)
-    if any(template in text for template in DEFAULT_SYSTEM_TEMPLATES):
+    if any(template in text for template in system_templates):
         return CleanResult("", (), True)
     s = text
     for marker in DEFAULT_MARKER_WORDS:
@@ -148,19 +154,39 @@ def former_clean(text, spam_keywords):
 
 _PIECES = st.sampled_from(
     ["今天", "不错", "[心]", "[doge]", "😊", "☀️", "[未闭合", "a.b", "axb", "TAOBAO", "淘宝", "Taobao店",
-     " ", "\t", "\n", "\u3000", "\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f", "@某人", "http://t.cn/x"]
+     " ", "\t", "\n", "\u3000", "\u00a0", "\u2028", "\x1c", "\x1d", "\x1e", "\x1f", "@某人", "http://t.cn/x",
+     "[", "]", "\ufe0f", "(", "\\", "#", "#话题#", "://", "我在这里：", "转发微博", "回复",
+     # the ends of the astral emoji ranges, and code points between them that are no emoji
+     "\U0001f300", "\U0001f64f", "\U0001f650", "\U0001f67f", "\U0001f680", "\U0001f700", "\U0001f8ff",
+     "\U0001f900", "\U0001fa00", "\U0001fa70", "\U0001faff", "\U0001f2ff", "\U0001fb00"]
 )
 _KEYWORD_LISTS = st.sampled_from([(), DEFAULT_SPAM_KEYWORDS, ("TaoBao", "代购"), ("a.b",), ("淘宝", "")])
+# regex metacharacters, a template that is a prefix of another, and none at all
+_TEMPLATE_LISTS = st.sampled_from(
+    [DEFAULT_SYSTEM_TEMPLATES, (), ("a.b",), ("(",), ("\\",), ("今天不错", "今天"), ("不错", "不错[心]")]
+)
 
 
-@given(st.lists(_PIECES, max_size=12).map("".join), _KEYWORD_LISTS)
-@example("[心][doge]今天😊\u3000\x1f[心]", ())
-@example("\u00a0\u2028[doge]\x1c\x1d\x1e", DEFAULT_SPAM_KEYWORDS)
-@example("买TAOBAO好物", DEFAULT_SPAM_KEYWORDS)
-@example("axb 今天", ("a.b",))
+@given(st.lists(_PIECES, max_size=12).map("".join), _KEYWORD_LISTS, _TEMPLATE_LISTS)
+@example("[心][doge]今天😊\u3000\x1f[心]", (), DEFAULT_SYSTEM_TEMPLATES)
+@example("\u00a0\u2028[doge]\x1c\x1d\x1e", DEFAULT_SPAM_KEYWORDS, DEFAULT_SYSTEM_TEMPLATES)
+@example("买TAOBAO好物", DEFAULT_SPAM_KEYWORDS, DEFAULT_SYSTEM_TEMPLATES)
+@example("axb 今天", ("a.b",), DEFAULT_SYSTEM_TEMPLATES)
+@example("axb 今天", (), ("a.b",))
+@example("a(b\\c", (), ("(",))
+@example("今天好", (), ("今天不错", "今天"))
+@example("[[心]", (), DEFAULT_SYSTEM_TEMPLATES)
+@example("不错[", (), DEFAULT_SYSTEM_TEMPLATES)
+@example("[😊]", (), DEFAULT_SYSTEM_TEMPLATES)
+@example("☀️晴", (), DEFAULT_SYSTEM_TEMPLATES)
+@example("\ufe0f今天", (), DEFAULT_SYSTEM_TEMPLATES)
+@example("[" + "字" * 21 + "]", (), DEFAULT_SYSTEM_TEMPLATES)
+@example("[" + "字" * 20 + "]", (), DEFAULT_SYSTEM_TEMPLATES)
+@example("\U0001f650\ufe0f\U0001f64f\ufe0f\U0001fa00[\U0001f700]", (), DEFAULT_SYSTEM_TEMPLATES)
 @settings(max_examples=300, deadline=None)
-def test_clean_equals_former_pipeline(text, spam_keywords):
-    assert clean(text, spam_keywords) == former_clean(text, spam_keywords)
+def test_clean_equals_former_pipeline(text, spam_keywords, system_templates):
+    expected = former_clean(text, spam_keywords, system_templates)
+    assert clean(text, spam_keywords, system_templates=system_templates) == expected
 
 
 @given(

@@ -381,24 +381,47 @@ def test_correlation_error_in_the_table_writer_is_one_json_line_exit_3(tmp_path,
     assert _no_child_left()
 
 
-def _corpus_copy(corpus: Path, rng: random.Random | None) -> RunConfig:
-    """The fixture corpus in corpus, its JSONL lines shuffled by rng if given, with emoticon rows.
+CORPUS_FILES = ("profiles.jsonl", "posts.jsonl")
 
-    Its run config names the corpus files as the fixture's does and every
-    other file by absolute path, so two copies record the same config."""
+
+def _corpus_copy(corpus: Path, rng: random.Random | None, shuffled=CORPUS_FILES) -> RunConfig:
+    """The fixture corpus and word list in corpus, with emoticon rows; the
+    lines of the files named in shuffled are shuffled by rng if given.
+
+    Its run config names the corpus files and the word list (wordlist.txt)
+    by relative path and every other file by absolute path, so two copies
+    record the same config."""
     corpus.mkdir()
-    for name in ("profiles.jsonl", "posts.jsonl"):
-        lines = (FIXTURE / name).read_text(encoding="utf-8").splitlines(keepends=True)
-        if rng is not None:
+    doc = json.loads((FIXTURE / "run_config.json").read_text(encoding="utf-8"))
+    sources = {name: FIXTURE / name for name in CORPUS_FILES}
+    sources["wordlist.txt"] = FIXTURE / doc["word_list_path"]
+    for name, source in sources.items():
+        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        if rng is not None and name in shuffled:
             rng.shuffle(lines)
         (corpus / name).write_text("".join(lines), encoding="utf-8")
-    doc = json.loads((FIXTURE / "run_config.json").read_text(encoding="utf-8"))
     for key, value in doc.items():
-        if key.endswith("_path") and key not in ("profiles_path", "posts_path"):
+        if key.endswith("_path") and key not in ("profiles_path", "posts_path", "word_list_path"):
             doc[key] = str((FIXTURE / value).resolve())
+    doc["word_list_path"] = "wordlist.txt"
     doc["emoticon_min_count"] = 50  # the default leaves the emoticon table without rows
     (corpus / "run_config.json").write_text(json.dumps(doc), encoding="utf-8")
     return RunConfig.from_file(corpus / "run_config.json")
+
+
+def _bundles_differ_only_in_input_hashes(got_dir: Path, want_dir: Path) -> list[str]:
+    """Assert two bundles hold the same tables and the same manifest apart from
+    its input hashes; the names of the inputs whose hashes differ, sorted."""
+    got, want = _bundle_bytes(got_dir), _bundle_bytes(want_dir)
+    manifests = [json.loads(files.pop("manifest.json")) for files in (got, want)]
+    assert got == want
+    hashes = [manifest.pop("input_hashes") for manifest in manifests]
+    assert manifests[0] == manifests[1]
+    assert [a["name"] for a in manifests[0]["artifacts"]] == [
+        "features", "scores", "score_summary", "demographics", "correlations",
+        "tag_contrast", "group_means", "trends", "province_means", "emoticon_contrast",
+    ]
+    return sorted(key for key in hashes[0] if hashes[0][key] != hashes[1][key])
 
 
 @pytest.mark.parametrize("gates", [(), (TABLE_GATE,)], ids=["serial", "tables"])
@@ -408,21 +431,27 @@ def test_bundle_does_not_depend_on_input_line_order(gates, tmp_path, monkeypatch
     _fan_out(monkeypatch, *gates)
     ordered = _corpus_copy(tmp_path / "ordered", None)
     shuffled = _corpus_copy(tmp_path / "shuffled", random.Random(7))
-    for name in ("profiles.jsonl", "posts.jsonl"):
+    for name in CORPUS_FILES:
         assert (tmp_path / "shuffled" / name).read_bytes() != (FIXTURE / name).read_bytes()
     report.build_bundle(ordered, tmp_path / "ordered_out")
     report.build_bundle(shuffled, tmp_path / "shuffled_out")
-    got, want = _bundle_bytes(tmp_path / "shuffled_out"), _bundle_bytes(tmp_path / "ordered_out")
-    manifests = [json.loads(files.pop("manifest.json")) for files in (got, want)]
-    assert got == want
-    hashes = [manifest.pop("input_hashes") for manifest in manifests]
-    assert manifests[0] == manifests[1]
-    assert [key for key in hashes[0] if hashes[0][key] != hashes[1][key]] == ["posts", "profiles"]
-    assert [a["name"] for a in manifests[0]["artifacts"]] == [
-        "features", "scores", "score_summary", "demographics", "correlations",
-        "tag_contrast", "group_means", "trends", "province_means", "emoticon_contrast",
+    assert _bundles_differ_only_in_input_hashes(tmp_path / "shuffled_out", tmp_path / "ordered_out") == [
+        "posts", "profiles"
     ]
     assert _no_child_left()
+
+
+def test_bundle_does_not_depend_on_word_list_line_order(tmp_path):
+    """Shuffling the word list's lines moves only the manifest's word_list hash."""
+    ordered = _corpus_copy(tmp_path / "ordered", None)
+    shuffled = _corpus_copy(tmp_path / "shuffled", random.Random(7), shuffled=("wordlist.txt",))
+    words = [(tmp_path / side / "wordlist.txt").read_text(encoding="utf-8") for side in ("ordered", "shuffled")]
+    assert words[0] != words[1] and sorted(words[0].splitlines()) == sorted(words[1].splitlines())
+    report.build_bundle(ordered, tmp_path / "ordered_out")
+    report.build_bundle(shuffled, tmp_path / "shuffled_out")
+    assert _bundles_differ_only_in_input_hashes(tmp_path / "shuffled_out", tmp_path / "ordered_out") == [
+        "word_list"
+    ]
 
 
 def test_tables_are_written_in_process_while_another_thread_runs(tmp_path, monkeypatch):

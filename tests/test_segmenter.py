@@ -3,7 +3,7 @@
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textpersona.segmenter import WordList, load_word_list, segment, segment_corpus
@@ -184,6 +184,12 @@ def word_lists_and_texts(draw):
 
 
 @given(word_lists_and_texts())
+# a two-character word that is also the prefix of a longer one, at the end of the text
+@example((wl("今天", "今天不错"), "不错今天"))
+# the pair leads only a longer word and is not a word itself: one character each
+@example((wl("今天不错"), "今天好"))
+# an ASCII-led two-character word: the ASCII-run rule wins
+@example((wl("QQ", "Q空"), "QQQ空间 QQ"))
 @settings(max_examples=500, deadline=None)
 def test_segment_equals_descending_length_reference(case):
     word_list, text = case

@@ -1,6 +1,7 @@
 """Statistics: oracle anchors, brute-force cross-checks, invariants."""
 
 import math
+import sys
 from collections import Counter
 
 import mpmath
@@ -115,6 +116,50 @@ def test_pearson_vs_oracle_random():
         assert abs(p - p_ref) < 1e-12
 
 
+def test_pearson_survives_an_underflowing_variance_product():
+    """sxx * syy underflows to 0 here, which once raised ZeroDivisionError; r is 1."""
+    a, b = 4.869e-42, 1.746e-134
+    assert pearson([-a, -a, 2 * a], [-b, -b, 2 * b]) == (1.0, 0.0, 3)
+    features = matrix(("F",), [("u0", (-a,)), ("u1", (-a,)), ("u2", (2 * a,))])
+    scores = [("u0", b5(o=-b)), ("u1", b5(o=-b)), ("u2", b5(o=2 * b))]
+    assert [(res.r, res.p) for res in correlation_matrix(features, scores) if res.trait == "O"] == [(1.0, 0.0)]
+    # sxx alone is subnormal while sxx * syy is normal: rescaled too, so no bit is lost
+    x, y = [math.ldexp(v, -530) for v in (1.0, 2.0, 4.0)], [math.ldexp(v, 500) for v in (3.0, 1.0, 7.0)]
+    assert pearson(x, y) == pearson([1.0, 2.0, 4.0], [3.0, 1.0, 7.0])
+
+
+def test_pearson_survives_an_overflowing_variance_product():
+    """sxx * syy overflows here, which once gave r = -1 from a clamped NaN."""
+    col = [1e160, 2e160, 4e160]
+    assert pearson(col, col) == (1.0, 0.0, 3)
+    assert pearson(col, [3.0, 1.0, 7.0]) == pearson([1.0, 2.0, 4.0], [3.0, 1.0, 7.0])
+    with pytest.raises(StatsError):  # the deviations themselves overflow
+        pearson([1.7e308, -1.7e308, 1.7e308], [1.0, 2.0, 3.0])
+
+
+def _spread(values) -> bool:
+    return len(set(values)) > 1
+
+
+_SPREAD = st.lists(st.integers(-1000, 1000), min_size=3, max_size=12).filter(_spread)
+
+
+@given(st.data(), _SPREAD, st.integers(-1000, 1000), st.integers(-1000, 1000))
+@settings(max_examples=200, deadline=None)
+def test_pearson_of_extreme_scale_columns_matches_the_oracle(data, xs, kx, ky):
+    """Columns scaled by 2**k from 2**-1000 to 2**1000, so that sxx, syy or their
+    product leaves the float range: r and p equal the unscaled columns' bits,
+    and the arbitrary-precision oracle's within 1e-12."""
+    ys = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(xs), max_size=len(xs)).filter(_spread))
+    x = [math.ldexp(v, kx) for v in xs]
+    y = [math.ldexp(v, ky) for v in ys]
+    r, p, _ = pearson(x, y)
+    assert (r, p) == pearson(xs, ys)[:2]
+    r_ref, p_ref = oracle_pearson(x, y)
+    assert abs(r - r_ref) < 1e-12
+    assert abs(p - p_ref) < 1e-12
+
+
 def test_pearson_affine_equivariance_exact():
     rng = np.random.default_rng(12)
     x = rng.normal(size=40)
@@ -190,7 +235,11 @@ CELLS = st.floats(-100, 100, allow_nan=False) | st.integers(-2, 2).map(float)
 
 
 def pairwise_pearson(x, y):
-    """Pearson's float operations written out for one pair: the exact reference."""
+    """Pearson's float operations written out for one pair: the exact reference.
+
+    When sxx, syy or their product leaves the normal float range, each
+    column's deviations are first scaled by the power of two that puts
+    the largest in [0.5, 1); all-zero deviations leave r undefined."""
     from textpersona.special import student_t_two_sided_p
 
     n = len(x)
@@ -198,8 +247,12 @@ def pairwise_pearson(x, y):
     dx = [v - x_mean for v in x]
     dy = [v - y_mean for v in y]
     sxx, syy = math.fsum(a * a for a in dx), math.fsum(b * b for b in dy)
-    if sxx == 0.0 or syy == 0.0:
-        return None, None
+    if not all(sys.float_info.min <= s <= sys.float_info.max for s in (sxx, syy, sxx * syy)):
+        if not any(dx) or not any(dy):
+            return None, None
+        dx = [math.ldexp(a, -math.frexp(max(abs(v) for v in dx))[1]) for a in dx]
+        dy = [math.ldexp(b, -math.frexp(max(abs(v) for v in dy))[1]) for b in dy]
+        sxx, syy = math.fsum(a * a for a in dx), math.fsum(b * b for b in dy)
     r = min(1.0, max(-1.0, math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sxx * syy)))
     if abs(r) == 1.0:
         return r, 0.0
