@@ -45,12 +45,12 @@ def read_csv(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
     return header, rows
 
 
-def read_keyed_rows(path, header: list[str], rows, parse: Callable[[list[str]], T], error) -> dict[str, T]:
+def read_keyed_rows(path, header: list[str], rows, parse: Callable[[list[str]], T]) -> dict[str, T]:
     """parse(cells) of each of read_csv's rows, keyed on its user_id cell, in file order.
 
     A row whose cell count differs from the header's, whose user_id is
     empty or an earlier line holds, or that parse refuses with ValueError
-    raises the exception class error, naming path:line.
+    raises InputFormatError naming path:line.
     """
     parsed: dict[str, T] = {}
     first_line: dict[str, int] = {}
@@ -64,6 +64,6 @@ def read_keyed_rows(path, header: list[str], rows, parse: Callable[[list[str]], 
                 raise ValueError(f"user_id {cells[0]!r} repeats line {first_line[cells[0]]}")
             parsed[cells[0]] = parse(cells)
         except ValueError as err:
-            raise error(f"{path}:{line_no}: {err}") from None
+            raise InputFormatError(f"{path}:{line_no}: {err}") from None
         first_line[cells[0]] = line_no
     return parsed

@@ -1,8 +1,9 @@
 """Stage-per-subcommand command line interface.
 
 Each subcommand is a pure file transformation: declared inputs in,
-declared outputs out, exit 0 on success. Exit codes: 1 usage error,
-2 input format error, 3 pipeline/domain error. Failures print one
+declared outputs out, exit 0 on success. Exit codes: 1 a usage error
+and nothing else, 2 an input format error, 3 a pipeline/domain error,
+arithmetic that overflows the float range included. Failures print one
 machine-parsable JSON line on stderr.
 """
 
@@ -327,7 +328,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (TextPersonaError, OSError, ValueError) as err:
+    except (TextPersonaError, OSError, ValueError, ArithmeticError) as err:
         # a report stage that failed on unreadable input is a format error too
         cause = err.cause if isinstance(err, BundleError) else err
         code = EXIT_FORMAT if isinstance(cause, InputFormatError) else EXIT_PIPELINE

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-from importlib import resources
 from pathlib import Path
 
 from ._textio import utf8_lines
@@ -13,7 +12,7 @@ from .errors import InputFormatError, PipelineError
 
 def builtin_data_path(*parts: str) -> Path:
     """Path to a data file bundled with the package."""
-    return Path(str(resources.files("textpersona").joinpath("data", *parts)))
+    return Path(__file__).with_name("data").joinpath(*parts)
 
 
 def load_keyword_file(path) -> tuple[str, ...]:
@@ -72,11 +71,11 @@ class RunConfig:
     _written_paths = {}
 
     @classmethod
-    def check(cls, key: str, value, error: type[Exception]) -> None:
-        """Raise error(message) when value fails the test of key's RANGES entry."""
+    def check(cls, key: str, value) -> None:
+        """Raise PipelineError(message) when value fails the test of key's RANGES entry."""
         ok, message = cls.RANGES[key]
         if not ok(value):
-            raise error(message.format(value))
+            raise PipelineError(message.format(value))
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from ._textio import check_utf8, open_text
 from .config import RunConfig
-from .errors import CorpusFormatError, PipelineError
+from .errors import InputFormatError, PipelineError
 
 GENDERS = ("male", "female", "unknown")
 _GENDER_CODES = {"m": "male", "f": "female"}
@@ -191,7 +191,7 @@ def _load_jsonl(path, parse):
             except (KeyError, ValueError, TypeError, OverflowError):
                 malformed += 1
     if total and malformed * 2 > total:
-        raise CorpusFormatError(
+        raise InputFormatError(
             f"{path}: {malformed} of {total} lines malformed; wrong file format?"
         )
     return records, malformed
@@ -249,7 +249,7 @@ def with_credible_age(
     profile: UserProfile, reference_date: dt.date, age_range: tuple[int, int]
 ) -> UserProfile:
     """The profile with its age from birth_date: None if unknown, future or outside age_range."""
-    RunConfig.check("age_range", age_range, PipelineError)
+    RunConfig.check("age_range", age_range)
     low, high = age_range
     age = None
     if profile.birth_date is not None and profile.birth_date <= reference_date:
@@ -278,8 +278,8 @@ def validate_users(
 
     Idempotent: running the output through again rejects nobody.
     """
-    RunConfig.check("min_followers", min_followers, ValueError)
-    RunConfig.check("ad_url_patterns", ad_url_patterns, ValueError)  # "" is in every post
+    RunConfig.check("min_followers", min_followers)
+    RunConfig.check("ad_url_patterns", ad_url_patterns)  # "" is in every post
     posts = list(posts)
     posts_by_user: dict[str, list[Post]] = {}
     for post in posts:

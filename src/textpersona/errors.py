@@ -1,9 +1,10 @@
-"""Exception hierarchy shared by all pipeline stages.
+"""Exception hierarchy shared by all pipeline stages: one class per exit code.
 
-Two branches matter to callers: InputFormatError means a file could not
-be understood (wrong format, unparsable record), PipelineError means the
-data was readable but an operation's domain contract was violated. The
-CLI maps them to exit codes 2 and 3 respectively.
+InputFormatError means a file could not be understood (wrong format,
+unparsable record), PipelineError means the data was readable but an
+operation's domain contract was violated; the CLI maps them to exit
+codes 2 and 3. BundleError wraps either with the report stage it
+escaped from, and the CLI exits with the code of its cause.
 """
 
 
@@ -17,22 +18,6 @@ class InputFormatError(TextPersonaError):
 
 class PipelineError(TextPersonaError):
     """A domain or contract violation inside an otherwise valid pipeline."""
-
-
-class CorpusFormatError(InputFormatError):
-    """Profile/post files are unreadable as line-delimited JSON records."""
-
-
-class LexiconParseError(InputFormatError):
-    """Dictionary file violates the category/entry format."""
-
-
-class ModelError(PipelineError):
-    """Fitting or prediction preconditions not met."""
-
-
-class StatsError(PipelineError):
-    """Statistical operation called outside its domain."""
 
 
 class BundleError(PipelineError):

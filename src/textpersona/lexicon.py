@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from ._csvio import read_csv, read_keyed_rows
 from ._pool import parallel_map
 from ._textio import utf8_lines
-from .errors import LexiconParseError, PipelineError
+from .errors import InputFormatError, PipelineError
 
 # reserved trie key holding the categories of patterns that end at a node;
 # real edges are single characters, so the empty string can never collide
@@ -68,8 +68,8 @@ def parse_lexicon(path) -> Lexicon:
     in_header = False
     header_done = False
 
-    def fail(problem: str, line_no: int | None = None) -> LexiconParseError:
-        return LexiconParseError(f"{path}:{line_no}: {problem}" if line_no else f"{path}: {problem}")
+    def fail(problem: str, line_no: int | None = None) -> InputFormatError:
+        return InputFormatError(f"{path}:{line_no}: {problem}" if line_no else f"{path}: {problem}")
 
     for line_no, raw in utf8_lines(path):
         line = raw.strip()
@@ -307,7 +307,7 @@ def read_features_csv(path) -> FeatureMatrix:
     Rows keep the file's order. Each cell is snapped to the hit count
     k = round(cell * token_count / 100) and rebuilt as k * (100 /
     token_count), the float featurize() computed. A row that cannot be
-    rebuilt raises LexiconParseError naming path:line: a cell count that
+    rebuilt raises InputFormatError naming path:line: a cell count that
     differs from the header's, a user_id seen on an earlier line, a
     token_count that is not a non-negative integer, a nonzero cell in a
     zero-token row, or a cell farther from the lattice than 6-decimal
@@ -315,9 +315,9 @@ def read_features_csv(path) -> FeatureMatrix:
     """
     header, rows = read_csv(path)
     if header[:2] != ["user_id", "token_count"]:
-        raise LexiconParseError(f"{path}: not a feature CSV (header {header[:2]})")
+        raise InputFormatError(f"{path}: not a feature CSV (header {header[:2]})")
     names = tuple(header[2:])
-    parsed = read_keyed_rows(path, header, rows, partial(_parse_feature_row, names=names), LexiconParseError)
+    parsed = read_keyed_rows(path, header, rows, partial(_parse_feature_row, names=names))
     counted = parsed.values()
     return FeatureMatrix(names, tuple(parsed), tuple(n for n, _ in counted), tuple(row for _, row in counted))
 

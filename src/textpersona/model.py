@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from itertools import compress
 from math import fsum, sqrt
 from operator import mul
@@ -38,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 from ._csvio import read_csv, read_keyed_rows
 from .config import RunConfig
-from .errors import InputFormatError, ModelError
+from .errors import InputFormatError, PipelineError
 from .lexicon import FeatureMatrix
 
 TRAITS = ("O", "C", "E", "A", "N")
@@ -90,9 +89,9 @@ def fit(
     users are joined on user_id and processed in sorted id order, so the
     fit is reproducible regardless of input ordering.
     """
-    RunConfig.check("ridge_lambda", ridge_lambda, ModelError)
+    RunConfig.check("ridge_lambda", ridge_lambda)
     if len({uid for uid, _ in labels}) < 2:
-        raise ModelError("need at least 2 distinct labeled users")
+        raise PipelineError("need at least 2 distinct labeled users")
     by_id = dict(zip(features.user_ids, zip(features.token_counts, features.rows)))
 
     rows = []
@@ -100,13 +99,13 @@ def fit(
     previous = None
     for user_id, score in sorted(labels, key=lambda pair: pair[0]):
         if user_id == previous:
-            raise ModelError(f"labeled user {user_id!r} appears more than once")
+            raise PipelineError(f"labeled user {user_id!r} appears more than once")
         previous = user_id
         count, row = by_id.get(user_id, (None, None))
         if count is None:
-            raise ModelError(f"labeled user {user_id!r} has no feature vector")
+            raise PipelineError(f"labeled user {user_id!r} has no feature vector")
         if count == 0:
-            raise ModelError(f"labeled user {user_id!r} has a degenerate (zero-token) feature vector")
+            raise PipelineError(f"labeled user {user_id!r} has a degenerate (zero-token) feature vector")
         rows.append(row)
         targets.append(score)
 
@@ -146,7 +145,7 @@ def _centered_columns(rows: Sequence[Sequence[float]]) -> tuple[list[float], lis
 def _cholesky(
     gram: list[list[float]], names: Sequence[str], ridge_lambda: float
 ) -> list[list[float]]:
-    """Lower-triangular L with L L' = gram, or ModelError on a bad pivot.
+    """Lower-triangular L with L L' = gram, or PipelineError on a bad pivot.
 
     Only the lower triangle of gram is read.
     """
@@ -157,11 +156,11 @@ def _cholesky(
         pivot = gram[j][j] - fsum(v * v for v in row_j)
         if not pivot > _PIVOT_RTOL * gram[j][j]:
             if ridge_lambda == 0.0:
-                raise ModelError(
+                raise PipelineError(
                     f"centered design is rank-deficient with lambda=0 (at {names[j]!r}); "
                     "use a positive ridge lambda"
                 )
-            raise ModelError(
+            raise PipelineError(
                 f"normal equations are singular at {names[j]!r} with lambda={ridge_lambda:g}; "
                 "use a larger ridge lambda"
             )
@@ -218,10 +217,10 @@ def _check_names(expected: tuple[str, ...], got: tuple[str, ...]) -> None:
         return
     for i, (e, g) in enumerate(zip(expected, got)):
         if e != g:
-            raise ModelError(
+            raise PipelineError(
                 f"category name mismatch at position {i}: model has {e!r}, features have {g!r}"
             )
-    raise ModelError(
+    raise PipelineError(
         f"category count mismatch: model has {len(expected)}, features have {len(got)}"
     )
 
@@ -229,23 +228,13 @@ def _check_names(expected: tuple[str, ...], got: tuple[str, ...]) -> None:
 def summarize_scores(scores: Sequence[BigFive]) -> dict[str, tuple[float, float]]:
     """Per-trait (mean, population standard deviation)."""
     if not scores:
-        raise ModelError("cannot summarize an empty score list")
+        raise PipelineError("cannot summarize an empty score list")
     n = len(scores)
     out: dict[str, tuple[float, float]] = {}
     for trait, values in zip(TRAITS, zip(*scores)):
         mean = fsum(values) / n
         out[trait] = (mean, sqrt(fsum((v - mean) ** 2 for v in values) / n))
     return out
-
-
-def holdout_split(user_ids: Sequence[str], test_fraction: float, seed: int) -> tuple[list[str], list[str]]:
-    """Deterministic train/test id split (sorted ids, seeded shuffle)."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ModelError("test_fraction must be in (0, 1)")
-    ids = sorted(user_ids)
-    random.Random(seed).shuffle(ids)
-    n_test = max(1, int(len(ids) * test_fraction))
-    return ids[n_test:], ids[:n_test]
 
 
 def _fmt17(x: float) -> str:
@@ -338,5 +327,5 @@ def read_scores_csv(path) -> list[tuple[str, BigFive]]:
     if header != ["user_id", *TRAITS]:
         raise InputFormatError(f"{path}: not a score CSV (header {','.join(header)!r})")
     # float refuses a non-numeric score, BigFive a non-finite one
-    parsed = read_keyed_rows(path, header, rows, lambda cells: BigFive(*map(float, cells[1:])), InputFormatError)
+    parsed = read_keyed_rows(path, header, rows, lambda cells: BigFive(*map(float, cells[1:])))
     return list(parsed.items())

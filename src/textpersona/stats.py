@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .config import RunConfig
 from .corpus import UserProfile
-from .errors import StatsError
+from .errors import PipelineError
 from .lexicon import FeatureMatrix
 from .model import TRAITS, BigFive
 from .special import normal_two_sided_p, student_t_two_sided_p
@@ -52,13 +52,14 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, int]:
     p comes from t = r sqrt((n-2)/(1-r^2)) under t with n-2 degrees of
     freedom. r is clamped to [-1, 1] against rounding; |r| = 1 yields
     p = 0. Constant input is a domain error: r is undefined there; so is
-    input whose deviations from the mean overflow.
+    input whose deviations from the mean overflow, and input that holds
+    a NaN or an infinity.
     """
     n = len(x)
     if len(y) != n:
-        raise StatsError(f"length mismatch: {n} vs {len(y)}")
+        raise PipelineError(f"length mismatch: {n} vs {len(y)}")
     if n < 3:
-        raise StatsError(f"need at least 3 points, got {n}")
+        raise PipelineError(f"need at least 3 points, got {n}")
     return (*_centred_r_p(_centred(x), _centred(y)), n)
 
 
@@ -81,9 +82,9 @@ def _rescaled(dev: list[float]) -> tuple[list[float], float]:
     """
     top = max(map(abs, dev))
     if top == 0.0:
-        raise StatsError("correlation undefined for a constant vector")
+        raise PipelineError("correlation undefined for a constant vector")
     if top == inf:  # a deviation overflowed
-        raise StatsError("correlation undefined for deviations beyond the float range")
+        raise PipelineError("correlation undefined for deviations beyond the float range")
     shift = -frexp(top)[1]
     scaled = [ldexp(v, shift) for v in dev]
     return scaled, fsum(map(mul, scaled, scaled))
@@ -95,11 +96,14 @@ def _centred_r_p(x: tuple[list[float], float], y: tuple[list[float], float]) -> 
     When sxx, syy or their product is not a normal float (it underflowed
     or overflowed), r comes from each column's deviations rescaled by a
     power of two (_rescaled); every other r keeps the bits of the direct
-    formula.
+    formula. A NaN or an infinity among the values makes sxx or syy NaN,
+    which the clamp below would turn into r = -1.
     """
     (dx, sxx), (dy, syy) = x, y
     den = sxx * syy
     if not (_MIN_NORMAL <= sxx <= _MAX and _MIN_NORMAL <= syy <= _MAX and _MIN_NORMAL <= den <= _MAX):
+        if sxx != sxx or syy != syy:
+            raise PipelineError("correlation undefined for a value that is not finite")
         (dx, sxx), (dy, syy) = _rescaled(dx), _rescaled(dy)
         den = sxx * syy
     r = fsum(map(mul, dx, dy)) / sqrt(den)
@@ -135,11 +139,11 @@ def correlation_matrix(
     once, exactly as pearson centres it, so every r and p equals
     pearson's on the same joined, user-id-sorted columns.
     """
-    RunConfig.check("alpha", alpha, StatsError)
+    RunConfig.check("alpha", alpha)
     score_by_id = dict(scores)
     joined = sorted((uid, row) for uid, row in zip(features.user_ids, features.rows) if uid in score_by_id)
     if len(joined) < 3:
-        raise StatsError(f"need at least 3 joined users, got {len(joined)}")
+        raise PipelineError(f"need at least 3 joined users, got {len(joined)}")
     n = len(joined)
     trait_cols = [_centred(col) for col in zip(*(score_by_id[uid] for uid, _ in joined))]
     results = []
@@ -148,7 +152,7 @@ def correlation_matrix(
         for trait, trait_col in zip(TRAITS, trait_cols):
             try:
                 r, p = _centred_r_p(col, trait_col)
-            except StatsError:
+            except PipelineError:
                 results.append(CorrelationResult(name, trait, None, None, n, False))
                 continue
             results.append(CorrelationResult(name, trait, r, p, n, p < alpha))
@@ -172,13 +176,13 @@ def polarity_split(
     of that order and the high group the last k, so boundary ties
     resolve deterministically and the groups can never overlap.
     """
-    RunConfig.check("quantile", quantile, StatsError)
+    RunConfig.check("quantile", quantile)
     n = len(scores)
     if n < 4:
-        raise StatsError(f"need at least 4 users, got {n}")
+        raise PipelineError(f"need at least 4 users, got {n}")
     k = int(n * quantile)
     if k < 1:
-        raise StatsError(f"n * quantile = {n * quantile} selects no users")
+        raise PipelineError(f"n * quantile = {n * quantile} selects no users")
     ordered = sorted([(score, uid) for uid, score in scores])
     low = tuple(sorted(uid for _, uid in ordered[:k]))
     high = tuple(sorted(uid for _, uid in ordered[-k:]))
@@ -197,11 +201,11 @@ def tag_contrast(
     top_k: int = RunConfig.top_k_tags,
 ) -> TagContrast:
     """Tag weights per polarity group, ranked for word-cloud rendering."""
-    RunConfig.check("top_k_tags", top_k, StatsError)
+    RunConfig.check("top_k_tags", top_k)
     by_id = {p.user_id: p for p in profiles}
     missing = [uid for uid in (*split.high_ids, *split.low_ids) if uid not in by_id]
     if missing:
-        raise StatsError(f"split user {missing[0]!r} has no profile")
+        raise PipelineError(f"split user {missing[0]!r} has no profile")
 
     def ranked(ids: tuple[str, ...]) -> tuple[tuple[str, float], ...]:
         counts = Counter(tag for uid in ids for tag in by_id[uid].tags)
@@ -274,11 +278,11 @@ GROUPING_KEYS = tuple(_GROUPERS)
 def group_means(users: Sequence[ScoredUser], key: str) -> Grouping:
     """Per-group per-trait means for one of the supported groupings."""
     if key not in _GROUPERS:
-        raise StatsError(f"unknown grouping {key!r}; supported: {', '.join(GROUPING_KEYS)}")
+        raise PipelineError(f"unknown grouping {key!r}; supported: {', '.join(GROUPING_KEYS)}")
     labels, grouper = _GROUPERS[key]
     buckets, excluded = _bucket(users, grouper)
     if not buckets:
-        raise StatsError(f"grouping {key!r} is defined for no user")
+        raise PipelineError(f"grouping {key!r} is defined for no user")
     return Grouping(key, _mean_rows(buckets, labels), excluded)
 
 
@@ -314,7 +318,7 @@ def binned_trend(users: Sequence[ScoredUser], binning: str) -> Grouping:
     one longer than the last range, are excluded and counted).
     """
     if binning not in _BINNERS:
-        raise StatsError(f"unknown binning {binning!r}; supported: {', '.join(BINNINGS)}")
+        raise PipelineError(f"unknown binning {binning!r}; supported: {', '.join(BINNINGS)}")
     binner, label = _BINNERS[binning]
     buckets, excluded = _bucket(users, binner)
     return Grouping(binning, _mean_rows(buckets, sorted(buckets), label), excluded)
@@ -359,7 +363,7 @@ class EmoticonContrast(NamedTuple):
 def two_proportion_z_p(x1: int, n1: int, x2: int, n2: int) -> float:
     """Two-tailed pooled z-test p-value for proportions x1/n1 vs x2/n2."""
     if n1 <= 0 or n2 <= 0:
-        raise StatsError("group totals must be positive")
+        raise PipelineError("group totals must be positive")
     pooled = (x1 + x2) / (n1 + n2)
     if pooled in (0.0, 1.0):
         return 1.0
@@ -392,8 +396,8 @@ def emoticon_contrasts(
     significant flag records the z-test outcome. A split with a group
     that uses no emoticon gets no rows and a warning.
     """
-    RunConfig.check("emoticon_min_count", min_count, StatsError)
-    RunConfig.check("alpha", alpha, StatsError)
+    RunConfig.check("emoticon_min_count", min_count)
+    RunConfig.check("alpha", alpha)
 
     totals: dict[str, int] = {}
     for usage in emoticon_usage.values():

@@ -786,6 +786,39 @@ def test_pipeline_error_exit_3_names_user(staged, tmp_path, capsys):
     assert "ghost" in err["error"]
 
 
+def _with_cells(path: Path, rows: int, value: str, out: Path) -> Path:
+    """path's CSV with every score cell of its first rows data rows set to value."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    cut = [line.split(",", 1)[0] + f",{value}" * 5 + "\n" for line in lines[:rows]]
+    out.write_text(header + "".join(cut + lines[rows:]), encoding="utf-8")
+    return out
+
+
+def _model_with_w(value: float, out: Path) -> Path:
+    doc = json.loads((FIXTURE / "model.json").read_text(encoding="utf-8"))
+    doc["W"] = [[value] * len(row) for row in doc["W"]]
+    out.write_text(json.dumps(doc), encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("command", ["correlate", "fit", "predict"])
+def test_finite_values_whose_sums_overflow_exit_3(staged, tmp_path, capsys, command):
+    """Finite numbers near the float maximum overflow a sum; that is a domain error, not a crash."""
+    features = staged / "features.csv"
+    if command == "correlate":
+        scores = _with_cells(TESTDATA / "scores_golden.csv", 2, "1.7e308", tmp_path / "scores.csv")
+        argv = ["--features", features, "--scores", scores,
+                "--out-csv", tmp_path / "c.csv", "--out-json", tmp_path / "c.json"]
+    elif command == "fit":
+        labels = _with_cells(FIXTURE / "labels.csv", 1, "1.7e308", tmp_path / "labels.csv")
+        argv = ["--features", features, "--labels", labels, "--out", tmp_path / "m.json"]
+    else:
+        model = _model_with_w(1e308, tmp_path / "model.json")
+        argv = ["--model", model, "--features", features, "--out", tmp_path / "s.csv"]
+    assert run(command, *argv) == EXIT_PIPELINE
+    assert "overflow" in one_error_line(capsys, EXIT_PIPELINE)
+
+
 def test_missing_file_exit_3(tmp_path):
     code = run("clean", "--posts", tmp_path / "absent.jsonl", "--out", tmp_path / "o.jsonl")
     assert code == EXIT_PIPELINE

@@ -49,6 +49,9 @@ JSON_VALUES = [None, True, 0, -1, 1.5, 10**400, "", "x", [], ["x"], [1], {}, {"a
 CSV_VALUES = [b"", b"x", b"-1", b"1.5", b"1e400", b"true", b'"', b"a,b"]
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 CSV_NON_FINITE = [b"nan", b"inf", b"-inf", b"NaN", b"Infinity"]
+# finite, but two of them overflow a sum
+EXTREME = [1.7e308, -1.7e308]
+CSV_EXTREME = [b"1.7e308", b"-1.7e308"]
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +134,10 @@ def non_finite(draw, data):
     return _set_value(draw, data, NON_FINITE, CSV_NON_FINITE)
 
 
+def finite_extreme(draw, data):
+    return _set_value(draw, data, EXTREME, CSV_EXTREME)
+
+
 def reverse_header(draw, data):
     lines = data.split(b"\n")
     lines[0] = b",".join(reversed(lines[0].split(b",")))
@@ -161,7 +168,8 @@ def deep_nesting(draw, data):
 
 
 MUTATIONS = [
-    truncate, drop_line, swap_type, non_finite, reverse_header, add_cell, empty, invalid_utf8, deep_nesting
+    truncate, drop_line, swap_type, non_finite, finite_extreme, reverse_header, add_cell, empty, invalid_utf8,
+    deep_nesting,
 ]
 
 

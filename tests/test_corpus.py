@@ -21,7 +21,7 @@ from textpersona.corpus import (
     validate_users,
     with_credible_age,
 )
-from textpersona.errors import CorpusFormatError, PipelineError
+from textpersona.errors import InputFormatError, PipelineError
 
 REF = dt.date(2018, 6, 1)
 
@@ -77,7 +77,7 @@ def test_mostly_malformed_is_fatal(tmp_path):
     ppath, spath = tmp_path / "p.jsonl", tmp_path / "s.jsonl"
     write_jsonl(ppath, ["not json"] * 6 + [json.dumps(profile_rec("u1"))] * 4)
     write_jsonl(spath, [post_rec("u1")])
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(InputFormatError, match=r"p\.jsonl: 9 of 10 lines malformed; wrong file format\?$"):
         load_corpus(ppath, spath)
 
 
@@ -379,7 +379,7 @@ def test_validate_exclusions_and_demotion():
 
 def test_validate_refuses_an_empty_ad_url_pattern():
     """"" is in every post, so it would reject every low-follower user who posts."""
-    with pytest.raises(ValueError, match="an ad URL pattern must not be empty"):
+    with pytest.raises(PipelineError, match="an ad URL pattern must not be empty"):
         validate_users(
             [UserProfile("u1", follower_count=3)], [Post("u1", "hello world")], ad_url_patterns=["taobao", ""],
             reference_date=REF,

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textpersona.errors import LexiconParseError, PipelineError
+from textpersona.errors import InputFormatError, PipelineError
 from textpersona.lexicon import (
     FeatureMatrix,
     Lexicon,
@@ -47,37 +47,37 @@ def test_parse_wildcard(tmp_path):
 
 def test_undeclared_category_is_fatal(tmp_path):
     path = write_dic(tmp_path, "%\n1\tPosEmo\n%\n高兴\t1\t3\n")
-    with pytest.raises(LexiconParseError, match=r"\.dic:4: entry references undeclared category id 3$"):
+    with pytest.raises(InputFormatError, match=r"\.dic:4: entry references undeclared category id 3$"):
         parse_lexicon(path)
 
 
 def test_duplicate_category_id_is_fatal(tmp_path):
     path = write_dic(tmp_path, "%\n1\tPosEmo\n1\tNegEmo\n%\n")
-    with pytest.raises(LexiconParseError, match="duplicate category id"):
+    with pytest.raises(InputFormatError, match="duplicate category id"):
         parse_lexicon(path)
 
 
 def test_duplicate_entry_is_fatal(tmp_path):
     path = write_dic(tmp_path, "%\n1\tA\n%\n开心\t1\n开心\t1\n")
-    with pytest.raises(LexiconParseError, match="duplicate entry"):
+    with pytest.raises(InputFormatError, match="duplicate entry"):
         parse_lexicon(path)
 
 
 def test_interior_star_is_fatal(tmp_path):
     path = write_dic(tmp_path, "%\n1\tA\n%\n开*心\t1\n")
-    with pytest.raises(LexiconParseError, match="trailing wildcard"):
+    with pytest.raises(InputFormatError, match="trailing wildcard"):
         parse_lexicon(path)
 
 
 def test_missing_header_is_fatal(tmp_path):
     path = write_dic(tmp_path, "开心\t1\n")
-    with pytest.raises(LexiconParseError):
+    with pytest.raises(InputFormatError, match=r"\.dic:1: entry found before the '%'-delimited header$"):
         parse_lexicon(path)
 
 
 def test_unclosed_header_error_names_path_without_line(tmp_path):
     path = write_dic(tmp_path, "%\n1\tA\n")
-    with pytest.raises(LexiconParseError) as info:
+    with pytest.raises(InputFormatError) as info:
         parse_lexicon(path)
     assert str(info.value) == f"{path}: missing '%'-delimited category header"
 

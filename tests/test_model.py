@@ -1,5 +1,6 @@
 """Mapping model: planted-truth recovery, optimality, serialization."""
 
+import random
 from math import fsum
 from operator import mul
 
@@ -8,14 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textpersona.errors import InputFormatError, ModelError
+from textpersona.errors import InputFormatError, PipelineError
 from textpersona.lexicon import FeatureMatrix
 from textpersona.model import (
     TRAITS,
     BigFive,
     MappingModel,
     fit,
-    holdout_split,
     load_model,
     predict,
     read_scores_csv,
@@ -79,8 +79,9 @@ def test_noisy_heldout_rmse_under_two_sigma():
     sigma = 1.0
     for seed in range(5):
         features, labels, W, b, X, _ = make_planted(100, 30, seed=seed, noise_sd=sigma)
-        train, test = holdout_split(features.user_ids, 0.3, seed=seed)
-        train_set = set(train)
+        ids = sorted(features.user_ids)
+        random.Random(seed).shuffle(ids)
+        train_set = set(ids[int(len(ids) * 0.3):])  # 30% held out
         model = fit(
             matrix((u, X[i]) for i, u in enumerate(features.user_ids) if u in train_set),
             [(u, s) for u, s in labels if u in train_set],
@@ -159,7 +160,7 @@ def test_fit_collinear_columns_lambda_zero_suggests_ridge():
     features, labels, _, _, X, _ = make_planted(40, 5, seed=14)
     X[:, 3] = 2.0 * X[:, 1]
     features = matrix(zip(features.user_ids, X))
-    with pytest.raises(ModelError, match="ridge"):
+    with pytest.raises(PipelineError, match="ridge"):
         fit(features, labels, ridge_lambda=0.0)
     fit(features, labels, ridge_lambda=1.0)
 
@@ -273,34 +274,34 @@ def test_predict_name_mismatch_names_the_culprit():
     features, labels, _, _, _, _ = make_planted(10, 3, seed=8)
     model = fit(features, labels, ridge_lambda=1.0)
     wrong = FeatureMatrix(("cat0", "WRONG", "cat2"), ("w",), (5,), ((1.0, 2.0, 3.0),))
-    with pytest.raises(ModelError, match="cat1.*WRONG|WRONG.*cat1"):
+    with pytest.raises(PipelineError, match="cat1.*WRONG|WRONG.*cat1"):
         predict(model, wrong)
 
 
 def test_fit_requires_two_users():
     features, labels, _, _, _, _ = make_planted(10, 3, seed=9)
-    with pytest.raises(ModelError, match="2 distinct"):
+    with pytest.raises(PipelineError, match="2 distinct"):
         fit(features, labels[:1], ridge_lambda=1.0)
 
 
 def test_fit_refuses_a_repeated_label_naming_the_user():
     """A label given twice would be trained on twice."""
     features, labels, _, _, _, _ = make_planted(10, 3, seed=10)
-    with pytest.raises(ModelError, match="'u0003' appears more than once"):
+    with pytest.raises(PipelineError, match="'u0003' appears more than once"):
         fit(features, labels + [labels[3]], ridge_lambda=1.0)
 
 
 def test_fit_missing_features_names_user():
     features, labels, _, _, _, _ = make_planted(10, 3, seed=10)
     labels.append(("phantom", BigFive(50, 50, 50, 50, 50)))
-    with pytest.raises(ModelError, match="phantom"):
+    with pytest.raises(PipelineError, match="phantom"):
         fit(features, labels, ridge_lambda=1.0)
 
 
 def test_fit_rank_deficient_lambda_zero_suggests_ridge():
     # K=5 but only 3 users: centered design cannot have rank 5
     features, labels, _, _, _, _ = make_planted(3, 5, seed=11)
-    with pytest.raises(ModelError, match="ridge"):
+    with pytest.raises(PipelineError, match="ridge"):
         fit(features, labels, ridge_lambda=0.0)
     fit(features, labels, ridge_lambda=1.0)  # ridge fixes it
 
@@ -310,7 +311,7 @@ def test_summarize_scores():
     assert one["O"] == (40.0, 0.0)
     two = summarize_scores([BigFive(40, 0, 0, 0, 0), BigFive(60, 0, 0, 0, 0)])
     assert two["O"] == (50.0, 10.0)
-    with pytest.raises(ModelError):
+    with pytest.raises(PipelineError, match="cannot summarize an empty score list"):
         summarize_scores([])
 
 

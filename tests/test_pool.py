@@ -16,7 +16,7 @@ import pytest
 from textpersona import cleaner, cli, report, segmenter, stats
 from textpersona._pool import parallel_map
 from textpersona.config import RunConfig, builtin_data_path
-from textpersona.errors import BundleError, StatsError
+from textpersona.errors import BundleError, PipelineError
 from textpersona.lexicon import Lexicon, LexiconEntry, compile_lexicon, featurize
 from textpersona.segmenter import WordList, segment_corpus
 
@@ -329,22 +329,22 @@ def test_analyses_error_beside_the_table_writer_is_a_bundle_error(tmp_path, monk
     _fan_out(monkeypatch, TABLE_GATE)
 
     def fail(joined):
-        raise StatsError("no provinces")
+        raise PipelineError("no provinces")
 
     monkeypatch.setattr(stats, "province_aggregate", fail)
     fds = _open_fds()
     with pytest.raises(BundleError) as err:
         report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
     assert err.value.stage == "analyses"
-    assert type(err.value.cause) is StatsError and str(err.value.cause) == "no provinces"
+    assert type(err.value.cause) is PipelineError and str(err.value.cause) == "no provinces"
     assert _no_child_left()
     assert _open_fds() == fds
 
 
 def test_bundle_error_survives_the_pipe():
     """A child sends its error pickled; a BundleError comes back with its stage and cause."""
-    err = pickle.loads(pickle.dumps(BundleError("analyses", StatsError("x"))))
-    assert (type(err), err.stage, type(err.cause), str(err.cause)) == (BundleError, "analyses", StatsError, "x")
+    err = pickle.loads(pickle.dumps(BundleError("analyses", PipelineError("x"))))
+    assert (type(err), err.stage, type(err.cause), str(err.cause)) == (BundleError, "analyses", PipelineError, "x")
     assert str(err) == "stage 'analyses' failed: x"
 
 
@@ -354,7 +354,7 @@ def _fail_correlations_in_the_child(patch) -> None:
     def correlation_matrix(features, scores, alpha):
         if os.getpid() == parent:
             raise AssertionError("correlation_matrix ran in the parent")
-        raise StatsError("no correlations")
+        raise PipelineError("no correlations")
 
     patch.setattr(stats, "correlation_matrix", correlation_matrix)
 
@@ -366,7 +366,7 @@ def test_correlation_error_in_the_table_writer_is_a_bundle_error(tmp_path, monke
     with pytest.raises(BundleError) as err:
         report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
     assert err.value.stage == "analyses"
-    assert type(err.value.cause) is StatsError and str(err.value.cause) == "no correlations"
+    assert type(err.value.cause) is PipelineError and str(err.value.cause) == "no correlations"
     assert _no_child_left()
     assert _open_fds() == fds
 
@@ -384,9 +384,10 @@ def test_correlation_error_in_the_table_writer_is_one_json_line_exit_3(tmp_path,
 CORPUS_FILES = ("profiles.jsonl", "posts.jsonl")
 
 
-def _corpus_copy(corpus: Path, rng: random.Random | None, shuffled=CORPUS_FILES) -> RunConfig:
+def _corpus_copy(corpus: Path, rng: random.Random | None, shuffled=CORPUS_FILES, edit=None) -> RunConfig:
     """The fixture corpus and word list in corpus, with emoticon rows; the
-    lines of the files named in shuffled are shuffled by rng if given.
+    lines of the files named in shuffled are shuffled by rng if given, and
+    each file's lines are edit(name, lines) if edit is given.
 
     Its run config names the corpus files and the word list (wordlist.txt)
     by relative path and every other file by absolute path, so two copies
@@ -399,6 +400,8 @@ def _corpus_copy(corpus: Path, rng: random.Random | None, shuffled=CORPUS_FILES)
         lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
         if rng is not None and name in shuffled:
             rng.shuffle(lines)
+        if edit is not None:
+            lines = edit(name, lines)
         (corpus / name).write_text("".join(lines), encoding="utf-8")
     for key, value in doc.items():
         if key.endswith("_path") and key not in ("profiles_path", "posts_path", "word_list_path"):
@@ -409,12 +412,23 @@ def _corpus_copy(corpus: Path, rng: random.Random | None, shuffled=CORPUS_FILES)
     return RunConfig.from_file(corpus / "run_config.json")
 
 
-def _bundles_differ_only_in_input_hashes(got_dir: Path, want_dir: Path) -> list[str]:
+def _bundles_differ_only_in_input_hashes(got_dir: Path, want_dir: Path, validity=None, id_prefix="") -> list[str]:
     """Assert two bundles hold the same tables and the same manifest apart from
-    its input hashes; the names of the inputs whose hashes differ, sorted."""
+    its input hashes; the names of the inputs whose hashes differ, sorted.
+
+    If validity is given, it is got's manifest validity, which may then
+    differ from want's. If id_prefix is given, it starts every user id cell
+    of got's features.* and scores.*, and is taken off before comparing."""
     got, want = _bundle_bytes(got_dir), _bundle_bytes(want_dir)
     manifests = [json.loads(files.pop("manifest.json")) for files in (got, want)]
+    if id_prefix:
+        for stem in ("features", "scores"):
+            got[f"{stem}.csv"] = _without_id_prefix(got[f"{stem}.csv"], b"\n", id_prefix.encode())
+            got[f"{stem}.json"] = _without_id_prefix(got[f"{stem}.json"], b'["', id_prefix.encode())
     assert got == want
+    if validity is not None:
+        assert manifests[0].pop("validity") == validity
+        manifests[1].pop("validity")
     hashes = [manifest.pop("input_hashes") for manifest in manifests]
     assert manifests[0] == manifests[1]
     assert [a["name"] for a in manifests[0]["artifacts"]] == [
@@ -422,6 +436,13 @@ def _bundles_differ_only_in_input_hashes(got_dir: Path, want_dir: Path) -> list[
         "tag_contrast", "group_means", "trends", "province_means", "emoticon_contrast",
     ]
     return sorted(key for key in hashes[0] if hashes[0][key] != hashes[1][key])
+
+
+def _without_id_prefix(data: bytes, row_start: bytes, prefix: bytes) -> bytes:
+    """data with prefix taken off after each row_start; every one of the
+    fixture's 120 users' rows must hold it."""
+    assert data.count(row_start + prefix) == 120
+    return data.replace(row_start + prefix, row_start)
 
 
 @pytest.mark.parametrize("gates", [(), (TABLE_GATE,)], ids=["serial", "tables"])
@@ -452,6 +473,51 @@ def test_bundle_does_not_depend_on_word_list_line_order(tmp_path):
     assert _bundles_differ_only_in_input_hashes(tmp_path / "shuffled_out", tmp_path / "ordered_out") == [
         "word_list"
     ]
+
+
+AD_ACCOUNT = {  # a profile every analysis would count, if validate let it through
+    "birth_date": "1990-05-01", "follower_count": 0, "gender": "m", "location": "北京", "schools": ["学校0"],
+    "tags": ["Music", "Reading"], "user_id": "u00059ad", "verified": False,
+}
+AD_POST = {"is_repost": False, "text": "好物推荐开心[哈哈] http://taobao.com/item", "user_id": "u00059ad"}
+
+
+def test_a_rejected_user_changes_only_the_manifest_validity(tmp_path):
+    """An ad account that validate rejects leaves every table as it was; the
+    manifest's validity names it, and only the corpus files' hashes move."""
+
+    def with_ad_account(name, lines):
+        added = {"profiles.jsonl": AD_ACCOUNT, "posts.jsonl": AD_POST}.get(name)
+        return lines if added is None else [*lines, json.dumps(added, ensure_ascii=False) + "\n"]
+
+    plain = _corpus_copy(tmp_path / "plain", None)
+    with_ad = _corpus_copy(tmp_path / "with_ad", None, edit=with_ad_account)
+    report.build_bundle(plain, tmp_path / "plain_out")
+    report.build_bundle(with_ad, tmp_path / "with_ad_out")
+    validity = {"accepted": 120, "rejected": [["u00059ad", "ad_account"]], "total_users": 121}
+    assert _bundles_differ_only_in_input_hashes(tmp_path / "with_ad_out", tmp_path / "plain_out", validity) == [
+        "posts", "profiles"
+    ]
+
+
+def test_bundle_does_not_depend_on_user_id_values(tmp_path):
+    """Relabelling every user id with one prefix keeps their order, so only
+    the id cells of features.* and scores.* change, and the corpus hashes."""
+
+    def relabelled(name, lines):
+        if name not in CORPUS_FILES:
+            return lines
+        out = [line.replace('"user_id": "', '"user_id": "id-', 1) for line in lines]
+        assert sum(a != b for a, b in zip(out, lines)) == len(lines)
+        return out
+
+    plain = _corpus_copy(tmp_path / "plain", None)
+    relabel = _corpus_copy(tmp_path / "relabelled", None, edit=relabelled)
+    report.build_bundle(plain, tmp_path / "plain_out")
+    report.build_bundle(relabel, tmp_path / "relabelled_out")
+    assert _bundles_differ_only_in_input_hashes(
+        tmp_path / "relabelled_out", tmp_path / "plain_out", id_prefix="id-"
+    ) == ["posts", "profiles"]
 
 
 def test_tables_are_written_in_process_while_another_thread_runs(tmp_path, monkeypatch):

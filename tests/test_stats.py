@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textpersona.corpus import UserProfile
-from textpersona.errors import StatsError
+from textpersona.errors import PipelineError
 from textpersona.model import BigFive
 from textpersona.stats import (
     BINNINGS,
@@ -57,12 +57,17 @@ def oracle_pearson(x, y):
     sxx = mpmath.fsum((a - xm) ** 2 for a in xs)
     syy = mpmath.fsum((b - ym) ** 2 for b in ys)
     r = sxy / mpmath.sqrt(sxx * syy)
+    return float(r), oracle_p(r, n)
+
+
+def oracle_p(r, n):
+    """Arbitrary-precision two-tailed p of a correlation r over n points."""
+    r = mpmath.mpf(r)
     nu = n - 2
     if abs(r) >= 1:
-        return float(r), 0.0
+        return 0.0
     xarg = nu / (nu + r * r * nu / (1 - r * r))
-    p = mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, xarg, regularized=True)
-    return float(r), float(p)
+    return float(mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, xarg, regularized=True))
 
 
 def test_perfect_linearity():
@@ -89,16 +94,16 @@ def test_p_anchor_r195_n102():
 
 
 def test_constant_vector_domain_error():
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match="constant vector"):
         pearson([1, 1, 1], [1, 2, 3])
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match="constant vector"):
         pearson([1, 2, 3], [5, 5, 5])
 
 
 def test_length_mismatch_and_short_input():
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match="length mismatch: 2 vs 3"):
         pearson([1, 2], [1, 2, 3])
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match="need at least 3 points, got 2"):
         pearson([1, 2], [1, 2])
 
 
@@ -133,7 +138,7 @@ def test_pearson_survives_an_overflowing_variance_product():
     col = [1e160, 2e160, 4e160]
     assert pearson(col, col) == (1.0, 0.0, 3)
     assert pearson(col, [3.0, 1.0, 7.0]) == pearson([1.0, 2.0, 4.0], [3.0, 1.0, 7.0])
-    with pytest.raises(StatsError):  # the deviations themselves overflow
+    with pytest.raises(PipelineError, match="beyond the float range"):  # the deviations themselves overflow
         pearson([1.7e308, -1.7e308, 1.7e308], [1.0, 2.0, 3.0])
 
 
@@ -149,15 +154,37 @@ _SPREAD = st.lists(st.integers(-1000, 1000), min_size=3, max_size=12).filter(_sp
 def test_pearson_of_extreme_scale_columns_matches_the_oracle(data, xs, kx, ky):
     """Columns scaled by 2**k from 2**-1000 to 2**1000, so that sxx, syy or their
     product leaves the float range: r and p equal the unscaled columns' bits,
-    and the arbitrary-precision oracle's within 1e-12."""
+    r is the arbitrary-precision oracle's within 1e-12, and so is p at that r.
+
+    p is compared at the program's r, not the oracle's: as |r| nears 1 with
+    few points, one ulp of r moves p by far more than 1e-12."""
     ys = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(xs), max_size=len(xs)).filter(_spread))
     x = [math.ldexp(v, kx) for v in xs]
     y = [math.ldexp(v, ky) for v in ys]
     r, p, _ = pearson(x, y)
     assert (r, p) == pearson(xs, ys)[:2]
-    r_ref, p_ref = oracle_pearson(x, y)
+    r_ref, _ = oracle_pearson(x, y)
     assert abs(r - r_ref) < 1e-12
-    assert abs(p - p_ref) < 1e-12
+    assert abs(p - oracle_p(r, len(x))) < 1e-12
+
+
+def test_pearson_one_ulp_below_a_perfect_correlation_matches_the_oracle_at_its_r():
+    """The exact r is 1 and p is 0; the float r lands one ulp below 1, where
+    p is about 1e-8: p is still right for the r the program computed."""
+    r, p, n = pearson([0, 9, 0], [0, 1, 0])
+    assert oracle_pearson([0, 9, 0], [0, 1, 0]) == (1.0, 0.0)
+    assert abs(r - 1.0) < 1e-12 and n == 3
+    assert abs(p - oracle_p(r, n)) < 1e-12
+
+
+def test_pearson_of_a_nan_or_an_infinity_is_undefined():
+    """A NaN r once went through the clamp to r = -1 and p = 0."""
+    for bad in (math.nan, math.inf):
+        with pytest.raises(PipelineError, match="not finite"):
+            pearson([bad, 1, 2], [1, 2, 3])
+    features = matrix(("F",), [("u0", (math.nan,)), ("u1", (1.0,)), ("u2", (2.0,))])
+    scores = [(uid, b5(o=o)) for uid, o in (("u0", 1.0), ("u1", 2.0), ("u2", 3.0))]
+    assert {(res.r, res.p) for res in correlation_matrix(features, scores)} == {(None, None)}
 
 
 def test_pearson_affine_equivariance_exact():
@@ -287,7 +314,7 @@ def test_correlation_matrix_equals_pearson_exactly(data):
             y = [score_by_id[uid].get(trait) for uid in joined]
             try:
                 r, p, _ = pearson(x, y)
-            except StatsError:
+            except PipelineError:
                 r = p = None
             assert (r, p) == pairwise_pearson(x, y)
             expected.append((name, trait, r, p, len(joined), p is not None and p < 0.05))
@@ -298,7 +325,7 @@ def test_correlation_matrix_equals_pearson_exactly(data):
 
 def test_correlation_matrix_requires_three_joined():
     features = matrix(("F",), [("a", (1.0,)), ("b", (2.0,))])
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match="need at least 3 joined users, got 2"):
         correlation_matrix(features, [("a", b5()), ("b", b5())])
 
 
@@ -365,11 +392,11 @@ def test_polarity_split_boundary_invariants():
 
 
 def test_polarity_split_domain_errors():
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match="need at least 4 users, got 3"):
         polarity_split([("a", 1.0)] * 3, 0.25)
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match="selects no users"):
         polarity_split([(f"u{i}", float(i)) for i in range(5)], 0.1)  # floor(0.5) = 0
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match=r"quantile must be in \(0, 0\.5\], got 0\.7"):
         polarity_split([(f"u{i}", float(i)) for i in range(8)], 0.7)
 
 
@@ -390,7 +417,7 @@ def test_tag_contrast_unanimous_tag_ranks_first():
 
 def test_tag_contrast_missing_profile_fatal():
     split = polarity_split([(f"u{i}", float(i)) for i in range(4)], 0.25)
-    with pytest.raises(StatsError, match="u3"):
+    with pytest.raises(PipelineError, match="u3"):
         tag_contrast(split, [prof("u0")], top_k=3)
 
 
@@ -398,7 +425,7 @@ def test_tag_contrast_rejects_negative_top_k():
     split = polarity_split([(f"u{i}", float(i)) for i in range(8)], 0.25)
     profiles = [prof(f"u{i}", tags=("Music",)) for i in range(8)]
     assert tag_contrast(split, profiles, top_k=0).high == ()
-    with pytest.raises(StatsError, match="top_k"):
+    with pytest.raises(PipelineError, match="top_k"):
         tag_contrast(split, profiles, top_k=-1)
 
 
@@ -455,7 +482,7 @@ def test_group_means_excludes_unknown_gender():
 
 
 def test_group_means_unknown_key_lists_supported():
-    with pytest.raises(StatsError, match="gender"):
+    with pytest.raises(PipelineError, match="gender"):
         group_means([(prof("u1"), b5())], "zodiac")
 
 
@@ -552,7 +579,7 @@ def test_binned_trend_introduction_length():
 
 
 def test_binned_trend_bad_binning():
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match="unknown binning 'shoe_size'"):
         binned_trend([(prof("u1"), b5())], "shoe_size")
 
 
@@ -756,7 +783,7 @@ def test_emoticon_contrast_oracle_meets_its_edge_cases():
 
 
 def test_emoticon_contrasts_rejects_negative_min_count():
-    with pytest.raises(StatsError):
+    with pytest.raises(PipelineError, match="min_count must be >= 0"):
         emoticon_contrasts([], {}, min_count=-1)
 
 
