@@ -1,13 +1,14 @@
 """Order-preserving map that splits its items across forked workers.
 
 report.build_bundle uses this map twice, each time only on corpora large
-enough to pay for a fork: report.text_features maps its per-user text
-pass over the users, as lexicon.featurize maps its per-user counts, and
-after predict a child writes the features table and runs and writes the
+enough to pay for a fork. report.score_users maps its per-user pass over
+shares of the users: each worker cleans, segments and featurizes one
+share, predicts its scores, and sends back tuples and plain dicts. After
+predict a child writes the features table and runs and writes the
 correlations, the work that reads the feature matrix, while the parent
 writes the scores table and runs the other analyses. The threads=
-keyword of clean_corpus, segment_corpus and featurize goes through it
-too.
+keyword of clean_corpus, segment_corpus and lexicon.featurize goes
+through it too.
 
 threads <= 1 (or fewer than two items) runs in-process. Otherwise the
 items are cut into min(threads, len(items)) contiguous shares of equal

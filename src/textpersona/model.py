@@ -87,7 +87,9 @@ def fit(
 
     Every labeled user must appear once and have a non-degenerate row;
     users are joined on user_id and processed in sorted id order, so the
-    fit is reproducible regardless of input ordering.
+    fit is reproducible regardless of input ordering. Labels so large
+    that a trait's weights overflow the float range raise PipelineError
+    naming the trait.
     """
     RunConfig.check("ridge_lambda", ridge_lambda)
     if len({uid for uid, _ in labels}) < 2:
@@ -109,15 +111,26 @@ def fit(
         rows.append(row)
         targets.append(score)
 
-    x_mean, x_cols = _centered_columns(rows)
-    y_mean, y_cols = _centered_columns(targets)
+    x_centered = [_centered(col) for col in zip(*rows)]
+    x_mean, x_cols = [mean for mean, _ in x_centered], [col for _, col in x_centered]
     # lower triangle only: the factorization never reads the upper one
     gram = [[fsum(map(mul, ci, cj)) for cj in x_cols[: i + 1]] for i, ci in enumerate(x_cols)]
     for j, row in enumerate(gram):
         row[j] += ridge_lambda
     chol = _cholesky(gram, features.names, ridge_lambda)
-    W_cols = [_cholesky_solve(chol, [fsum(map(mul, xc, yc)) for xc in x_cols]) for yc in y_cols]
-    b = [ym - fsum(map(mul, x_mean, w)) for ym, w in zip(y_mean, W_cols)]
+    W_cols, b = [], []
+    for trait, y in zip(TRAITS, zip(*targets)):
+        try:
+            y_mean, yc = _centered(y)
+            w = _cholesky_solve(chol, [fsum(map(mul, xc, yc)) for xc in x_cols])
+            b_t = y_mean - fsum(map(mul, x_mean, w))
+            finite = all(map(math.isfinite, (*w, b_t)))
+        except (OverflowError, ValueError):  # fsum of finite terms past the float range, or of inf and -inf
+            finite = False
+        if not finite:
+            raise PipelineError(f"the weights of trait {trait} overflow the float range")
+        W_cols.append(w)
+        b.append(b_t)
     return MappingModel(
         category_names=features.names,
         W=tuple(zip(*W_cols)),
@@ -132,14 +145,10 @@ def fit(
 _PIVOT_RTOL = 1e-12
 
 
-def _centered_columns(rows: Sequence[Sequence[float]]) -> tuple[list[float], list[list[float]]]:
-    """Column means (fsum) and the columns minus their means."""
-    means, cols = [], []
-    for col in zip(*rows):
-        mean = fsum(col) / len(col)
-        means.append(mean)
-        cols.append([float(v) - mean for v in col])
-    return means, cols
+def _centered(col: Sequence[float]) -> tuple[float, list[float]]:
+    """A column's mean (fsum) and the column minus it."""
+    mean = fsum(col) / len(col)
+    return mean, [float(v) - mean for v in col]
 
 
 def _cholesky(
@@ -195,7 +204,9 @@ def predict(
     file as in process. Only a row's nonzero cells are summed: a zero
     cell adds an exact zero, which cannot move fsum's correctly rounded
     sum (nor its sign: fsum keeps no zero term), and load_model and
-    featurize keep weights and cells finite.
+    featurize keep weights and cells finite. Weights so large that a
+    user's scores overflow the float range raise PipelineError naming
+    the user.
     """
     _check_names(model.category_names, features.names)
     scores: list[tuple[str, BigFive]] = []
@@ -208,7 +219,10 @@ def predict(
             continue
         hit = [*compress(x, x)]
         y = (round(fsum([*map(mul, hit, compress(w_col, x)), b_t]), 6) for w_col, b_t in zip(w_cols, model.b))
-        scores.append((user_id, BigFive(*y)))
+        try:
+            scores.append((user_id, BigFive(*y)))
+        except (OverflowError, ValueError):  # an fsum past the float range, or a score that is not finite
+            raise PipelineError(f"the scores of user {user_id!r} overflow the float range") from None
     return scores, skipped
 
 

@@ -21,9 +21,8 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-from collections import Counter
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -247,14 +246,20 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-# raw characters of accepted posts each forked worker needs before the
-# text pass pays for its fork. Measured on a 2-CPU machine, median ms of
-# 12 to 24 alternating in-process runs, two forked workers minus in
-# process: long posts lost at 32k per worker (+1.7) and paid from 61k
-# (-6.3; -22 at 121k, -217 at 726k), but short emoticon-dense posts,
-# whose many users each send back a row, were even at 120k (+7.9, -0.6
-# on two corpora) and barely paid at 240k (-13.1, -1.8).
-MIN_CHARS_PER_WORKER = 300_000
+# raw characters of accepted users' posts each worker of score_users
+# needs before its fork pays. Measured on a 2-CPU machine: median ms of
+# 16 alternating in-process runs of score_users over the first users of
+# the benchmark's corpora (seeds 1 and 2), two workers minus in process.
+# Long posts (text_heavy) were +3.2 to -3.8 from 25k to 49k characters
+# and paid from 65k (-5.1, -7.2); short emoticon-dense posts (user_heavy,
+# about 100 characters a user) were +3.6 to -6.5 from 20k to 49k and
+# paid from 59k (-0.9 to -9.7; -11 to -13 at 78k and 98k). At equal
+# characters the two shapes fell alike (40k: +2.2 and +1.8 on seed 1,
+# -2.0 and -3.3 on seed 2): once a user's results go back as tuples and
+# plain dicts, the number of users moves the break-even by less than the
+# noise, so it only caps the workers at one per user. Two workers need
+# 50k characters, so the fixture corpus (22.6k) stays serial.
+MIN_CHARS_PER_WORKER = 25_000
 
 # cells of the per-user tables (features plus scores) per worker before
 # running the share that reads the feature matrix (build_bundle) in a
@@ -269,46 +274,73 @@ MIN_CHARS_PER_WORKER = 300_000
 MIN_TABLE_CELLS_PER_WORKER = 10_000
 
 
-def text_features(
+def user_pass_workers(chars: int, users: int) -> int:
+    """Workers for score_users over users whose posts hold chars raw characters: at most one per user."""
+    return min(fork_workers(chars, MIN_CHARS_PER_WORKER), max(1, users))
+
+
+def score_users(
     texts_by_user: Mapping[str, Sequence[str]],
     clean: Callable[[str], cleaner_mod.CleanResult],
     word_list: segmenter_mod.WordList,
     matcher: lexicon_mod.CompiledMatcher,
-) -> tuple[lexicon_mod.FeatureMatrix, dict[str, Counter[str]]]:
-    """Features and emoticon usage of each user, in one pass over their raw posts.
+    model: model_mod.MappingModel,
+) -> tuple[lexicon_mod.FeatureMatrix, dict[str, dict[str, int]], list[tuple[str, BigFive]], list[str]]:
+    """Features, emoticon usage, scores and skipped ids of each user, in one pass over their raw posts.
 
     Each post is cleaned and its segment() counted by
-    lexicon.featurize_user as it is made; a user's emoticons are gathered
-    in one list and counted once, after their last post. The users are
-    mapped in id order, with one worker per MIN_CHARS_PER_WORKER raw
-    characters of the corpus (_pool.fork_workers), so the result does
-    not depend on the worker count. Users without a kept emoticon are
-    absent from usage.
+    lexicon.featurize_user as it is made, and a user's emoticons are
+    counted into a plain dict, in order of first use. The sorted user
+    ids are cut into contiguous shares, one per worker
+    (user_pass_workers); each share builds its FeatureMatrix and runs
+    model.predict on it, and the shares are joined in id order, so the
+    result does not depend on the worker count. A share's predict
+    failure raises BundleError naming stage predict, which a forked
+    worker sends back whole. Users without a kept emoticon are absent
+    from usage.
     """
     user_ids = tuple(sorted(texts_by_user))
     count = partial(lexicon_mod.featurize_user, matcher, {})  # one lookup memo, copied into each worker
     segment = segmenter_mod.segment  # read per call, so a patched segment() is the one run
+    # one str object per distinct emoticon, so pickle sends each once per share
+    emoticon_key = {}.setdefault
 
-    def one_user(uid: str) -> tuple[int, tuple[float, ...], Counter[str]]:
-        emoticons: list[str] = []
+    def one_user(uid: str) -> tuple[int, tuple[float, ...], dict[str, int]]:
+        usage: dict[str, int] = {}
 
         def tokens():
             for text in texts_by_user[uid]:
                 clean_text, found, dropped = clean(text)
                 if not dropped:
-                    if found:
-                        emoticons.extend(found)
+                    for emoticon in found:
+                        emoticon = emoticon_key(emoticon, emoticon)
+                        usage[emoticon] = usage.get(emoticon, 0) + 1
                     yield segment(clean_text, word_list)
 
         n, row = count(tokens())
-        return n, row, Counter(emoticons)
+        return n, row, usage
+
+    def one_share(ids: tuple[str, ...]):
+        counted = [one_user(uid) for uid in ids]
+        counts, rows = tuple(n for n, _, _ in counted), tuple(row for _, row, _ in counted)
+        usage = {uid: used for uid, (_, _, used) in zip(ids, counted) if used}
+        features = lexicon_mod.FeatureMatrix(matcher.category_names, ids, counts, rows)
+        try:
+            scores, skipped = model_mod.predict(model, features)
+        except Exception as err:
+            raise BundleError("predict", err) from err
+        return counts, rows, usage, scores, skipped
 
     chars = sum(len(text) for texts in texts_by_user.values() for text in texts)
-    counted = parallel_map(one_user, user_ids, threads=fork_workers(chars, MIN_CHARS_PER_WORKER))
+    workers = user_pass_workers(chars, len(user_ids))
+    cuts = [len(user_ids) * w // workers for w in range(workers + 1)]
+    shares = [user_ids[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    counts, rows, usage, scores, skipped = zip(*parallel_map(one_share, shares, threads=workers))
     features = lexicon_mod.FeatureMatrix(
-        matcher.category_names, user_ids, tuple(n for n, _, _ in counted), tuple(row for _, row, _ in counted)
+        matcher.category_names, user_ids, tuple(chain.from_iterable(counts)), tuple(chain.from_iterable(rows))
     )
-    return features, {uid: usage for uid, (_, _, usage) in zip(user_ids, counted) if usage}
+    usage = dict(chain.from_iterable(share.items() for share in usage))
+    return features, usage, [*chain.from_iterable(scores)], [*chain.from_iterable(skipped)]
 
 
 # a bundle needs these; the spam keyword and system template paths may be unset
@@ -326,11 +358,15 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
 
     Stages: load -> validate -> clean -> segment -> featurize -> predict
     -> analyses; loading the spam and template rules counts as clean,
-    loading the word list as segment. Any stage failure aborts with the
-    stage name. Clean, segment and featurize are one pass per user (see
-    text_features), so no post's cleaned text or token list is kept; on
-    corpora with enough raw characters the users are mapped over forked
-    workers.
+    loading the word list as segment, and the model, loaded after the
+    lexicon and before any post is cleaned, as predict. Any stage
+    failure aborts with the stage name. Clean, segment, featurize and
+    predict are one pass per user (score_users), so no post's cleaned
+    text or token list is kept: the users are cut into shares, and each
+    share is featurized and then predicted on its own. On corpora with
+    enough raw characters (user_pass_workers) the shares run in forked
+    workers; a failure keeps its stage, featurize or predict, across the
+    pipe.
 
     After predict the work splits into two shares of about equal time:
     one reads the feature matrix (features.*, then correlation_matrix and
@@ -369,6 +405,8 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
+        except BundleError:  # score_users names the stage of its own failures
+            raise
         except Exception as err:
             raise BundleError(name, err) from err
 
@@ -390,16 +428,16 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     word_list = stage("segment", segmenter_mod.load_word_list, config.word_list_path)
     lexicon = stage("featurize", lexicon_mod.parse_lexicon, config.lexicon_path)
     matcher = lexicon_mod.compile_lexicon(lexicon)
+    mapping = stage("predict", model_mod.load_model, config.model_path)
     texts_by_user: dict[str, list[str]] = {p.user_id: [] for p in profiles}
     for post in posts:
         texts_by_user[post.user_id].append(post.text)
     del posts  # each text-layer input is freed once read
     clean = partial(cleaner_mod.clean, spam_keywords=spam, system_templates=templates)
-    features, emoticon_usage = stage("featurize", text_features, texts_by_user, clean, word_list, matcher)
+    features, emoticon_usage, scores, _skipped = stage(
+        "featurize", score_users, texts_by_user, clean, word_list, matcher, mapping
+    )
     del texts_by_user
-
-    mapping = stage("predict", model_mod.load_model, config.model_path)
-    scores, _skipped = stage("predict", model_mod.predict, mapping, features)
 
     profile_by_id = {p.user_id: p for p in profiles}
     joined = [(profile_by_id[uid], score) for uid, score in scores]

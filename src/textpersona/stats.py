@@ -64,9 +64,18 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, int]:
 
 
 def _centred(values: Sequence[float]) -> tuple[list[float], float]:
-    """A column's deviations from its fsum mean, and the fsum of their squares."""
+    """A column's deviations from its fsum mean, and the fsum of their squares.
+
+    A sum of finite values beyond the float range, or one of +inf and
+    -inf, raises PipelineError.
+    """
     xs = [float(v) for v in values]
-    mean = fsum(xs) / len(xs)
+    try:
+        mean = fsum(xs) / len(xs)
+    except OverflowError:
+        raise PipelineError("correlation undefined for values whose sum overflows the float range") from None
+    except ValueError:  # -inf + inf
+        raise PipelineError("correlation undefined for a value that is not finite") from None
     dev = [v - mean for v in xs]
     return dev, fsum(map(mul, dev, dev))
 
@@ -137,7 +146,9 @@ def correlation_matrix(
     Pairs where either side is constant across users are emitted with
     r and p undefined instead of being dropped. Each column is centred
     once, exactly as pearson centres it, so every r and p equals
-    pearson's on the same joined, user-id-sorted columns.
+    pearson's on the same joined, user-id-sorted columns. A column that
+    pearson cannot centre (its sum overflows the float range) raises
+    PipelineError naming the feature or trait.
     """
     RunConfig.check("alpha", alpha)
     score_by_id = dict(scores)
@@ -145,10 +156,19 @@ def correlation_matrix(
     if len(joined) < 3:
         raise PipelineError(f"need at least 3 joined users, got {len(joined)}")
     n = len(joined)
-    trait_cols = [_centred(col) for col in zip(*(score_by_id[uid] for uid, _ in joined))]
+
+    def centred(column: str, values: Sequence[float]) -> tuple[list[float], float]:
+        try:
+            return _centred(values)
+        except PipelineError as err:
+            raise PipelineError(f"{column}: {err}") from None
+
+    trait_cols = [
+        centred(f"trait {trait}", col) for trait, col in zip(TRAITS, zip(*(score_by_id[uid] for uid, _ in joined)))
+    ]
     results = []
     for name, values in zip(features.names, zip(*(row for _, row in joined))):
-        col = _centred(values)
+        col = centred(f"feature {name!r}", values)
         for trait, trait_col in zip(TRAITS, trait_cols):
             try:
                 r, p = _centred_r_p(col, trait_col)

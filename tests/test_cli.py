@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import textpersona
+from textpersona import report as report_mod
 from textpersona.cli import EXIT_FORMAT, EXIT_PIPELINE, EXIT_USAGE, main
 from textpersona.config import RunConfig, builtin_data_path, load_keyword_file
 from textpersona.corpus import load_profiles
@@ -801,9 +802,17 @@ def _model_with_w(value: float, out: Path) -> Path:
     return out
 
 
-@pytest.mark.parametrize("command", ["correlate", "fit", "predict"])
-def test_finite_values_whose_sums_overflow_exit_3(staged, tmp_path, capsys, command):
-    """Finite numbers near the float maximum overflow a sum; that is a domain error, not a crash."""
+@pytest.mark.parametrize(
+    "command, culprit",
+    [
+        ("correlate", "trait O: correlation undefined for values whose sum overflows the float range"),
+        ("fit", "the weights of trait O overflow the float range"),
+        ("predict", "the scores of user 'u00000' overflow the float range"),
+    ],
+)
+def test_finite_values_whose_sums_overflow_exit_3(staged, tmp_path, capsys, command, culprit):
+    """Finite numbers near the float maximum overflow a sum; that is a domain error
+    naming the column or user, not a crash."""
     features = staged / "features.csv"
     if command == "correlate":
         scores = _with_cells(TESTDATA / "scores_golden.csv", 2, "1.7e308", tmp_path / "scores.csv")
@@ -816,7 +825,22 @@ def test_finite_values_whose_sums_overflow_exit_3(staged, tmp_path, capsys, comm
         model = _model_with_w(1e308, tmp_path / "model.json")
         argv = ["--model", model, "--features", features, "--out", tmp_path / "s.csv"]
     assert run(command, *argv) == EXIT_PIPELINE
-    assert "overflow" in one_error_line(capsys, EXIT_PIPELINE)
+    assert one_error_line(capsys, EXIT_PIPELINE) == culprit
+
+
+def test_report_whose_scores_overflow_in_forked_shares_exit_3(tmp_path, capsys, monkeypatch):
+    """With the per-user pass split over three workers, every share's predict
+    overflows; the parent's own share, the first ids, is the one reported."""
+    monkeypatch.setattr(report_mod, "MIN_CHARS_PER_WORKER", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert report_mod.user_pass_workers(22_621, 120) == 3
+    config = tmp_path / "config.json"
+    config.write_text(fixture_config(model_path=str(_model_with_w(1e308, tmp_path / "model.json"))), encoding="utf-8")
+    assert run("report", "--config", config, "--out-dir", tmp_path / "bundle") == EXIT_PIPELINE
+    error = one_error_line(capsys, EXIT_PIPELINE)
+    assert error == "stage 'predict' failed: the scores of user 'u00000' overflow the float range"
+    with pytest.raises(ChildProcessError):  # no worker is left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_missing_file_exit_3(tmp_path):

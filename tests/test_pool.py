@@ -13,11 +13,12 @@ from pathlib import Path
 
 import pytest
 
-from textpersona import cleaner, cli, report, segmenter, stats
+from textpersona import cleaner, cli, model, report, segmenter, stats
 from textpersona._pool import parallel_map
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.errors import BundleError, PipelineError
 from textpersona.lexicon import Lexicon, LexiconEntry, compile_lexicon, featurize
+from textpersona.model import BigFive, MappingModel
 from textpersona.segmenter import WordList, segment_corpus
 
 from perfbench import traced
@@ -187,11 +188,24 @@ TABLE_GATE = "MIN_TABLE_CELLS_PER_WORKER"
 
 
 def _fan_out(patch, *gates: str) -> None:
-    """Open build_bundle's named fork gates on any corpus, with three CPUs: the text
-    pass then splits over three workers, the per-user tables go to one child."""
+    """Open build_bundle's named fork gates on any corpus, with three CPUs: the
+    per-user pass then splits over three workers, the per-user tables go to one child."""
     for gate in gates:
         patch.setattr(report, gate, 1)
     patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+
+
+def _count_forks(patch) -> list[int]:
+    """The pids that call os.fork from now on, one per fork."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    patch.setattr(os, "fork", counting_fork)
+    return forks
 
 
 def _bundle_bytes(out_dir: Path) -> dict:
@@ -230,14 +244,20 @@ def test_fanned_out_bundle_equals_serial_and_staged_bundles(corpus_config, gates
     report.build_bundle(corpus_config, tmp_path / "serial")
     traced.compose_bundle(corpus_config, tmp_path / "staged", traced.Tracer())
     _fan_out(monkeypatch, *gates)
-    assert all(report.fork_workers(10**6, getattr(report, gate)) == 3 for gate in gates)
+    forks = _count_forks(monkeypatch)
     fds = _open_fds()
     report.build_bundle(corpus_config, tmp_path / "forked")
+    # three workers for the per-user pass are two children, the tables' share one
+    assert len(forks) == 2 * (TEXT_GATE in gates) + (TABLE_GATE in gates)
     serial = _bundle_bytes(tmp_path / "serial")
     assert _bundle_bytes(tmp_path / "forked") == serial
     assert _bundle_bytes(tmp_path / "staged") == serial
     assert _no_child_left()
     assert _open_fds() == fds
+    if corpus_config.posts_path != str(FIXTURE / "posts.jsonl"):  # the edge corpus
+        rows = (tmp_path / "forked" / "features.csv").read_text(encoding="utf-8").splitlines()[1:]
+        (degenerate,) = [i for i, row in enumerate(rows) if row.split(",")[1] == "0"]
+        assert degenerate >= len(rows) // 3  # past the parent's share, so a worker skipped it
 
 
 def test_fixture_bundle_forks_no_worker(tmp_path, monkeypatch):
@@ -253,23 +273,20 @@ def test_fixture_bundle_forks_no_worker(tmp_path, monkeypatch):
 
 
 def test_text_pass_forks_no_worker_for_a_single_user(monkeypatch):
-    """Three CPUs and the text gate open give three workers, but one user is one item."""
+    """Three CPUs and the text gate open give three workers, but one user is one share."""
     _fan_out(monkeypatch, TEXT_GATE)
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counting_fork)
+    forks = _count_forks(monkeypatch)
     clean = partial(cleaner.clean, spam_keywords=())
     words = WordList.from_words(["甲乙"])
-    features, usage = report.text_features({"u0": ["甲乙 [心]"]}, clean, words, _matcher("A", "甲乙"))
-    assert report.fork_workers(10**6, report.MIN_CHARS_PER_WORKER) == 3
+    mapping = MappingModel(("A",), ((1.0, 2.0, 0.0, -1.0, 0.5),), (0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 2)
+    features, usage, scores, skipped = report.score_users(
+        {"u0": ["甲乙 [心]"]}, clean, words, _matcher("A", "甲乙"), mapping
+    )
+    assert (report.user_pass_workers(10**6, 3), report.user_pass_workers(10**6, 1)) == (3, 1)
     assert forks == []
     assert (features.user_ids, features.token_counts, features.rows) == (("u0",), (1,), ((100.0,),))
-    assert usage == {"u0": {"[心]": 1}}
+    assert type(usage["u0"]) is dict and usage == {"u0": {"[心]": 1}}
+    assert (scores, skipped) == ([("u0", BigFive(100.0, 201.0, 2.0, -97.0, 54.0))], [])
 
 
 def test_edge_corpus_has_its_edge_cases(tmp_path):
@@ -280,24 +297,45 @@ def test_edge_corpus_has_its_edge_cases(tmp_path):
     assert not any(line.startswith("nobody,") for line in features)
 
 
-def test_worker_error_is_a_bundle_error_naming_the_stage(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "module, name, stage",
+    [(segmenter, "segment", "featurize"), (model, "predict", "predict")],
+    ids=["featurize", "predict"],
+)
+def test_worker_error_is_a_bundle_error_naming_the_stage(module, name, stage, tmp_path, monkeypatch):
+    """segment runs in the text pass, predict on the share's feature matrix after it."""
     _fan_out(monkeypatch, TEXT_GATE)
     parent = os.getpid()
-    real_segment = segmenter.segment
+    real = getattr(module, name)
 
-    def segment_in_parent_only(text, word_list):
+    def in_parent_only(*args):
         if os.getpid() != parent:
-            raise ValueError("segmenting in a worker")
-        return real_segment(text, word_list)
+            raise ValueError(f"{name} in a worker")
+        return real(*args)
 
-    monkeypatch.setattr(segmenter, "segment", segment_in_parent_only)
+    monkeypatch.setattr(module, name, in_parent_only)
     fds = _open_fds()
     with pytest.raises(BundleError) as err:
         report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
-    assert err.value.stage == "featurize"
-    assert type(err.value.cause) is ValueError and str(err.value.cause) == "segmenting in a worker"
+    assert err.value.stage == stage
+    assert type(err.value.cause) is ValueError and str(err.value.cause) == f"{name} in a worker"
     assert _no_child_left()
     assert _open_fds() == fds
+
+
+@pytest.mark.parametrize(
+    "chars, users, cpus, workers",
+    [
+        (22_621, 120, 64, 1),  # the fixture corpus
+        (10**7, 1, 64, 1),  # one user is one share, however long their posts
+        (482_730, 4_925, 2, 2),  # the benchmark's user_heavy corpus, seed 1
+        (1_452_460, 197, 2, 2),  # its text_heavy corpus, seed 1
+    ],
+    ids=["fixture", "single_user", "user_heavy", "text_heavy"],
+)
+def test_user_pass_gate(chars, users, cpus, workers, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert report.user_pass_workers(chars, users) == workers
 
 
 def _write_json_in_parent_only(patch) -> None:

@@ -19,10 +19,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textpersona import model, report
+from textpersona import model, report, segmenter
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.corpus import UserProfile, load_corpus, validate_users
-from textpersona.errors import BundleError
+from textpersona.errors import BundleError, InputFormatError
 from textpersona.lexicon import FeatureMatrix, parse_lexicon
 from textpersona.model import BigFive
 from textpersona.report import (
@@ -422,6 +422,21 @@ def test_build_bundle_zero_users_fails_at_validate(tmp_path):
     with pytest.raises(BundleError) as err:
         build_bundle(cfg, tmp_path / "out")
     assert err.value.stage == "validate"
+
+
+def test_bad_model_file_fails_before_the_text_pass(tmp_path, monkeypatch):
+    def segment(text, word_list):
+        raise AssertionError("the text pass ran before the model was loaded")
+
+    monkeypatch.setattr(segmenter, "segment", segment)
+    bad = tmp_path / "model.json"
+    bad.write_text('{"W": 1}', encoding="utf-8")
+    cfg = fixture_config()
+    cfg.model_path = str(bad)
+    with pytest.raises(BundleError) as err:
+        build_bundle(cfg, tmp_path / "out")
+    assert err.value.stage == "predict" and type(err.value.cause) is InputFormatError
+    assert str(err.value) == f"stage 'predict' failed: {bad}: unsupported model format_version None"
 
 
 def test_build_bundle_missing_config(tmp_path):

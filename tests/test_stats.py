@@ -187,6 +187,21 @@ def test_pearson_of_a_nan_or_an_infinity_is_undefined():
     assert {(res.r, res.p) for res in correlation_matrix(features, scores)} == {(None, None)}
 
 
+def test_pearson_of_both_infinities_is_undefined():
+    """fsum refuses inf + -inf with a ValueError; pearson refuses the column instead."""
+    with pytest.raises(PipelineError, match="^correlation undefined for a value that is not finite$"):
+        pearson([math.inf, -math.inf, 1], [1, 2, 3])
+
+
+def test_correlation_matrix_names_the_column_whose_sum_overflows():
+    scores = [(uid, b5(o=o)) for uid, o in (("u0", 1.0), ("u1", 2.0), ("u2", 3.0))]
+    features = matrix(("F", "G"), [("u0", (1.0, 1.7e308)), ("u1", (2.0, 1.7e308)), ("u2", (4.0, 1.0))])
+    with pytest.raises(PipelineError, match="^feature 'G': correlation undefined for values whose sum overflows"):
+        correlation_matrix(features, scores)
+    with pytest.raises(PipelineError, match="^trait E: correlation undefined for values whose sum overflows"):
+        correlation_matrix(features, [(uid, score._replace(e=1.7e308)) for uid, score in scores])
+
+
 def test_pearson_affine_equivariance_exact():
     rng = np.random.default_rng(12)
     x = rng.normal(size=40)
