@@ -1,31 +1,36 @@
-"""Order-preserving map that splits its items across forked workers.
+"""Order-preserving maps that split their items across forked workers.
 
-report.build_bundle uses this map twice, each time only on corpora large
-enough to pay for a fork. report.score_users maps its per-user pass over
-shares of the users: each worker cleans, segments and featurizes one
-share, predicts its scores, and sends back tuples and plain dicts. After
-predict a child writes the features table and runs and writes the
+map_shares(fn, items, threads=n) cuts the items into min(n, len(items))
+contiguous shares of equal item count, at least one, and returns fn of
+each share in order; parallel_map(fn, items) is the flat list of fn of
+each item, mapped share by share. report.build_bundle uses each once,
+only on corpora large enough to pay for a fork. report.score_users
+runs its per-user pass through map_shares: each worker cleans, segments
+and featurizes one share of the users, predicts its scores, and sends
+back tuples and plain dicts. After predict, parallel_map runs two
+tasks: a child writes the features table and runs and writes the
 correlations, the work that reads the feature matrix, while the parent
 writes the scores table and runs the other analyses. The threads=
 keyword of clean_corpus, segment_corpus and lexicon.featurize goes
-through it too.
+through parallel_map too.
 
-threads <= 1 (or fewer than two items) runs in-process. Otherwise the
-items are cut into min(threads, len(items)) contiguous shares of equal
-item count; the parent maps share 0 itself and each other share goes
-to a child made by os.fork. A child inherits fn and the items, so
-nothing is pickled on the way in and closures or one-shot generators
-work as items. It sends back one pickled list of results, or the
-exception it raised, through a pipe. Results come back in input order,
-so output is byte-identical for every worker count. pickle is imported
-only when a map fans out, so a serial run never loads it. Where os.fork
-does not exist, or another thread runs, the map runs in-process: callers
-size threads with fork_workers and leave that decision here."""
+One share (threads <= 1 or fewer than two items) runs in-process.
+Otherwise the parent maps share 0 itself and each other share goes to a
+child made by os.fork. A child inherits fn and the items, so nothing is
+pickled on the way in and closures or one-shot generators work as
+items. It sends back its pickled result, or the exception it raised,
+through a pipe. Results come back in input order, so output is
+byte-identical for every worker count as long as fn's results join to
+the same whole. pickle is imported only when a map fans out, so a
+serial run never loads it. Where os.fork does not exist, or another
+thread runs, the map runs in-process as one share: callers size threads
+with fork_workers and leave that decision here."""
 
 from __future__ import annotations
 
 import os
 import sys
+from itertools import chain
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
@@ -39,10 +44,16 @@ def fork_workers(work: int, min_work: int) -> int:
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], *, threads: int = 1) -> list[R]:
+    """fn of each item, in order, mapped over up to threads shares."""
+    return [*chain.from_iterable(map_shares(lambda share: [fn(item) for item in share], items, threads=threads))]
+
+
+def map_shares(fn: Callable[[list[T]], R], items: Iterable[T], *, threads: int = 1) -> list[R]:
+    """fn of each of min(threads, len(items)) contiguous shares of items, at least one, in order."""
     items = list(items)
     workers = min(threads, len(items))
     if workers <= 1 or not hasattr(os, "fork") or _has_threads():
-        return [fn(item) for item in items]
+        return [fn(items)]
     return _fork_map(fn, items, workers)
 
 
@@ -52,7 +63,7 @@ def _has_threads() -> bool:
     return threading is not None and threading.active_count() > 1
 
 
-def _fork_map(fn: Callable[[T], R], items: list[T], workers: int) -> list[R]:
+def _fork_map(fn: Callable[[list[T]], R], items: list[T], workers: int) -> list[R]:
     import pickle
 
     cuts = [len(items) * w // workers for w in range(workers + 1)]
@@ -70,7 +81,7 @@ def _fork_map(fn: Callable[[T], R], items: list[T], workers: int) -> list[R]:
                 _serve(fn, items[lo:hi], write_fd, [read_fd, *(pipe.fileno() for _, pipe in children)])
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results = [fn(item) for item in items[: cuts[1]]]
+        results = [fn(items[: cuts[1]])]
         for pid, pipe in children:
             data = pipe.read()
             pipe.close()
@@ -79,7 +90,7 @@ def _fork_map(fn: Callable[[T], R], items: list[T], workers: int) -> list[R]:
             ok, payload = pickle.loads(data)
             if not ok:
                 raise payload
-            results += payload
+            results.append(payload)
         return results
     finally:
         # a child still blocked on a full pipe gets EPIPE once the read end closes
@@ -90,7 +101,7 @@ def _fork_map(fn: Callable[[T], R], items: list[T], workers: int) -> list[R]:
 
 
 def _serve(fn: Callable, share: list, write_fd: int, read_fds: list[int]) -> None:
-    """Map one share in a forked child, send the outcome and exit without returning.
+    """Run fn on one share in a forked child, send the outcome and exit without returning.
 
     read_fds are the read ends the child inherited. Closing them means a
     worker whose parent closed its read end gets EPIPE instead of waiting.
@@ -102,7 +113,7 @@ def _serve(fn: Callable, share: list, write_fd: int, read_fds: list[int]) -> Non
         for fd in read_fds:
             os.close(fd)
         try:
-            data = pickle.dumps((True, [fn(item) for item in share]), pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps((True, fn(share)), pickle.HIGHEST_PROTOCOL)
         except Exception as err:
             try:
                 data = pickle.dumps((False, err))

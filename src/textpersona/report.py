@@ -33,7 +33,7 @@ from . import model as model_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
 from ._csvio import quote, write_csv
-from ._pool import fork_workers, parallel_map
+from ._pool import fork_workers, map_shares, parallel_map
 from .config import RunConfig
 from .errors import BundleError, PipelineError
 from .model import TRAITS, BigFive
@@ -246,20 +246,26 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-# raw characters of accepted users' posts each worker of score_users
-# needs before its fork pays. Measured on a 2-CPU machine: median ms of
-# 16 alternating in-process runs of score_users over the first users of
-# the benchmark's corpora (seeds 1 and 2), two workers minus in process.
-# Long posts (text_heavy) were +3.2 to -3.8 from 25k to 49k characters
-# and paid from 65k (-5.1, -7.2); short emoticon-dense posts (user_heavy,
-# about 100 characters a user) were +3.6 to -6.5 from 20k to 49k and
-# paid from 59k (-0.9 to -9.7; -11 to -13 at 78k and 98k). At equal
-# characters the two shapes fell alike (40k: +2.2 and +1.8 on seed 1,
-# -2.0 and -3.3 on seed 2): once a user's results go back as tuples and
-# plain dicts, the number of users moves the break-even by less than the
-# noise, so it only caps the workers at one per user. Two workers need
-# 50k characters, so the fixture corpus (22.6k) stays serial.
+# raw characters of accepted users' posts each of two workers of
+# score_users needs before the fork pays. Measured on a 2-CPU machine:
+# median ms of 16 alternating in-process runs of score_users over the
+# first users of the benchmark's corpora (seeds 1 and 2), two workers
+# minus in process. Long posts (text_heavy) were +3.2 to -3.8 from 25k
+# to 49k characters and paid from 65k (-5.1, -7.2); short emoticon-dense
+# posts (user_heavy, about 100 characters a user) were +3.6 to -6.5 from
+# 20k to 49k and paid from 59k (-0.9 to -9.7; -11 to -13 at 78k and
+# 98k). At equal characters the two shapes fell alike (40k: +2.2 and
+# +1.8 on seed 1, -2.0 and -3.3 on seed 2): once a user's results go
+# back as tuples and plain dicts, the number of users moves the
+# break-even by less than the noise. Two workers need 50k characters,
+# so the fixture corpus (22.6k) stays serial. This break-even holds for
+# two workers only: each further fork costs as much again (about 12 ms
+# of copy-on-write faults on user_heavy) for a smaller cut in the
+# parent's share, and the parent unpickles every share in turn, so a
+# third and later worker still need MIN_CHARS_PER_FURTHER_WORKER each,
+# the figure every worker needed before the pass sent plain dicts back.
 MIN_CHARS_PER_WORKER = 25_000
+MIN_CHARS_PER_FURTHER_WORKER = 300_000
 
 # cells of the per-user tables (features plus scores) per worker before
 # running the share that reads the feature matrix (build_bundle) in a
@@ -274,9 +280,10 @@ MIN_CHARS_PER_WORKER = 25_000
 MIN_TABLE_CELLS_PER_WORKER = 10_000
 
 
-def user_pass_workers(chars: int, users: int) -> int:
-    """Workers for score_users over users whose posts hold chars raw characters: at most one per user."""
-    return min(fork_workers(chars, MIN_CHARS_PER_WORKER), max(1, users))
+def user_pass_workers(chars: int) -> int:
+    """Workers for score_users over posts of chars raw characters: two from
+    MIN_CHARS_PER_WORKER each, more from MIN_CHARS_PER_FURTHER_WORKER each."""
+    return max(min(2, fork_workers(chars, MIN_CHARS_PER_WORKER)), fork_workers(chars, MIN_CHARS_PER_FURTHER_WORKER))
 
 
 def score_users(
@@ -291,18 +298,21 @@ def score_users(
     Each post is cleaned and its segment() counted by
     lexicon.featurize_user as it is made, and a user's emoticons are
     counted into a plain dict, in order of first use. The sorted user
-    ids are cut into contiguous shares, one per worker
-    (user_pass_workers); each share builds its FeatureMatrix and runs
-    model.predict on it, and the shares are joined in id order, so the
-    result does not depend on the worker count. A share's predict
-    failure raises BundleError naming stage predict, which a forked
-    worker sends back whole. Users without a kept emoticon are absent
-    from usage.
+    ids are cut into contiguous shares, one per worker and at most one
+    per user (user_pass_workers, _pool.map_shares); each share builds
+    its FeatureMatrix and runs model.predict on it, and the shares are
+    joined in id order, so the result does not depend on the worker
+    count. A share's predict failure raises BundleError naming stage
+    predict, which a forked worker sends back whole. Users without a
+    kept emoticon are absent from usage.
     """
     user_ids = tuple(sorted(texts_by_user))
     count = partial(lexicon_mod.featurize_user, matcher, {})  # one lookup memo, copied into each worker
     segment = segmenter_mod.segment  # read per call, so a patched segment() is the one run
-    # one str object per distinct emoticon, so pickle sends each once per share
+    # one str object per distinct emoticon, shared by every user's usage dict:
+    # on user_heavy seed 1 this keeps report's peak RSS 3.5 MB lower in
+    # process and 4.1 MB lower forked, and a forked share's pickled usage
+    # 60% smaller (283k -> 115k bytes)
     emoticon_key = {}.setdefault
 
     def one_user(uid: str) -> tuple[int, tuple[float, ...], dict[str, int]]:
@@ -320,7 +330,8 @@ def score_users(
         n, row = count(tokens())
         return n, row, usage
 
-    def one_share(ids: tuple[str, ...]):
+    def one_share(ids: list[str]):
+        ids = tuple(ids)
         counted = [one_user(uid) for uid in ids]
         counts, rows = tuple(n for n, _, _ in counted), tuple(row for _, row, _ in counted)
         usage = {uid: used for uid, (_, _, used) in zip(ids, counted) if used}
@@ -332,10 +343,8 @@ def score_users(
         return counts, rows, usage, scores, skipped
 
     chars = sum(len(text) for texts in texts_by_user.values() for text in texts)
-    workers = user_pass_workers(chars, len(user_ids))
-    cuts = [len(user_ids) * w // workers for w in range(workers + 1)]
-    shares = [user_ids[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
-    counts, rows, usage, scores, skipped = zip(*parallel_map(one_share, shares, threads=workers))
+    shares = map_shares(one_share, user_ids, threads=user_pass_workers(chars))
+    counts, rows, usage, scores, skipped = zip(*shares)
     features = lexicon_mod.FeatureMatrix(
         matcher.category_names, user_ids, tuple(chain.from_iterable(counts)), tuple(chain.from_iterable(rows))
     )

@@ -832,8 +832,9 @@ def test_report_whose_scores_overflow_in_forked_shares_exit_3(tmp_path, capsys, 
     """With the per-user pass split over three workers, every share's predict
     overflows; the parent's own share, the first ids, is the one reported."""
     monkeypatch.setattr(report_mod, "MIN_CHARS_PER_WORKER", 1)
+    monkeypatch.setattr(report_mod, "MIN_CHARS_PER_FURTHER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert report_mod.user_pass_workers(22_621, 120) == 3
+    assert report_mod.user_pass_workers(22_621) == 3
     config = tmp_path / "config.json"
     config.write_text(fixture_config(model_path=str(_model_with_w(1e308, tmp_path / "model.json"))), encoding="utf-8")
     assert run("report", "--config", config, "--out-dir", tmp_path / "bundle") == EXIT_PIPELINE

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from textpersona import cleaner, cli, model, report, segmenter, stats
-from textpersona._pool import parallel_map
+from textpersona._pool import map_shares, parallel_map
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.errors import BundleError, PipelineError
 from textpersona.lexicon import Lexicon, LexiconEntry, compile_lexicon, featurize
@@ -99,6 +99,15 @@ def _no_child_left() -> bool:
 def test_fork_map_keeps_input_order(threads, n):
     """Fewer items than workers and no items included."""
     assert parallel_map(lambda x: (x, x * x), range(n), threads=threads) == [(x, x * x) for x in range(n)]
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_map_shares_cuts_contiguous_shares(threads):
+    """At most one share per item, and one share however few items."""
+    assert map_shares(tuple, range(7), threads=threads) == ([(0, 1), (2, 3), (4, 5, 6)] if threads == 3 else [tuple(range(7))])
+    assert map_shares(tuple, range(2), threads=threads) == ([(0,), (1,)] if threads == 3 else [(0, 1)])
+    assert map_shares(tuple, [], threads=threads) == [()]
     assert _no_child_left()
 
 
@@ -192,6 +201,8 @@ def _fan_out(patch, *gates: str) -> None:
     per-user pass then splits over three workers, the per-user tables go to one child."""
     for gate in gates:
         patch.setattr(report, gate, 1)
+        if gate == TEXT_GATE:  # the third worker's gate
+            patch.setattr(report, "MIN_CHARS_PER_FURTHER_WORKER", 1)
     patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
 
 
@@ -282,11 +293,22 @@ def test_text_pass_forks_no_worker_for_a_single_user(monkeypatch):
     features, usage, scores, skipped = report.score_users(
         {"u0": ["甲乙 [心]"]}, clean, words, _matcher("A", "甲乙"), mapping
     )
-    assert (report.user_pass_workers(10**6, 3), report.user_pass_workers(10**6, 1)) == (3, 1)
+    assert report.user_pass_workers(len("甲乙 [心]")) == 3
     assert forks == []
     assert (features.user_ids, features.token_counts, features.rows) == (("u0",), (1,), ((100.0,),))
     assert type(usage["u0"]) is dict and usage == {"u0": {"[心]": 1}}
     assert (scores, skipped) == ([("u0", BigFive(100.0, 201.0, 2.0, -97.0, 54.0))], [])
+
+
+def test_user_pass_keeps_one_str_per_emoticon():
+    """Users' usage dicts share each emoticon's key object, which keeps a large corpus's usage small."""
+    clean = partial(cleaner.clean, spam_keywords=())
+    mapping = MappingModel(("A",), ((1.0, 2.0, 0.0, -1.0, 0.5),), (0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 2)
+    texts = {"u0": ["甲乙 [心]"], "u1": ["[心] 甲乙", "[心]"]}
+    _, usage, _, _ = report.score_users(texts, clean, WordList.from_words(["甲乙"]), _matcher("A", "甲乙"), mapping)
+    assert usage == {"u0": {"[心]": 1}, "u1": {"[心]": 2}}
+    (first,), (second,) = usage["u0"], usage["u1"]
+    assert first is second
 
 
 def test_edge_corpus_has_its_edge_cases(tmp_path):
@@ -324,18 +346,19 @@ def test_worker_error_is_a_bundle_error_naming_the_stage(module, name, stage, tm
 
 
 @pytest.mark.parametrize(
-    "chars, users, cpus, workers",
+    "chars, cpus, workers",
     [
-        (22_621, 120, 64, 1),  # the fixture corpus
-        (10**7, 1, 64, 1),  # one user is one share, however long their posts
-        (482_730, 4_925, 2, 2),  # the benchmark's user_heavy corpus, seed 1
-        (1_452_460, 197, 2, 2),  # its text_heavy corpus, seed 1
+        (22_621, 64, 1),  # the fixture corpus
+        (482_730, 2, 2),  # the benchmark's user_heavy corpus, seed 1
+        (1_452_460, 2, 2),  # its text_heavy corpus, seed 1
+        (482_730, 64, 2),  # a third worker needs 300k characters each
+        (1_452_460, 64, 4),
     ],
-    ids=["fixture", "single_user", "user_heavy", "text_heavy"],
+    ids=["fixture", "user_heavy", "text_heavy", "user_heavy_64", "text_heavy_64"],
 )
-def test_user_pass_gate(chars, users, cpus, workers, monkeypatch):
+def test_user_pass_gate(chars, cpus, workers, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert report.user_pass_workers(chars, users) == workers
+    assert report.user_pass_workers(chars) == workers
 
 
 def _write_json_in_parent_only(patch) -> None:
