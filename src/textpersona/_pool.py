@@ -1,37 +1,44 @@
 """Order-preserving maps that split their items across forked workers.
 
-map_shares(fn, items, threads=n) cuts the items into min(n, len(items))
-contiguous shares of equal item count, at least one, and returns fn of
-each share in order; parallel_map(fn, items) is the flat list of fn of
-each item, mapped share by share. report.build_bundle uses each once,
-only on corpora large enough to pay for a fork. report.score_users
-runs its per-user pass through map_shares: each worker cleans, segments
-and featurizes one share of the users, predicts its scores, and sends
-back tuples and plain dicts. After predict, parallel_map runs two
+forked_shares(fn, items, threads=n) cuts the items into min(n,
+len(items)) contiguous shares of equal item count, at least one. On
+entry it forks a worker for every share but the first and yields
+gather(), which runs fn on share 0 in the calling process and returns fn
+of each share in order; the caller may do other work before it calls
+gather. On exit every worker is reaped and every pipe closed, whether
+gather ran, returned or raised. map_shares(fn, items) is gather() called
+at once, and parallel_map(fn, items) the flat list of fn of each item,
+mapped share by share. report.build_bundle forks its per-user pass with
+forked_shares before it reads the profiles: each worker cleans,
+segments and featurizes one share of the users with a post, predicts
+its scores, and sends back tuples and plain dicts, while the parent
+reads and validates the profiles. After predict, parallel_map runs two
 tasks: a child writes the features table and runs and writes the
 correlations, the work that reads the feature matrix, while the parent
-writes the scores table and runs the other analyses. The threads=
-keyword of clean_corpus, segment_corpus and lexicon.featurize goes
-through parallel_map too.
+writes the scores table and runs the other analyses. Both fork only on
+corpora large enough to pay for a fork. The threads= keyword of
+clean_corpus, segment_corpus and lexicon.featurize goes through
+parallel_map too.
 
 One share (threads <= 1 or fewer than two items) runs in-process.
-Otherwise the parent maps share 0 itself and each other share goes to a
-child made by os.fork. A child inherits fn and the items, so nothing is
-pickled on the way in and closures or one-shot generators work as
-items. It sends back its pickled result, or the exception it raised,
-through a pipe. Results come back in input order, so output is
-byte-identical for every worker count as long as fn's results join to
-the same whole. pickle is imported only when a map fans out, so a
-serial run never loads it. Where os.fork does not exist, or another
-thread runs, the map runs in-process as one share: callers size threads
-with fork_workers and leave that decision here."""
+Otherwise each share after the first goes to a child made by os.fork.
+A child inherits fn and the items, so nothing is pickled on the way in
+and closures or one-shot generators work as items. It sends back its
+pickled result, or the exception it raised, through a pipe. Results
+come back in input order, so output is byte-identical for every worker
+count as long as fn's results join to the same whole. pickle is
+imported only when a map fans out, so a serial run never loads it.
+Where os.fork does not exist, or another thread runs, the map runs
+in-process as one share: callers size threads with fork_workers and
+leave that decision here."""
 
 from __future__ import annotations
 
 import os
 import sys
+from contextlib import contextmanager
 from itertools import chain
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -50,11 +57,8 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], *, threads: int = 1) 
 
 def map_shares(fn: Callable[[list[T]], R], items: Iterable[T], *, threads: int = 1) -> list[R]:
     """fn of each of min(threads, len(items)) contiguous shares of items, at least one, in order."""
-    items = list(items)
-    workers = min(threads, len(items))
-    if workers <= 1 or not hasattr(os, "fork") or _has_threads():
-        return [fn(items)]
-    return _fork_map(fn, items, workers)
+    with forked_shares(fn, items, threads=threads) as gather:
+        return gather()
 
 
 def _has_threads() -> bool:
@@ -63,11 +67,34 @@ def _has_threads() -> bool:
     return threading is not None and threading.active_count() > 1
 
 
-def _fork_map(fn: Callable[[list[T]], R], items: list[T], workers: int) -> list[R]:
+@contextmanager
+def forked_shares(
+    fn: Callable[[list[T]], R], items: Iterable[T], *, threads: int = 1
+) -> Iterator[Callable[[], list[R]]]:
+    """Fork the workers of every share but the first; yield gather(), which runs
+    share 0 here and returns fn of each share in order (module docstring)."""
+    items = list(items)
+    workers = min(threads, len(items))
+    if workers <= 1 or not hasattr(os, "fork") or _has_threads():
+        yield lambda: [fn(items)]
+        return
     import pickle
 
     cuts = [len(items) * w // workers for w in range(workers + 1)]
     children = []  # (pid, read end of its pipe), in share order
+
+    def gather() -> list[R]:
+        results = [fn(items[: cuts[1]])]
+        for pid, pipe in children:
+            data = pipe.read()
+            if not data:
+                raise RuntimeError(f"worker process {pid} ended without a result")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            results.append(payload)
+        return results
+
     try:
         for lo, hi in zip(cuts[1:-1], cuts[2:]):
             read_fd, write_fd = os.pipe()
@@ -81,17 +108,7 @@ def _fork_map(fn: Callable[[list[T]], R], items: list[T], workers: int) -> list[
                 _serve(fn, items[lo:hi], write_fd, [read_fd, *(pipe.fileno() for _, pipe in children)])
             os.close(write_fd)
             children.append((pid, open(read_fd, "rb")))
-        results = [fn(items[: cuts[1]])]
-        for pid, pipe in children:
-            data = pipe.read()
-            pipe.close()
-            if not data:
-                raise RuntimeError(f"worker process {pid} ended without a result")
-            ok, payload = pickle.loads(data)
-            if not ok:
-                raise payload
-            results.append(payload)
-        return results
+        yield gather
     finally:
         # a child still blocked on a full pipe gets EPIPE once the read end closes
         for _, pipe in children:

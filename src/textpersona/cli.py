@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as dt
+import gc
 import json
 import logging
 import sys
@@ -336,5 +337,15 @@ def main(argv=None) -> int:
         return code
 
 
+def run() -> int:
+    """main for a process entry point: once main returns, gc.freeze() moves
+    every object out of the collector's reach, so the interpreter's exit
+    runs no collection over them. main itself leaves them collectable
+    for in-process callers."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,7 +11,7 @@ import datetime as dt
 import enum
 import json
 import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._textio import check_utf8, open_text
 from .config import RunConfig
@@ -121,16 +121,17 @@ def _parse_profile(record: dict) -> UserProfile:
         raise ValueError("schools must be a list of strings")
     if not (location is None or type(location) is str) or not (introduction is None or type(introduction) is str):
         raise ValueError("location and introduction must be strings or null")
-    return UserProfile(
-        user_id=user_id,
-        gender=gender,
-        verified=verified,
-        follower_count=follower_count,
-        tags=tuple(tags),
-        location=location or None,
-        schools=tuple(schools),
-        introduction=introduction or None,
-        birth_date=dt.date.fromisoformat(birth_date) if birth_date else None,
+    return UserProfile(  # by position: binding keywords costs as much again per corpus line
+        user_id,
+        None,
+        gender,
+        verified,
+        follower_count,
+        tuple(tags),
+        location or None,
+        tuple(schools),
+        introduction or None,
+        dt.date.fromisoformat(birth_date) if birth_date else None,
     )
 
 
@@ -250,13 +251,18 @@ def with_credible_age(
 ) -> UserProfile:
     """The profile with its age from birth_date: None if unknown, future or outside age_range."""
     RunConfig.check("age_range", age_range)
-    low, high = age_range
+    return _aged(profile, reference_date, *age_range)
+
+
+def _aged(profile: UserProfile, reference_date: dt.date, low: int, high: int) -> UserProfile:
+    """with_credible_age without its range check, on an unchecked copy: age is
+    no field UserProfile.__new__ checks, and the other fields passed it already."""
     age = None
     if profile.birth_date is not None and profile.birth_date <= reference_date:
         age = compute_age(profile.birth_date, reference_date)
         if not low <= age <= high:
             age = None
-    return profile._replace(age=age)
+    return tuple.__new__(UserProfile, (profile.user_id, age, *profile[2:]))
 
 
 def validate_users(
@@ -268,50 +274,70 @@ def validate_users(
     reference_date: dt.date,
     age_range: tuple[int, int] = RunConfig.age_range,
 ) -> tuple[list[UserProfile], list[Post], ValidityReport]:
-    """Apply the inclusion criteria and return the filtered corpus.
-
-    Exclusions: a user is an ad account only when BOTH conditions hold
-    (follower_count below min_followers AND at least one post contains
-    an ad URL pattern); users with zero posts are excluded. An age
-    outside age_range demotes the age to unknown but keeps the user:
-    every other analysis can still use them.
+    """Apply the inclusion criteria (accept_users) and return the filtered corpus.
 
     Idempotent: running the output through again rejects nobody.
     """
+    posts = list(posts)
+    texts_by_user: dict[str, list[str]] = {}
+    for post in posts:
+        texts_by_user.setdefault(post.user_id, []).append(post.text)
+    accepted, report = accept_users(
+        profiles,
+        texts_by_user,
+        min_followers=min_followers,
+        ad_url_patterns=ad_url_patterns,
+        reference_date=reference_date,
+        age_range=age_range,
+    )
+    accepted_ids = {profile.user_id for profile in accepted}
+    return accepted, [p for p in posts if p.user_id in accepted_ids], report
+
+
+def accept_users(
+    profiles: Sequence[UserProfile],
+    texts_by_user: Mapping[str, Sequence[str]],
+    *,
+    min_followers: int = RunConfig.min_followers,
+    ad_url_patterns: Sequence[str] = RunConfig.ad_url_patterns,
+    reference_date: dt.date,
+    age_range: tuple[int, int] = RunConfig.age_range,
+) -> tuple[list[UserProfile], ValidityReport]:
+    """The profiles that meet the inclusion criteria, in order, aged; and the report.
+
+    texts_by_user holds each user's post texts. Exclusions: a user is an
+    ad account only when BOTH conditions hold (follower_count below
+    min_followers AND at least one post contains an ad URL pattern);
+    users with zero posts are excluded. An age outside age_range demotes
+    the age to unknown but keeps the user: every other analysis can
+    still use them.
+    """
     RunConfig.check("min_followers", min_followers)
     RunConfig.check("ad_url_patterns", ad_url_patterns)  # "" is in every post
-    posts = list(posts)
-    posts_by_user: dict[str, list[Post]] = {}
-    for post in posts:
-        posts_by_user.setdefault(post.user_id, []).append(post)
+    RunConfig.check("age_range", age_range)
     patterns = [p.lower() for p in ad_url_patterns]
 
     accepted: list[UserProfile] = []
-    accepted_ids: set[str] = set()
     rejected: list[tuple[str, RejectReason]] = []
     for profile in profiles:
-        own_posts = posts_by_user.get(profile.user_id, [])
-        if not own_posts:
+        texts = texts_by_user.get(profile.user_id)
+        if not texts:
             rejected.append((profile.user_id, RejectReason.NO_POSTS))
-            continue
-        if profile.follower_count < min_followers and _has_ad_url(own_posts, patterns):
+        elif profile.follower_count < min_followers and _has_ad_url(texts, patterns):
             rejected.append((profile.user_id, RejectReason.AD_ACCOUNT))
-            continue
-        accepted.append(with_credible_age(profile, reference_date, age_range))
-        accepted_ids.add(profile.user_id)
-
-    kept_posts = [p for p in posts if p.user_id in accepted_ids]
+        else:
+            accepted.append(_aged(profile, reference_date, *age_range))
     report = ValidityReport(
         total_users=len(profiles),
         accepted=len(accepted),
         rejected=tuple(rejected),
     )
-    return accepted, kept_posts, report
+    return accepted, report
 
 
-def _has_ad_url(posts: list[Post], patterns: list[str]) -> bool:
-    for post in posts:
-        lowered = post.text.lower()
+def _has_ad_url(texts: Sequence[str], patterns: list[str]) -> bool:
+    for text in texts:
+        lowered = text.lower()
         if any(pat in lowered for pat in patterns):
             return True
     return False

@@ -32,7 +32,7 @@ import json
 import math
 from itertools import compress
 from math import fsum, sqrt
-from operator import mul
+from operator import getitem, mul
 from typing import NamedTuple, Sequence
 
 from ._csvio import read_csv, read_keyed_rows
@@ -204,26 +204,42 @@ def predict(
     file as in process. Only a row's nonzero cells are summed: a zero
     cell adds an exact zero, which cannot move fsum's correctly rounded
     sum (nor its sign: fsum keeps no zero term), and load_model and
-    featurize keep weights and cells finite. Weights so large that a
-    user's scores overflow the float range raise PipelineError naming
-    the user.
+    featurize keep weights and cells finite. A cell's five weighted
+    terms are made once per distinct (category, value) pair, and each
+    trait sums them in category order, then its intercept, as a dense
+    x W + b would. Weights so large that a user's scores overflow the
+    float range raise PipelineError naming the user.
     """
     _check_names(model.category_names, features.names)
     scores: list[tuple[str, BigFive]] = []
     skipped: list[str] = []
-    # one weight column per trait, also for a model with no categories
-    w_cols = [[row[t] for row in model.W] for t in range(len(TRAITS))]
+    terms = [_WeightedTerms(w_row) for w_row in model.W]  # one memo per category
+    b = model.b
     for user_id, count, x in zip(features.user_ids, features.token_counts, features.rows):
         if count == 0:
             skipped.append(user_id)
             continue
-        hit = [*compress(x, x)]
-        y = (round(fsum([*map(mul, hit, compress(w_col, x)), b_t]), 6) for w_col, b_t in zip(w_cols, model.b))
+        cells = map(getitem, compress(terms, x), compress(x, x))
         try:
-            scores.append((user_id, BigFive(*y)))
-        except (OverflowError, ValueError):  # an fsum past the float range, or a score that is not finite
-            raise PipelineError(f"the scores of user {user_id!r} overflow the float range") from None
+            y = tuple([round(fsum(col), 6) for col in zip(*cells, b)])
+            finite = all(map(math.isfinite, y))
+        except (OverflowError, ValueError):  # an fsum past the float range, or of inf and -inf
+            finite = False
+        if not finite:
+            raise PipelineError(f"the scores of user {user_id!r} overflow the float range")
+        scores.append((user_id, tuple.__new__(BigFive, y)))  # checked here, so not again by BigFive.__new__
     return scores, skipped
+
+
+class _WeightedTerms(dict):
+    """One category's cell value -> its five terms value * w_row[t], made once per distinct value."""
+
+    def __init__(self, w_row: tuple[float, ...]):
+        self.w_row = w_row
+
+    def __missing__(self, value: float) -> tuple[float, ...]:
+        made = self[value] = tuple([value * w for w in self.w_row])
+        return made
 
 
 def _check_names(expected: tuple[str, ...], got: tuple[str, ...]) -> None:

@@ -21,10 +21,11 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+from contextlib import ExitStack, contextmanager
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from . import cleaner as cleaner_mod
 from . import corpus as corpus_mod
@@ -33,7 +34,7 @@ from . import model as model_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
 from ._csvio import quote, write_csv
-from ._pool import fork_workers, map_shares, parallel_map
+from ._pool import fork_workers, forked_shares, parallel_map
 from .config import RunConfig
 from .errors import BundleError, PipelineError
 from .model import TRAITS, BigFive
@@ -246,24 +247,25 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-# raw characters of accepted users' posts each of two workers of
-# score_users needs before the fork pays. Measured on a 2-CPU machine:
-# median ms of 16 alternating in-process runs of score_users over the
-# first users of the benchmark's corpora (seeds 1 and 2), two workers
-# minus in process. Long posts (text_heavy) were +3.2 to -3.8 from 25k
-# to 49k characters and paid from 65k (-5.1, -7.2); short emoticon-dense
-# posts (user_heavy, about 100 characters a user) were +3.6 to -6.5 from
-# 20k to 49k and paid from 59k (-0.9 to -9.7; -11 to -13 at 78k and
-# 98k). At equal characters the two shapes fell alike (40k: +2.2 and
-# +1.8 on seed 1, -2.0 and -3.3 on seed 2): once a user's results go
-# back as tuples and plain dicts, the number of users moves the
-# break-even by less than the noise. Two workers need 50k characters,
-# so the fixture corpus (22.6k) stays serial. This break-even holds for
-# two workers only: each further fork costs as much again (about 12 ms
-# of copy-on-write faults on user_heavy) for a smaller cut in the
-# parent's share, and the parent unpickles every share in turn, so a
-# third and later worker still need MIN_CHARS_PER_FURTHER_WORKER each,
-# the figure every worker needed before the pass sent plain dicts back.
+# raw characters of every user with a post, each of two workers of
+# user_pass needs before the fork pays. Measured on a 2-CPU machine:
+# median ms of 16 alternating in-process runs of the per-user pass over
+# the first users of the benchmark's corpora (seeds 1 and 2), two
+# workers minus in process. Long posts (text_heavy) were +3.2 to -3.8
+# from 25k to 49k characters and paid from 65k (-5.1, -7.2); short
+# emoticon-dense posts (user_heavy, about 100 characters a user) were
+# +3.6 to -6.5 from 20k to 49k and paid from 59k (-0.9 to -9.7; -11 to
+# -13 at 78k and 98k). At equal characters the two shapes fell alike
+# (40k: +2.2 and +1.8 on seed 1, -2.0 and -3.3 on seed 2): once a user's
+# results go back as tuples and plain dicts, the number of users moves
+# the break-even by less than the noise. Two workers need 50k
+# characters, so the fixture corpus (22.6k) stays serial. This
+# break-even holds for two workers only: each further fork costs as much
+# again (about 12 ms of copy-on-write faults on user_heavy) for a
+# smaller cut in the parent's share, and the parent unpickles every
+# share in turn, so a third and later worker still need
+# MIN_CHARS_PER_FURTHER_WORKER each, the figure every worker needed
+# before the pass sent plain dicts back.
 MIN_CHARS_PER_WORKER = 25_000
 MIN_CHARS_PER_FURTHER_WORKER = 300_000
 
@@ -281,32 +283,43 @@ MIN_TABLE_CELLS_PER_WORKER = 10_000
 
 
 def user_pass_workers(chars: int) -> int:
-    """Workers for score_users over posts of chars raw characters: two from
+    """Workers for user_pass over posts of chars raw characters: two from
     MIN_CHARS_PER_WORKER each, more from MIN_CHARS_PER_FURTHER_WORKER each."""
     return max(min(2, fork_workers(chars, MIN_CHARS_PER_WORKER)), fork_workers(chars, MIN_CHARS_PER_FURTHER_WORKER))
 
 
-def score_users(
+@contextmanager
+def user_pass(
     texts_by_user: Mapping[str, Sequence[str]],
     clean: Callable[[str], cleaner_mod.CleanResult],
     word_list: segmenter_mod.WordList,
     matcher: lexicon_mod.CompiledMatcher,
     model: model_mod.MappingModel,
-) -> tuple[lexicon_mod.FeatureMatrix, dict[str, dict[str, int]], list[tuple[str, BigFive]], list[str]]:
-    """Features, emoticon usage, scores and skipped ids of each user, in one pass over their raw posts.
+) -> Iterator[Callable[[Container[str]], tuple]]:
+    """Fork one pass over each user's raw posts; yield scored(keep), which
+    finishes it and returns the features, emoticon usage and scores of the
+    users in keep.
 
     Each post is cleaned and its segment() counted by
     lexicon.featurize_user as it is made, and a user's emoticons are
     counted into a plain dict, in order of first use. The sorted user
     ids are cut into contiguous shares, one per worker and at most one
-    per user (user_pass_workers, _pool.map_shares); each share builds
-    its FeatureMatrix and runs model.predict on it, and the shares are
-    joined in id order, so the result does not depend on the worker
-    count. A share's predict failure raises BundleError naming stage
-    predict, which a forked worker sends back whole. Users without a
-    kept emoticon are absent from usage.
+    per user (user_pass_workers, _pool.forked_shares). The workers of
+    every share but the first are forked on entry, so the caller can
+    work (build_bundle reads and validates the profiles) while they run;
+    scored runs share 0 here. Each share builds its FeatureMatrix and
+    runs model.predict on it, and sends back tuples and plain dicts. The
+    shares are joined in id order, so the result does not depend on the
+    worker count. Every user is scored, but only a kept user's predict
+    failure fails the pass: a share whose predict fails scores each user
+    on their own, and scored raises the BundleError of stage predict of
+    the first kept user in id order that failed. A featurize failure
+    fails it for any user. Users without a kept emoticon are absent
+    from usage. Every worker is reaped on exit, whether scored ran,
+    returned or raised.
     """
     user_ids = tuple(sorted(texts_by_user))
+    names = matcher.category_names
     count = partial(lexicon_mod.featurize_user, matcher, {})  # one lookup memo, copied into each worker
     segment = segmenter_mod.segment  # read per call, so a patched segment() is the one run
     # one str object per distinct emoticon, shared by every user's usage dict:
@@ -330,26 +343,50 @@ def score_users(
         n, row = count(tokens())
         return n, row, usage
 
+    def predict(features: lexicon_mod.FeatureMatrix) -> tuple[list[tuple[str, BigFive]], dict[str, BundleError]]:
+        """Scores of the share, and the error of each user whose scores failed."""
+        try:
+            return model_mod.predict(model, features)[0], {}
+        except Exception:  # which user failed is known only by scoring each on their own
+            scores, failed = [], {}
+            for uid, n, row in zip(features.user_ids, features.token_counts, features.rows):
+                try:
+                    scores += model_mod.predict(model, lexicon_mod.FeatureMatrix(names, (uid,), (n,), (row,)))[0]
+                except Exception as err:
+                    failed[uid] = BundleError("predict", err)
+            return scores, failed
+
     def one_share(ids: list[str]):
         ids = tuple(ids)
         counted = [one_user(uid) for uid in ids]
         counts, rows = tuple(n for n, _, _ in counted), tuple(row for _, row, _ in counted)
         usage = {uid: used for uid, (_, _, used) in zip(ids, counted) if used}
-        features = lexicon_mod.FeatureMatrix(matcher.category_names, ids, counts, rows)
-        try:
-            scores, skipped = model_mod.predict(model, features)
-        except Exception as err:
-            raise BundleError("predict", err) from err
-        return counts, rows, usage, scores, skipped
+        scores, failed = predict(lexicon_mod.FeatureMatrix(names, ids, counts, rows))
+        # plain tuples pickle without BigFive's Python-level reduce and check
+        return counts, rows, usage, [(uid, tuple(score)) for uid, score in scores], failed
 
     chars = sum(len(text) for texts in texts_by_user.values() for text in texts)
-    shares = map_shares(one_share, user_ids, threads=user_pass_workers(chars))
-    counts, rows, usage, scores, skipped = zip(*shares)
-    features = lexicon_mod.FeatureMatrix(
-        matcher.category_names, user_ids, tuple(chain.from_iterable(counts)), tuple(chain.from_iterable(rows))
-    )
-    usage = dict(chain.from_iterable(share.items() for share in usage))
-    return features, usage, [*chain.from_iterable(scores)], [*chain.from_iterable(skipped)]
+    with forked_shares(one_share, user_ids, threads=user_pass_workers(chars)) as gather:
+
+        def scored(keep: Container[str]):
+            counts, rows, usage, scores, failed = zip(*gather())
+            for share in failed:  # each share's failures are in id order
+                for uid, err in share.items():
+                    if uid in keep:
+                        raise err
+            kept = [uid in keep for uid in user_ids]
+            features = lexicon_mod.FeatureMatrix(
+                names,
+                tuple(compress(user_ids, kept)),
+                tuple(compress(chain.from_iterable(counts), kept)),
+                tuple(compress(chain.from_iterable(rows), kept)),
+            )
+            usage = {uid: used for share in usage for uid, used in share.items() if uid in keep}
+            # predict checked every score, so they are rewrapped without BigFive.__new__'s check
+            scores = [(uid, tuple.__new__(BigFive, score)) for share in scores for uid, score in share if uid in keep]
+            return features, usage, scores
+
+        yield scored
 
 
 # a bundle needs these; the spam keyword and system template paths may be unset
@@ -365,17 +402,28 @@ class ReportBundle(NamedTuple):
 def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     """Run the full pipeline and write every artifact plus manifest.json.
 
-    Stages: load -> validate -> clean -> segment -> featurize -> predict
-    -> analyses; loading the spam and template rules counts as clean,
-    loading the word list as segment, and the model, loaded after the
-    lexicon and before any post is cleaned, as predict. Any stage
-    failure aborts with the stage name. Clean, segment, featurize and
-    predict are one pass per user (score_users), so no post's cleaned
-    text or token list is kept: the users are cut into shares, and each
-    share is featurized and then predicted on its own. On corpora with
-    enough raw characters (user_pass_workers) the shares run in forked
-    workers; a failure keeps its stage, featurize or predict, across the
-    pipe.
+    Stages, in the order they run: load (the posts file) -> clean (the
+    spam and template rules) -> segment (the word list) -> featurize (the
+    lexicon) -> predict (the model) -> the per-user pass -> load (the
+    profiles file) and validate, while the pass runs -> analyses. Any
+    stage failure aborts with the stage name; a bad input fails at its
+    own stage, with its own exit code and message. A bad profiles file
+    is reported only after the posts file, rules, word list, lexicon and
+    model have loaded, so with several bad inputs one of those may be
+    reported first.
+
+    Clean, segment, featurize and predict are one pass per user
+    (user_pass) over every user with a post, so no post's cleaned text
+    or token list is kept. On corpora with enough raw characters
+    (user_pass_workers) its shares but the first run in forked workers,
+    forked before the profiles are read; the parent reads and validates
+    the profiles (corpus.accept_users) meanwhile, then runs share 0 and
+    keeps only the accepted users' rows, scores and emoticon usage. A
+    failure keeps its stage, featurize or predict, across the pipe. The
+    scores of a rejected user or of a user with no profile may overflow;
+    the first accepted user in id order whose scores overflow fails the
+    run at predict. Every worker is reaped, also when the profiles or
+    validation fail while shares still run.
 
     After predict the work splits into two shares of about equal time:
     one reads the feature matrix (features.*, then correlation_matrix and
@@ -414,38 +462,38 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except BundleError:  # score_users names the stage of its own failures
+        except BundleError:  # the per-user pass names the stage of its predict failures
             raise
         except Exception as err:
             raise BundleError(name, err) from err
 
-    profiles, posts, _ = stage("load", corpus_mod.load_corpus, config.profiles_path, config.posts_path)
-    profiles, posts, validity = stage(
-        "validate",
-        corpus_mod.validate_users,
-        profiles,
-        posts,
-        min_followers=config.min_followers,
-        ad_url_patterns=config.ad_url_patterns,
-        reference_date=config.reference_date,
-        age_range=config.age_range,
-    )
-    if not profiles:
-        raise BundleError("validate", PipelineError("no users left after validation"))
-
+    posts, _ = stage("load", corpus_mod.load_posts, config.posts_path)
     spam, templates = stage("clean", cleaner_mod.load_rules, config.spam_keywords_path, config.system_templates_path)
     word_list = stage("segment", segmenter_mod.load_word_list, config.word_list_path)
     lexicon = stage("featurize", lexicon_mod.parse_lexicon, config.lexicon_path)
     matcher = lexicon_mod.compile_lexicon(lexicon)
     mapping = stage("predict", model_mod.load_model, config.model_path)
-    texts_by_user: dict[str, list[str]] = {p.user_id: [] for p in profiles}
+    texts_by_user: dict[str, list[str]] = {}
     for post in posts:
-        texts_by_user[post.user_id].append(post.text)
+        texts_by_user.setdefault(post.user_id, []).append(post.text)
     del posts  # each text-layer input is freed once read
     clean = partial(cleaner_mod.clean, spam_keywords=spam, system_templates=templates)
-    features, emoticon_usage, scores, _skipped = stage(
-        "featurize", score_users, texts_by_user, clean, word_list, matcher, mapping
-    )
+    with ExitStack() as forks:  # the per-user pass runs while the parent reads and validates the profiles
+        scored = stage("featurize", forks.enter_context, user_pass(texts_by_user, clean, word_list, matcher, mapping))
+        profiles, _ = stage("load", corpus_mod.load_profiles, config.profiles_path)
+        profiles, validity = stage(
+            "validate",
+            corpus_mod.accept_users,
+            profiles,
+            texts_by_user,
+            min_followers=config.min_followers,
+            ad_url_patterns=config.ad_url_patterns,
+            reference_date=config.reference_date,
+            age_range=config.age_range,
+        )
+        if not profiles:
+            raise BundleError("validate", PipelineError("no users left after validation"))
+        features, emoticon_usage, scores = stage("featurize", scored, {p.user_id for p in profiles})
     del texts_by_user
 
     profile_by_id = {p.user_id: p for p in profiles}

@@ -8,7 +8,7 @@ P and S) separate tokens without being emitted.
 
 Concatenating the tokens therefore reproduces the input minus separators,
 and the greedy choice makes the output a deterministic function of
-(text, word list). report.score_users runs clean, segment, featurize
+(text, word list). report.user_pass runs clean, segment, featurize
 and predict as one pass per user: lexicon.featurize_user counts a lazy
 segment() of each post, keeping no tokens.
 """

@@ -1,5 +1,6 @@
 """CLI subcommands as file transformations, with exit-code contracts."""
 
+import gc
 import json
 import logging
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import textpersona
+from textpersona import cli
 from textpersona import report as report_mod
 from textpersona.cli import EXIT_FORMAT, EXIT_PIPELINE, EXIT_USAGE, main
 from textpersona.config import RunConfig, builtin_data_path, load_keyword_file
@@ -757,6 +759,24 @@ def test_usage_error_exit_1(capsys):
 
 def test_unknown_command_exit_1():
     assert run("frobnicate") == EXIT_USAGE
+
+
+def test_only_the_entry_points_freeze_the_heap(monkeypatch):
+    """The console script and `python -m textpersona` run cli.run, which returns
+    main's code and then freezes the heap, so the interpreter's exit collects
+    nothing; main itself leaves every object collectable."""
+    pyproject = (Path(textpersona.__file__).parents[2] / "pyproject.toml").read_text(encoding="utf-8")
+    assert '[project.scripts]\ntextpersona = "textpersona.cli:run"\n' in pyproject
+    assert "from .cli import run" in Path(textpersona.__file__).with_name("__main__.py").read_text(encoding="utf-8")
+    frozen = gc.get_freeze_count()
+    assert run("frobnicate") == EXIT_USAGE
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr(cli, "main", lambda: 7)
+    try:
+        assert cli.run() == 7
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
 
 
 def test_format_error_exit_2(tmp_path, capsys):

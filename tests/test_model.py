@@ -245,6 +245,53 @@ def test_predict_equals_the_dense_sum_bit_for_bit(data):
     assert skipped == [uid for uid, count in zip(features.user_ids, counts) if not count]
 
 
+def dense_outcome(model, features):
+    """Each user with tokens and BigFive(*(round(fsum([*(x_i * W[i][t] for every i), b_t]), 6) for t)),
+    or the error predict must raise: the one naming the first of them whose sum fails."""
+    scores = []
+    for uid, count, x in zip(features.user_ids, features.token_counts, features.rows):
+        if not count:
+            continue
+        try:
+            terms = [[x_i * w_row[t] for x_i, w_row in zip(x, model.W)] for t in range(len(TRAITS))]
+            scores.append((uid, BigFive(*(round(fsum([*terms_t, b_t]), 6) for terms_t, b_t in zip(terms, model.b)))))
+        except (OverflowError, ValueError):
+            return f"the scores of user {uid!r} overflow the float range"
+    return scores
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_predict_reuses_weighted_cells_and_fails_as_the_dense_sum_does(data):
+    """Few distinct cell values, so one user's weighted cells are the next one's;
+    users without tokens; tiny weights and intercepts whose scores round to
+    -0.0; and weights so large that some user's sum overflows."""
+    k = data.draw(st.integers(1, 5))
+    weight = st.sampled_from([0.0, -0.0, 1e-9, -1e-9, -3e-7, 2.5, -1.25]) | st.sampled_from([1e307, -1e307, 1.7e308])
+    W = tuple(tuple(data.draw(weight) for _ in TRAITS) for _ in range(k))
+    b = tuple(data.draw(st.sampled_from([0.0, -0.0, -4e-7, 4e-7, 1.5, -1e308])) for _ in TRAITS)
+    values = data.draw(st.lists(st.floats(0.0, 100.0, exclude_min=True), min_size=1, max_size=3))
+    cell = st.just(0.0) | st.sampled_from(values)
+    rows, counts = [], []
+    for _ in range(data.draw(st.integers(1, 8))):
+        counts.append(data.draw(st.integers(0, 2)))
+        rows.append(tuple(data.draw(cell) if counts[-1] else 0.0 for _ in range(k)))
+    features = FeatureMatrix(tuple(CATS[:k]), tuple(f"u{i}" for i in range(len(rows))), tuple(counts), tuple(rows))
+    model = MappingModel(features.names, W, b, ridge_lambda=1.0, n_train=2)
+    expected = dense_outcome(model, features)
+    if isinstance(expected, str):
+        with pytest.raises(PipelineError) as err:
+            predict(model, features)
+        assert str(err.value) == expected
+        return
+    scores, skipped = predict(model, features)
+    assert [(uid, [v.hex() for v in score]) for uid, score in scores] == [
+        (uid, [v.hex() for v in score]) for uid, score in expected
+    ]
+    assert all(type(score) is BigFive for _, score in scores)
+    assert skipped == [uid for uid, count in zip(features.user_ids, counts) if not count]
+
+
 @pytest.mark.parametrize("b", [(0.0,) * 5, (-0.0,) * 5, (-0.0, 0.0, -0.0, 1e-9, -1e-9)])
 @pytest.mark.parametrize("w", [0.0, -0.0, -2.5])
 def test_predict_keeps_the_dense_sign_of_a_zero_score(b, w):

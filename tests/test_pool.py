@@ -6,6 +6,7 @@ import os
 import pickle
 import random
 import signal
+import subprocess
 import sys
 import threading
 from functools import partial
@@ -290,14 +291,28 @@ def test_text_pass_forks_no_worker_for_a_single_user(monkeypatch):
     clean = partial(cleaner.clean, spam_keywords=())
     words = WordList.from_words(["甲乙"])
     mapping = MappingModel(("A",), ((1.0, 2.0, 0.0, -1.0, 0.5),), (0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 2)
-    features, usage, scores, skipped = report.score_users(
-        {"u0": ["甲乙 [心]"]}, clean, words, _matcher("A", "甲乙"), mapping
-    )
+    with report.user_pass({"u0": ["甲乙 [心]"]}, clean, words, _matcher("A", "甲乙"), mapping) as scored:
+        features, usage, scores = scored({"u0"})
     assert report.user_pass_workers(len("甲乙 [心]")) == 3
     assert forks == []
     assert (features.user_ids, features.token_counts, features.rows) == (("u0",), (1,), ((100.0,),))
     assert type(usage["u0"]) is dict and usage == {"u0": {"[心]": 1}}
-    assert (scores, skipped) == ([("u0", BigFive(100.0, 201.0, 2.0, -97.0, 54.0))], [])
+    assert scores == [("u0", BigFive(100.0, 201.0, 2.0, -97.0, 54.0))] and type(scores[0][1]) is BigFive
+
+
+def test_forked_pass_rewraps_each_share_s_scores_as_big_five(monkeypatch):
+    """Shares send plain tuples; the parent's scores equal predict's, BigFive included."""
+    _fan_out(monkeypatch, TEXT_GATE)
+    forks = _count_forks(monkeypatch)
+    clean = partial(cleaner.clean, spam_keywords=())
+    mapping = MappingModel(("A",), ((1.0, 2.0, 0.0, -1.0, 0.5),), (0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 2)
+    texts = {f"u{i}": ["甲乙 [心]" * (i + 1), "丙"] for i in range(6)}
+    with report.user_pass(texts, clean, WordList.from_words(["甲乙"]), _matcher("A", "甲乙"), mapping) as scored:
+        features, _, scores = scored(texts)
+    assert len(forks) == 2
+    assert scores == model.predict(mapping, features)[0]
+    assert [type(score) for _, score in scores] == [BigFive] * 6
+    assert _no_child_left()
 
 
 def test_user_pass_keeps_one_str_per_emoticon():
@@ -305,7 +320,8 @@ def test_user_pass_keeps_one_str_per_emoticon():
     clean = partial(cleaner.clean, spam_keywords=())
     mapping = MappingModel(("A",), ((1.0, 2.0, 0.0, -1.0, 0.5),), (0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 2)
     texts = {"u0": ["甲乙 [心]"], "u1": ["[心] 甲乙", "[心]"]}
-    _, usage, _, _ = report.score_users(texts, clean, WordList.from_words(["甲乙"]), _matcher("A", "甲乙"), mapping)
+    with report.user_pass(texts, clean, WordList.from_words(["甲乙"]), _matcher("A", "甲乙"), mapping) as scored:
+        _, usage, _ = scored(texts)
     assert usage == {"u0": {"[心]": 1}, "u1": {"[心]": 2}}
     (first,), (second,) = usage["u0"], usage["u1"]
     assert first is second
@@ -317,6 +333,110 @@ def test_edge_corpus_has_its_edge_cases(tmp_path):
     features = (tmp_path / "out" / "features.csv").read_text(encoding="utf-8").splitlines()
     assert sum(line.split(",")[1] == "0" for line in features[1:]) == 1  # the spammed user
     assert not any(line.startswith("nobody,") for line in features)
+
+
+ODD_WORD = "qqodd"  # an ASCII run segments whole, and no fixture post holds it
+AD_ID = "u00000ad"  # sorts among the fixture ids, in the parent's share
+ODD_USERS = ("nobody", AD_ID, "u00060", "u00119")  # nobody sorts first; the last two are accepted
+
+
+def _odd_corpus(tmp_path: Path, odd_posters: tuple[str, ...], odd_weight: float) -> RunConfig:
+    """The edge corpus plus an ad account (rejected), a lexicon with one more
+    category, Odd, whose only word is ODD_WORD, and the fixture model with an
+    Odd weight row of odd_weight. Each of odd_posters gets one post of
+    ODD_WORD 1000 times, so their Odd cell is above 80 and every other
+    user's 0: an odd_weight of 1e307 makes only their scores overflow."""
+    tmp_path.mkdir(exist_ok=True)
+    config = _edge_corpus(tmp_path)
+    posts = Path(config.posts_path).read_text(encoding="utf-8").splitlines()
+    posts.append(json.dumps({**AD_POST, "user_id": AD_ID}, ensure_ascii=False))
+    odd_post = " ".join([ODD_WORD] * 1000)
+    posts += [json.dumps({"user_id": uid, "text": odd_post, "is_repost": False}) for uid in odd_posters]
+    (tmp_path / "posts.jsonl").write_text("\n".join(posts) + "\n", encoding="utf-8")
+    profiles = (FIXTURE / "profiles.jsonl").read_text(encoding="utf-8")
+    profiles += json.dumps({**AD_ACCOUNT, "user_id": AD_ID}, ensure_ascii=False) + "\n"
+    (tmp_path / "profiles.jsonl").write_text(profiles, encoding="utf-8")
+    lexicon = Path(config.lexicon_path).read_text(encoding="utf-8").replace("30\tRelig\n", "30\tRelig\n31\tOdd\n", 1)
+    (tmp_path / "lexicon.dic").write_text(lexicon + f"{ODD_WORD}\t31\n", encoding="utf-8")
+    doc = json.loads(Path(config.model_path).read_text(encoding="utf-8"))
+    doc["category_names"].append("Odd")
+    doc["W"].append([odd_weight] * 5)
+    (tmp_path / "model.json").write_text(json.dumps(doc), encoding="utf-8")
+    config.profiles_path = str(tmp_path / "profiles.jsonl")
+    config.lexicon_path, config.model_path = str(tmp_path / "lexicon.dic"), str(tmp_path / "model.json")
+    return config
+
+
+FAN_OUTS = pytest.mark.parametrize("gates", [(), (TEXT_GATE, TABLE_GATE)], ids=["serial", "forked"])
+
+
+@FAN_OUTS
+@pytest.mark.parametrize("odd_posters", [("nobody",), (AD_ID,)], ids=["orphan", "ad_account"])
+def test_scores_that_overflow_only_for_users_left_out_keep_the_bundle(odd_posters, gates, tmp_path, monkeypatch):
+    """The pass scores every user with a post, the orphan and the ad account
+    too; their overflow leaves the bundle of a model whose Odd row is zero."""
+    report.build_bundle(_odd_corpus(tmp_path / "zero", odd_posters, 0.0), tmp_path / "zero_out")
+    overflowing = _odd_corpus(tmp_path / "huge", odd_posters, 1e307)
+    _fan_out(monkeypatch, *gates)
+    forks = _count_forks(monkeypatch)
+    fds = _open_fds()
+    report.build_bundle(overflowing, tmp_path / "huge_out")
+    assert len(forks) == 3 * bool(gates)
+    assert _no_child_left()
+    assert _open_fds() == fds
+    zero, huge = _bundle_bytes(tmp_path / "zero_out"), _bundle_bytes(tmp_path / "huge_out")
+    manifests = [json.loads(files.pop("manifest.json")) for files in (zero, huge)]
+    assert huge == zero
+    hashes = [manifest.pop("input_hashes") for manifest in manifests]
+    for manifest in manifests:  # each corpus has its own directory
+        del manifest["config"]
+    assert manifests[0] == manifests[1]
+    assert [key for key in hashes[0] if hashes[0][key] != hashes[1][key]] == ["model"]
+    assert [AD_ID, "ad_account"] in manifests[1]["validity"]["rejected"]
+    for table in ("features.csv", "scores.csv"):  # scored, then left out
+        ids = {line.split(b",")[0] for line in huge[table].splitlines()[1:]}
+        assert not ids & {b"nobody", AD_ID.encode()}
+
+
+@FAN_OUTS
+def test_an_accepted_users_overflow_names_the_first_accepted_one(gates, tmp_path, monkeypatch):
+    """nobody and the ad account sort first and overflow too, in the parent's
+    share; u00060 and u00119 fall in the second and third of three."""
+    config = _odd_corpus(tmp_path, ODD_USERS, 1e307)
+    _fan_out(monkeypatch, *gates)
+    forks = _count_forks(monkeypatch)
+    fds = _open_fds()
+    with pytest.raises(BundleError) as err:
+        report.build_bundle(config, tmp_path / "out")
+    assert len(forks) == 2 * bool(gates)  # the table share is never reached
+    assert err.value.stage == "predict"
+    assert type(err.value.cause) is PipelineError
+    assert str(err.value.cause) == "the scores of user 'u00060' overflow the float range"
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+@FAN_OUTS
+def test_malformed_profiles_fail_at_load_while_the_pass_runs(gates, tmp_path, monkeypatch, capsys):
+    """The per-user pass forks before the profiles are read; their failure reaps its workers."""
+    config = _edge_corpus(tmp_path)
+    lines = (FIXTURE / "profiles.jsonl").read_text(encoding="utf-8").splitlines()
+    bad = [line if i % 2 else line[:-1] for i, line in enumerate(lines)] + ["{"]  # 61 of 121 malformed
+    (tmp_path / "profiles.jsonl").write_text("\n".join(bad) + "\n", encoding="utf-8")
+    config.profiles_path = str(tmp_path / "profiles.jsonl")
+    doc = {**config.to_jsonable(), **{key: getattr(config, key) for key in RunConfig.PATH_KEYS}}
+    (tmp_path / "run_config.json").write_text(json.dumps(doc), encoding="utf-8")
+    _fan_out(monkeypatch, *gates)
+    forks = _count_forks(monkeypatch)
+    fds = _open_fds()
+    code = cli.main(["report", "--config", str(tmp_path / "run_config.json"), "--out-dir", str(tmp_path / "out")])
+    assert len(forks) == 2 * bool(gates)
+    assert code == cli.EXIT_FORMAT == 2
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    message = f"{config.profiles_path}: 61 of 121 lines malformed; wrong file format?"
+    assert json.loads(line) == {"error": f"stage 'load' failed: {message}", "exit_code": 2}
+    assert _no_child_left()
+    assert _open_fds() == fds
 
 
 @pytest.mark.parametrize(
@@ -534,6 +654,31 @@ def test_bundle_does_not_depend_on_word_list_line_order(tmp_path):
     assert _bundles_differ_only_in_input_hashes(tmp_path / "shuffled_out", tmp_path / "ordered_out") == [
         "word_list"
     ]
+
+
+def test_report_process_above_the_text_gate_writes_the_serial_bundle(tmp_path, monkeypatch):
+    """Each fixture post three times is above 50k raw characters, so a
+    `python -m textpersona report` process forks its per-user pass on 2 or
+    more CPUs; it leaves no process of its session behind."""
+
+    def tripled_posts(name, lines):
+        return lines * 3 if name == "posts.jsonl" else lines
+
+    tripled = _corpus_copy(tmp_path / "corpus", None, edit=tripled_posts)
+    posts = (tmp_path / "corpus" / "posts.jsonl").read_text(encoding="utf-8").splitlines()
+    assert sum(len(json.loads(line)["text"]) for line in posts) > 2 * report.MIN_CHARS_PER_WORKER
+    src = str(Path(report.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "textpersona", "report", "--config", str(tmp_path / "corpus" / "run_config.json")]
+    with subprocess.Popen([*argv, "--out-dir", str(tmp_path / "forked")], env=env, stderr=subprocess.PIPE,
+                          text=True, start_new_session=True) as proc:
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    with pytest.raises(ProcessLookupError):  # the session's process group is empty
+        os.killpg(proc.pid, 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    report.build_bundle(tripled, tmp_path / "serial")
+    assert _bundle_bytes(tmp_path / "forked") == _bundle_bytes(tmp_path / "serial")
 
 
 AD_ACCOUNT = {  # a profile every analysis would count, if validate let it through
