@@ -1,36 +1,36 @@
-"""Order-preserving maps that split their items across forked workers.
+"""Order-preserving maps that split their items into two halves, one in a forked child.
 
-forked_shares(fn, items, threads=n) cuts the items into min(n,
-len(items)) contiguous shares of equal item count, at least one. On
-entry it forks a worker for every share but the first and yields
-gather(), which runs fn on share 0 in the calling process and returns fn
-of each share in order; the caller may do other work before it calls
-gather. On exit every worker is reaped and every pipe closed, whether
-gather ran, returned or raised. map_shares(fn, items) is gather() called
-at once, and parallel_map(fn, items) the flat list of fn of each item,
-mapped share by share. report.build_bundle forks its per-user pass with
-forked_shares before it reads the profiles: each worker cleans,
-segments and featurizes one share of the users with a post, predicts
-its scores, and sends back tuples and plain dicts, while the parent
-reads and validates the profiles. After predict, parallel_map runs two
-tasks: a child writes the features table and runs and writes the
-correlations, the work that reads the feature matrix, while the parent
-writes the scores table and runs the other analyses. Both fork only on
-corpora large enough to pay for a fork. The threads= keyword of
+forked_shares(fn, items, fork=True) cuts the items into two halves of
+len(items) // 2 and the rest. On entry it forks one child for the
+second half and yields gather(), which runs fn on the first half in the
+calling process and returns [fn(first half), fn(second half)]; the
+caller may do other work before it calls gather. On exit the child is
+reaped and its pipe closed, whether gather ran, returned or raised.
+parallel_map(fn, items) is the flat list of fn of each item, mapped
+half by half. report.build_bundle forks its per-user pass with
+forked_shares before it reads the profiles: the child cleans, segments
+and featurizes the second half of the users with a post, predicts its
+scores, and sends back tuples and plain dicts, while the parent reads
+and validates the profiles. After predict, parallel_map runs two tasks:
+a child writes the features table and runs and writes the correlations,
+the work that reads the feature matrix, while the parent writes the
+scores table and runs the other analyses. Both fork only on corpora
+large enough to pay for a fork (fork_workers). The threads= keyword of
 clean_corpus, segment_corpus and lexicon.featurize goes through
 parallel_map too.
 
-One share (threads <= 1 or fewer than two items) runs in-process.
-Otherwise each share after the first goes to a child made by os.fork.
-A child inherits fn and the items, so nothing is pickled on the way in
-and closures or one-shot generators work as items. It sends back its
-pickled result, or the exception it raised, through a pipe. Results
-come back in input order, so output is byte-identical for every worker
-count as long as fn's results join to the same whole. pickle is
-imported only when a map fans out, so a serial run never loads it.
-Where os.fork does not exist, or another thread runs, the map runs
-in-process as one share: callers size threads with fork_workers and
-leave that decision here."""
+One share (fork false or fewer than two items) runs in-process.
+Otherwise the second half goes to a child made by os.fork. The child
+inherits fn and the items, so nothing is pickled on the way in and
+closures or one-shot generators work as items. It sends back its
+pickled result, or the exception it raised, through a pipe. The halves
+come back in input order, so output is byte-identical forked or not as
+long as fn's results join to the same whole. pickle is imported only
+when a map forks, so a serial run never loads it. Where os.fork does
+not exist, or another thread runs, the map runs in-process as one
+share: callers decide with fork_workers whether a fork pays and leave
+that decision here. More than one child was never measured to pay on
+more than two CPUs, so none is made."""
 
 from __future__ import annotations
 
@@ -44,21 +44,20 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def fork_workers(work: int, min_work: int) -> int:
-    """Workers for a task of size work: one per usable CPU while each gets min_work, at least 1."""
+def fork_workers(work: int, min_work: int) -> bool:
+    """Whether a task of size work forks: two usable CPUs, and min_work for each half."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(cpus, work // min_work))
+    return cpus >= 2 and work >= 2 * min_work
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], *, threads: int = 1) -> list[R]:
-    """fn of each item, in order, mapped over up to threads shares."""
-    return [*chain.from_iterable(map_shares(lambda share: [fn(item) for item in share], items, threads=threads))]
+    """fn of each item, in order; threads > 1 maps the second half in one forked child.
 
-
-def map_shares(fn: Callable[[list[T]], R], items: Iterable[T], *, threads: int = 1) -> list[R]:
-    """fn of each of min(threads, len(items)) contiguous shares of items, at least one, in order."""
-    with forked_shares(fn, items, threads=threads) as gather:
-        return gather()
+    threads only chooses between in process and one child. The kernels
+    (clean_corpus, segment_corpus, lexicon.featurize) keep the keyword
+    only for perfbench's pooled_reruns, which ROADMAP item 2 removes."""
+    with forked_shares(lambda share: [fn(item) for item in share], items, fork=threads > 1) as gather:
+        return [*chain.from_iterable(gather())]
 
 
 def _has_threads() -> bool:
@@ -69,66 +68,58 @@ def _has_threads() -> bool:
 
 @contextmanager
 def forked_shares(
-    fn: Callable[[list[T]], R], items: Iterable[T], *, threads: int = 1
+    fn: Callable[[list[T]], R], items: Iterable[T], *, fork: bool
 ) -> Iterator[Callable[[], list[R]]]:
-    """Fork the workers of every share but the first; yield gather(), which runs
-    share 0 here and returns fn of each share in order (module docstring)."""
+    """Fork the child of the second half; yield gather(), which runs the
+    first half here and returns fn of each half in order (module docstring)."""
     items = list(items)
-    workers = min(threads, len(items))
-    if workers <= 1 or not hasattr(os, "fork") or _has_threads():
+    if not fork or len(items) < 2 or not hasattr(os, "fork") or _has_threads():
         yield lambda: [fn(items)]
         return
     import pickle
 
-    cuts = [len(items) * w // workers for w in range(workers + 1)]
-    children = []  # (pid, read end of its pipe), in share order
+    half = len(items) // 2
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child never returns from _serve
+        _serve(fn, items[half:], write_fd, read_fd)
+    os.close(write_fd)
 
     def gather() -> list[R]:
-        results = [fn(items[: cuts[1]])]
-        for pid, pipe in children:
-            data = pipe.read()
-            if not data:
-                raise RuntimeError(f"worker process {pid} ended without a result")
-            ok, payload = pickle.loads(data)
-            if not ok:
-                raise payload
-            results.append(payload)
-        return results
+        first = fn(items[:half])
+        data = pipe.read()
+        if not data:
+            raise RuntimeError(f"worker process {pid} ended without a result")
+        ok, payload = pickle.loads(data)
+        if not ok:
+            raise payload
+        return [first, payload]
 
     try:
-        for lo, hi in zip(cuts[1:-1], cuts[2:]):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:  # the child never returns from _serve
-                _serve(fn, items[lo:hi], write_fd, [read_fd, *(pipe.fileno() for _, pipe in children)])
-            os.close(write_fd)
-            children.append((pid, open(read_fd, "rb")))
-        yield gather
-    finally:
         # a child still blocked on a full pipe gets EPIPE once the read end closes
-        for _, pipe in children:
-            pipe.close()
-        for pid, _ in children:
-            os.waitpid(pid, 0)
+        with open(read_fd, "rb") as pipe:
+            yield gather
+    finally:
+        os.waitpid(pid, 0)
 
 
-def _serve(fn: Callable, share: list, write_fd: int, read_fds: list[int]) -> None:
-    """Run fn on one share in a forked child, send the outcome and exit without returning.
+def _serve(fn: Callable, share: list, write_fd: int, read_fd: int) -> None:
+    """Run fn on one half in a forked child, send the outcome and exit without returning.
 
-    read_fds are the read ends the child inherited. Closing them means a
-    worker whose parent closed its read end gets EPIPE instead of waiting.
+    read_fd is the pipe's read end, which the child inherited. Closing it
+    means the child gets EPIPE once the parent closes its read end,
+    instead of waiting.
     """
     import pickle
 
     status = 1
     try:
-        for fd in read_fds:
-            os.close(fd)
+        os.close(read_fd)
         try:
             data = pickle.dumps((True, fn(share)), pickle.HIGHEST_PROTOCOL)
         except Exception as err:

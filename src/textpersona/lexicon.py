@@ -258,7 +258,7 @@ def featurize(
     segment() of each post; it is consumed once.
     """
     user_ids = tuple(sorted(tokens_by_user))
-    count_user = partial(featurize_user, matcher, {})  # this call's memo; each worker gets a copy
+    count_user = partial(featurize_user, matcher, {})  # this call's memo; a forked child gets a copy
     counted = parallel_map(count_user, [tokens_by_user[uid] for uid in user_ids], threads=threads)
     return FeatureMatrix(
         matcher.category_names, user_ids, tuple(total for total, _ in counted), tuple(row for _, row in counted)

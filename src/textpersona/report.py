@@ -247,45 +247,32 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-# raw characters of every user with a post, each of two workers of
-# user_pass needs before the fork pays. Measured on a 2-CPU machine:
-# median ms of 16 alternating in-process runs of the per-user pass over
-# the first users of the benchmark's corpora (seeds 1 and 2), two
-# workers minus in process. Long posts (text_heavy) were +3.2 to -3.8
+# raw characters (of every user with a post) that each half of user_pass
+# needs before forking the second half pays. Measured on a 2-CPU
+# machine: median ms of 16 alternating in-process runs of the per-user
+# pass over the first users of the benchmark's corpora (seeds 1 and 2),
+# forked minus in process. Long posts (text_heavy) were +3.2 to -3.8
 # from 25k to 49k characters and paid from 65k (-5.1, -7.2); short
 # emoticon-dense posts (user_heavy, about 100 characters a user) were
 # +3.6 to -6.5 from 20k to 49k and paid from 59k (-0.9 to -9.7; -11 to
 # -13 at 78k and 98k). At equal characters the two shapes fell alike
 # (40k: +2.2 and +1.8 on seed 1, -2.0 and -3.3 on seed 2): once a user's
 # results go back as tuples and plain dicts, the number of users moves
-# the break-even by less than the noise. Two workers need 50k
-# characters, so the fixture corpus (22.6k) stays serial. This
-# break-even holds for two workers only: each further fork costs as much
-# again (about 12 ms of copy-on-write faults on user_heavy) for a
-# smaller cut in the parent's share, and the parent unpickles every
-# share in turn, so a third and later worker still need
-# MIN_CHARS_PER_FURTHER_WORKER each, the figure every worker needed
-# before the pass sent plain dicts back.
+# the break-even by less than the noise. The fork needs 50k characters,
+# so the fixture corpus (22.6k) stays serial.
 MIN_CHARS_PER_WORKER = 25_000
-MIN_CHARS_PER_FURTHER_WORKER = 300_000
 
-# cells of the per-user tables (features plus scores) per worker before
-# running the share that reads the feature matrix (build_bundle) in a
-# forked child, while the parent runs the other share, pays for the
-# fork; there are two workers, so it forks from 20k cells. Measured on a
-# 2-CPU machine once the child also ran the correlations: median ms of
-# 12 alternating in-process runs per user-heavy corpus, forked minus in
-# process, -2.6 at 3.7k cells, -5.4 at 7.5k, -9.1 at 11k, -7.1 at 22k,
-# -3.5 at 37k, -36.4 at 75k and -36.6 at 112k. The break-even fell
-# below 3.7k, but below 20k the gain is a few ms, within the noise of a
-# shared machine, so the gate was kept (the fixture corpus stays serial).
+# cells of the per-user tables (features plus scores) per half before
+# running the half that reads the feature matrix (build_bundle) in a
+# forked child, while the parent runs the other half, pays for the fork,
+# so it forks from 20k cells. Measured on a 2-CPU machine once the child
+# also ran the correlations: median ms of 12 alternating in-process runs
+# per user-heavy corpus, forked minus in process, -2.6 at 3.7k cells,
+# -5.4 at 7.5k, -9.1 at 11k, -7.1 at 22k, -3.5 at 37k, -36.4 at 75k and
+# -36.6 at 112k. The break-even fell below 3.7k, but below 20k the gain
+# is a few ms, within the noise of a shared machine, so the gate was
+# kept (the fixture corpus stays serial).
 MIN_TABLE_CELLS_PER_WORKER = 10_000
-
-
-def user_pass_workers(chars: int) -> int:
-    """Workers for user_pass over posts of chars raw characters: two from
-    MIN_CHARS_PER_WORKER each, more from MIN_CHARS_PER_FURTHER_WORKER each."""
-    return max(min(2, fork_workers(chars, MIN_CHARS_PER_WORKER)), fork_workers(chars, MIN_CHARS_PER_FURTHER_WORKER))
 
 
 @contextmanager
@@ -302,25 +289,24 @@ def user_pass(
 
     Each post is cleaned and its segment() counted by
     lexicon.featurize_user as it is made, and a user's emoticons are
-    counted into a plain dict, in order of first use. The sorted user
-    ids are cut into contiguous shares, one per worker and at most one
-    per user (user_pass_workers, _pool.forked_shares). The workers of
-    every share but the first are forked on entry, so the caller can
-    work (build_bundle reads and validates the profiles) while they run;
-    scored runs share 0 here. Each share builds its FeatureMatrix and
-    runs model.predict on it, and sends back tuples and plain dicts. The
-    shares are joined in id order, so the result does not depend on the
-    worker count. Every user is scored, but only a kept user's predict
-    failure fails the pass: a share whose predict fails scores each user
-    on their own, and scored raises the BundleError of stage predict of
-    the first kept user in id order that failed. A featurize failure
-    fails it for any user. Users without a kept emoticon are absent
-    from usage. Every worker is reaped on exit, whether scored ran,
-    returned or raised.
+    counted into a plain dict, in order of first use. On corpora with
+    enough raw characters (MIN_CHARS_PER_WORKER) the second half of the
+    sorted user ids runs in a forked child (_pool.forked_shares), forked
+    on entry, so the caller can work (build_bundle reads and validates
+    the profiles) while it runs; scored runs the first half here. Each
+    half builds its FeatureMatrix and runs model.predict on it, and
+    sends back tuples and plain dicts. The halves are joined in id
+    order, so the result does not depend on the fork. Every user is
+    scored; a half whose predict fails sends None for its scores, and
+    scored then returns None for the scores, which the caller predicts
+    again over the users in keep alone. A featurize failure fails the
+    pass for any user. Users without a kept emoticon are absent from
+    usage. The child is reaped on exit, whether scored ran, returned or
+    raised.
     """
     user_ids = tuple(sorted(texts_by_user))
     names = matcher.category_names
-    count = partial(lexicon_mod.featurize_user, matcher, {})  # one lookup memo, copied into each worker
+    count = partial(lexicon_mod.featurize_user, matcher, {})  # one lookup memo, copied into the child
     segment = segmenter_mod.segment  # read per call, so a patched segment() is the one run
     # one str object per distinct emoticon, shared by every user's usage dict:
     # on user_heavy seed 1 this keeps report's peak RSS 3.5 MB lower in
@@ -343,37 +329,23 @@ def user_pass(
         n, row = count(tokens())
         return n, row, usage
 
-    def predict(features: lexicon_mod.FeatureMatrix) -> tuple[list[tuple[str, BigFive]], dict[str, BundleError]]:
-        """Scores of the share, and the error of each user whose scores failed."""
-        try:
-            return model_mod.predict(model, features)[0], {}
-        except Exception:  # which user failed is known only by scoring each on their own
-            scores, failed = [], {}
-            for uid, n, row in zip(features.user_ids, features.token_counts, features.rows):
-                try:
-                    scores += model_mod.predict(model, lexicon_mod.FeatureMatrix(names, (uid,), (n,), (row,)))[0]
-                except Exception as err:
-                    failed[uid] = BundleError("predict", err)
-            return scores, failed
-
     def one_share(ids: list[str]):
         ids = tuple(ids)
         counted = [one_user(uid) for uid in ids]
         counts, rows = tuple(n for n, _, _ in counted), tuple(row for _, row, _ in counted)
         usage = {uid: used for uid, (_, _, used) in zip(ids, counted) if used}
-        scores, failed = predict(lexicon_mod.FeatureMatrix(names, ids, counts, rows))
+        try:
+            scores = model_mod.predict(model, lexicon_mod.FeatureMatrix(names, ids, counts, rows))[0]
+        except Exception:  # a left-out user's scores may fail; build_bundle predicts the kept users again
+            return counts, rows, usage, None
         # plain tuples pickle without BigFive's Python-level reduce and check
-        return counts, rows, usage, [(uid, tuple(score)) for uid, score in scores], failed
+        return counts, rows, usage, [(uid, tuple(score)) for uid, score in scores]
 
     chars = sum(len(text) for texts in texts_by_user.values() for text in texts)
-    with forked_shares(one_share, user_ids, threads=user_pass_workers(chars)) as gather:
+    with forked_shares(one_share, user_ids, fork=fork_workers(chars, MIN_CHARS_PER_WORKER)) as gather:
 
         def scored(keep: Container[str]):
-            counts, rows, usage, scores, failed = zip(*gather())
-            for share in failed:  # each share's failures are in id order
-                for uid, err in share.items():
-                    if uid in keep:
-                        raise err
+            counts, rows, usage, scores = zip(*gather())
             kept = [uid in keep for uid in user_ids]
             features = lexicon_mod.FeatureMatrix(
                 names,
@@ -382,6 +354,8 @@ def user_pass(
                 tuple(compress(chain.from_iterable(rows), kept)),
             )
             usage = {uid: used for share in usage for uid, used in share.items() if uid in keep}
+            if None in scores:
+                return features, usage, None
             # predict checked every score, so they are rewrapped without BigFive.__new__'s check
             scores = [(uid, tuple.__new__(BigFive, score)) for share in scores for uid, score in share if uid in keep]
             return features, usage, scores
@@ -415,28 +389,30 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     Clean, segment, featurize and predict are one pass per user
     (user_pass) over every user with a post, so no post's cleaned text
     or token list is kept. On corpora with enough raw characters
-    (user_pass_workers) its shares but the first run in forked workers,
-    forked before the profiles are read; the parent reads and validates
-    the profiles (corpus.accept_users) meanwhile, then runs share 0 and
-    keeps only the accepted users' rows, scores and emoticon usage. A
-    failure keeps its stage, featurize or predict, across the pipe. The
-    scores of a rejected user or of a user with no profile may overflow;
-    the first accepted user in id order whose scores overflow fails the
-    run at predict. Every worker is reaped, also when the profiles or
-    validation fail while shares still run.
+    (MIN_CHARS_PER_WORKER) the second half of its users runs in a forked
+    child, forked before the profiles are read; the parent reads and
+    validates the profiles (corpus.accept_users) meanwhile, then runs
+    the first half and keeps only the accepted users' rows, scores and
+    emoticon usage. A featurize failure keeps its stage across the pipe.
+    The scores of a rejected user or of a user with no profile may
+    overflow. If a half's predict fails, predict runs again here over
+    the accepted users' matrix alone, so model.predict is the one place
+    a predict error comes from: the first accepted user in id order
+    whose scores overflow fails the run at predict. The child is
+    reaped, also when the profiles or validation fail while it runs.
 
-    After predict the work splits into two shares of about equal time:
+    After predict the work splits into two halves of about equal time:
     one reads the feature matrix (features.*, then correlation_matrix and
     correlations.*), the other writes scores.* and runs and writes the
     analyses of profiles and scores. On corpora whose per-user tables
     hold enough cells (MIN_TABLE_CELLS_PER_WORKER) a forked child runs
     the first while the parent runs the second, and a child's error, a
     BundleError included, is re-raised here; otherwise the second runs,
-    then the first. Either way a failure in one share may leave the
+    then the first. Either way a failure in one half may leave the
     other's tables written, as a write failure midway leaves a partial
     bundle.
 
-    The cyclic garbage collector is paused for the run, forked workers
+    The cyclic garbage collector is paused for the run, forked children
     included, and the caller's setting is restored after it, also when a
     stage fails. The loaded corpus is many small records that hold no
     cycle, which each collection would rescan, while a run leaves the
@@ -462,8 +438,6 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except BundleError:  # the per-user pass names the stage of its predict failures
-            raise
         except Exception as err:
             raise BundleError(name, err) from err
 
@@ -495,6 +469,8 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
             raise BundleError("validate", PipelineError("no users left after validation"))
         features, emoticon_usage, scores = stage("featurize", scored, {p.user_id for p in profiles})
     del texts_by_user
+    if scores is None:  # a half's predict failed; a left-out user's overflow fails nothing here
+        scores, _ = stage("predict", model_mod.predict, mapping, features)
 
     profile_by_id = {p.user_id: p for p in profiles}
     joined = [(profile_by_id[uid], score) for uid, score in scores]
@@ -526,7 +502,7 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         table.write_json(out_dir / json_name)
         return table.name, csv_name, json_name, len(table.rows)
 
-    tasks = [  # share 0 runs here; share 1, what reads the feature matrix, in a child when the gate opens
+    tasks = [  # the first runs here; the second, what reads the feature matrix, in a child when the gate opens
         lambda: [write(scores_table(scores)), *map(write, stage("analyses", analyses))],
         lambda: [
             write(features_table(features, lexicon.category_names)),
@@ -534,7 +510,7 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         ],
     ]
     cells = len(features.user_ids) * (len(features.names) + 2) + len(scores) * (len(TRAITS) + 1)
-    threads = fork_workers(cells, MIN_TABLE_CELLS_PER_WORKER)  # parallel_map caps it at the two tasks
+    threads = 2 if fork_workers(cells, MIN_TABLE_CELLS_PER_WORKER) else 1
     here, child = parallel_map(lambda task: task(), tasks, threads=threads)
     # the manifest lists features, scores, score_summary, demographics, correlations, then the rest
     artifacts = [child[0], *here[:3], child[1], *here[3:]]

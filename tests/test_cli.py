@@ -849,12 +849,11 @@ def test_finite_values_whose_sums_overflow_exit_3(staged, tmp_path, capsys, comm
 
 
 def test_report_whose_scores_overflow_in_forked_shares_exit_3(tmp_path, capsys, monkeypatch):
-    """With the per-user pass split over three workers, every share's predict
-    overflows; the parent's own share, the first ids, is the one reported."""
+    """With the per-user pass split into two halves, both halves' predict
+    overflows; predict over the accepted matrix reports the first id."""
     monkeypatch.setattr(report_mod, "MIN_CHARS_PER_WORKER", 1)
-    monkeypatch.setattr(report_mod, "MIN_CHARS_PER_FURTHER_WORKER", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert report_mod.user_pass_workers(22_621) == 3
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert report_mod.fork_workers(22_621, report_mod.MIN_CHARS_PER_WORKER)
     config = tmp_path / "config.json"
     config.write_text(fixture_config(model_path=str(_model_with_w(1e308, tmp_path / "model.json"))), encoding="utf-8")
     assert run("report", "--config", config, "--out-dir", tmp_path / "bundle") == EXIT_PIPELINE

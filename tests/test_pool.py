@@ -1,5 +1,6 @@
 """The fork map, the bundle's forked text pass and table writer, and stage functions' independence."""
 
+import ast
 import errno
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from textpersona import cleaner, cli, model, report, segmenter, stats
-from textpersona._pool import map_shares, parallel_map
+from textpersona._pool import forked_shares, parallel_map
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.errors import BundleError, PipelineError
 from textpersona.lexicon import Lexicon, LexiconEntry, compile_lexicon, featurize
@@ -95,27 +96,49 @@ def _no_child_left() -> bool:
     return False
 
 
+def _count_forks(patch) -> list[int]:
+    """The pids that call os.fork from now on, one per fork."""
+    forks = []
+    real_fork = os.fork
+
+    def counting_fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    patch.setattr(os, "fork", counting_fork)
+    return forks
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 10])
-def test_fork_map_keeps_input_order(threads, n):
-    """Fewer items than workers and no items included."""
+def test_fork_map_keeps_input_order(threads, n, monkeypatch):
+    """Fewer than two items and no items included; any threads above 1 forks one child."""
+    forks = _count_forks(monkeypatch)
     assert parallel_map(lambda x: (x, x * x), range(n), threads=threads) == [(x, x * x) for x in range(n)]
+    assert len(forks) == (threads > 1 and n >= 2)
     assert _no_child_left()
 
 
-@pytest.mark.parametrize("threads", [1, 3])
-def test_map_shares_cuts_contiguous_shares(threads):
-    """At most one share per item, and one share however few items."""
-    assert map_shares(tuple, range(7), threads=threads) == ([(0, 1), (2, 3), (4, 5, 6)] if threads == 3 else [tuple(range(7))])
-    assert map_shares(tuple, range(2), threads=threads) == ([(0,), (1,)] if threads == 3 else [(0, 1)])
-    assert map_shares(tuple, [], threads=threads) == [()]
+@pytest.mark.parametrize("fork", [False, True])
+def test_forked_shares_cuts_two_halves(fork, monkeypatch):
+    """The first len // 2 items and the rest, and one share however few items."""
+    forks = _count_forks(monkeypatch)
+    for items, halves in [(range(7), [(0, 1, 2), (3, 4, 5, 6)]), (range(2), [(0,), (1,)])]:
+        with forked_shares(tuple, items, fork=fork) as gather:
+            assert gather() == (halves if fork else [tuple(items)])
+    for items in [range(1), []]:
+        with forked_shares(tuple, items, fork=fork) as gather:
+            assert gather() == [tuple(items)]
+    assert len(forks) == 2 * fork
     assert _no_child_left()
 
 
-def test_fork_map_takes_one_shot_generators():
-    """Items that pickle cannot carry reach each worker whole."""
+def test_fork_map_takes_one_shot_generators(monkeypatch):
+    """Items that pickle cannot carry reach the child whole."""
+    forks = _count_forks(monkeypatch)
     items = [(c for c in word) for word in ("甲乙", "", "丙丁戊", "己")]
     assert parallel_map(lambda gen: "".join(gen), items, threads=3) == ["甲乙", "", "丙丁戊", "己"]
+    assert len(forks) == 1
 
 
 def test_fork_map_runs_in_process_while_another_thread_runs():
@@ -151,21 +174,25 @@ def _fail_at(bad, exc):
 @pytest.mark.parametrize(
     "bad, exc, raised, message",
     [
-        (7, ValueError("bad item 7"), ValueError, "bad item 7"),  # in a forked worker
-        (1, KeyError("k"), KeyError, "'k'"),  # in the parent's own share
+        (7, ValueError("bad item 7"), ValueError, "bad item 7"),  # in the forked child's half
+        (1, KeyError("k"), KeyError, "'k'"),  # in the parent's own half
         (9, TwoArgError(3, "odd"), RuntimeError, "TwoArgError: 3: odd"),
     ],
 )
-def test_fork_map_reraises_a_worker_error_and_leaves_nothing_behind(bad, exc, raised, message):
+def test_fork_map_reraises_a_worker_error_and_leaves_nothing_behind(bad, exc, raised, message, monkeypatch):
+    forks = _count_forks(monkeypatch)
     fds = _open_fds()
     with pytest.raises(raised) as err:
         parallel_map(_fail_at(bad, exc), range(10), threads=3)
     assert str(err.value) == message
+    assert len(forks) == 1
     assert _no_child_left()
     assert _open_fds() == fds
 
 
-def test_fork_map_error_does_not_wait_on_a_worker_blocked_on_a_full_pipe():
+def test_fork_map_error_does_not_wait_on_a_worker_blocked_on_a_full_pipe(monkeypatch):
+    forks = _count_forks(monkeypatch)
+
     def fn(x):
         if x == 0:
             raise ValueError("first item")
@@ -182,13 +209,16 @@ def test_fork_map_error_does_not_wait_on_a_worker_blocked_on_a_full_pipe():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
     assert _no_child_left()
 
 
-def test_fork_map_leaves_no_child_or_pipe_after_success():
+def test_fork_map_leaves_no_child_or_pipe_after_success(monkeypatch):
+    forks = _count_forks(monkeypatch)
     fds = _open_fds()
     big = parallel_map(lambda x: "字" * 100_000, range(4), threads=4)  # each result fills a pipe
     assert big == ["字" * 100_000] * 4
+    assert len(forks) == 1
     assert _no_child_left()
     assert _open_fds() == fds
 
@@ -198,26 +228,11 @@ TABLE_GATE = "MIN_TABLE_CELLS_PER_WORKER"
 
 
 def _fan_out(patch, *gates: str) -> None:
-    """Open build_bundle's named fork gates on any corpus, with three CPUs: the
-    per-user pass then splits over three workers, the per-user tables go to one child."""
+    """Open build_bundle's named fork gates on any corpus, with 64 CPUs: each
+    open site still forks one child, the second half of its work."""
     for gate in gates:
         patch.setattr(report, gate, 1)
-        if gate == TEXT_GATE:  # the third worker's gate
-            patch.setattr(report, "MIN_CHARS_PER_FURTHER_WORKER", 1)
-    patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-
-
-def _count_forks(patch) -> list[int]:
-    """The pids that call os.fork from now on, one per fork."""
-    forks = []
-    real_fork = os.fork
-
-    def counting_fork():
-        forks.append(os.getpid())
-        return real_fork()
-
-    patch.setattr(os, "fork", counting_fork)
-    return forks
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
 
 
 def _bundle_bytes(out_dir: Path) -> dict:
@@ -259,8 +274,8 @@ def test_fanned_out_bundle_equals_serial_and_staged_bundles(corpus_config, gates
     forks = _count_forks(monkeypatch)
     fds = _open_fds()
     report.build_bundle(corpus_config, tmp_path / "forked")
-    # three workers for the per-user pass are two children, the tables' share one
-    assert len(forks) == 2 * (TEXT_GATE in gates) + (TABLE_GATE in gates)
+    # one child for the per-user pass's second half, one for the tables' second half
+    assert len(forks) == (TEXT_GATE in gates) + (TABLE_GATE in gates)
     serial = _bundle_bytes(tmp_path / "serial")
     assert _bundle_bytes(tmp_path / "forked") == serial
     assert _bundle_bytes(tmp_path / "staged") == serial
@@ -269,7 +284,7 @@ def test_fanned_out_bundle_equals_serial_and_staged_bundles(corpus_config, gates
     if corpus_config.posts_path != str(FIXTURE / "posts.jsonl"):  # the edge corpus
         rows = (tmp_path / "forked" / "features.csv").read_text(encoding="utf-8").splitlines()[1:]
         (degenerate,) = [i for i, row in enumerate(rows) if row.split(",")[1] == "0"]
-        assert degenerate >= len(rows) // 3  # past the parent's share, so a worker skipped it
+        assert degenerate >= len(rows) // 2  # past the parent's half, so the child skipped it
 
 
 def test_fixture_bundle_forks_no_worker(tmp_path, monkeypatch):
@@ -285,7 +300,7 @@ def test_fixture_bundle_forks_no_worker(tmp_path, monkeypatch):
 
 
 def test_text_pass_forks_no_worker_for_a_single_user(monkeypatch):
-    """Three CPUs and the text gate open give three workers, but one user is one share."""
+    """64 CPUs and the text gate open would fork, but one user is one share."""
     _fan_out(monkeypatch, TEXT_GATE)
     forks = _count_forks(monkeypatch)
     clean = partial(cleaner.clean, spam_keywords=())
@@ -293,7 +308,7 @@ def test_text_pass_forks_no_worker_for_a_single_user(monkeypatch):
     mapping = MappingModel(("A",), ((1.0, 2.0, 0.0, -1.0, 0.5),), (0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 2)
     with report.user_pass({"u0": ["甲乙 [心]"]}, clean, words, _matcher("A", "甲乙"), mapping) as scored:
         features, usage, scores = scored({"u0"})
-    assert report.user_pass_workers(len("甲乙 [心]")) == 3
+    assert report.fork_workers(len("甲乙 [心]"), report.MIN_CHARS_PER_WORKER)
     assert forks == []
     assert (features.user_ids, features.token_counts, features.rows) == (("u0",), (1,), ((100.0,),))
     assert type(usage["u0"]) is dict and usage == {"u0": {"[心]": 1}}
@@ -301,7 +316,7 @@ def test_text_pass_forks_no_worker_for_a_single_user(monkeypatch):
 
 
 def test_forked_pass_rewraps_each_share_s_scores_as_big_five(monkeypatch):
-    """Shares send plain tuples; the parent's scores equal predict's, BigFive included."""
+    """The child sends plain tuples; the parent's scores equal predict's, BigFive included."""
     _fan_out(monkeypatch, TEXT_GATE)
     forks = _count_forks(monkeypatch)
     clean = partial(cleaner.clean, spam_keywords=())
@@ -309,7 +324,7 @@ def test_forked_pass_rewraps_each_share_s_scores_as_big_five(monkeypatch):
     texts = {f"u{i}": ["甲乙 [心]" * (i + 1), "丙"] for i in range(6)}
     with report.user_pass(texts, clean, WordList.from_words(["甲乙"]), _matcher("A", "甲乙"), mapping) as scored:
         features, _, scores = scored(texts)
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert scores == model.predict(mapping, features)[0]
     assert [type(score) for _, score in scores] == [BigFive] * 6
     assert _no_child_left()
@@ -336,7 +351,8 @@ def test_edge_corpus_has_its_edge_cases(tmp_path):
 
 
 ODD_WORD = "qqodd"  # an ASCII run segments whole, and no fixture post holds it
-AD_ID = "u00000ad"  # sorts among the fixture ids, in the parent's share
+AD_ID = "u00000ad"  # sorts among the fixture ids, in the parent's half
+LATE_ORPHAN = "z-nobody"  # a poster without a profile whose id sorts last, in the child's half
 ODD_USERS = ("nobody", AD_ID, "u00060", "u00119")  # nobody sorts first; the last two are accepted
 
 
@@ -367,21 +383,41 @@ def _odd_corpus(tmp_path: Path, odd_posters: tuple[str, ...], odd_weight: float)
     return config
 
 
+def _posters(config: RunConfig) -> list[str]:
+    """The sorted ids of the users with a post, which the per-user pass cuts in two halves."""
+    lines = Path(config.posts_path).read_text(encoding="utf-8").splitlines()
+    return sorted({json.loads(line)["user_id"] for line in lines})
+
+
+def _in_child_half(config: RunConfig, uid: str) -> bool:
+    """Whether uid sorts into the second half, which a forked per-user pass sends to its child."""
+    posters = _posters(config)
+    return posters.index(uid) >= len(posters) // 2
+
+
 FAN_OUTS = pytest.mark.parametrize("gates", [(), (TEXT_GATE, TABLE_GATE)], ids=["serial", "forked"])
 
 
 @FAN_OUTS
-@pytest.mark.parametrize("odd_posters", [("nobody",), (AD_ID,)], ids=["orphan", "ad_account"])
-def test_scores_that_overflow_only_for_users_left_out_keep_the_bundle(odd_posters, gates, tmp_path, monkeypatch):
-    """The pass scores every user with a post, the orphan and the ad account
-    too; their overflow leaves the bundle of a model whose Odd row is zero."""
+@pytest.mark.parametrize(
+    "odd_posters, in_child",
+    [(("nobody",), False), ((AD_ID,), False), ((LATE_ORPHAN,), True)],
+    ids=["orphan", "ad_account", "late_orphan"],
+)
+def test_scores_that_overflow_only_for_users_left_out_keep_the_bundle(
+    odd_posters, in_child, gates, tmp_path, monkeypatch
+):
+    """The pass scores every user with a post, the orphans and the ad account
+    too; their overflow, in either half, leaves the bundle of a model whose
+    Odd row is zero."""
     report.build_bundle(_odd_corpus(tmp_path / "zero", odd_posters, 0.0), tmp_path / "zero_out")
     overflowing = _odd_corpus(tmp_path / "huge", odd_posters, 1e307)
+    assert [_in_child_half(overflowing, uid) for uid in odd_posters] == [in_child]
     _fan_out(monkeypatch, *gates)
     forks = _count_forks(monkeypatch)
     fds = _open_fds()
     report.build_bundle(overflowing, tmp_path / "huge_out")
-    assert len(forks) == 3 * bool(gates)
+    assert len(forks) == 2 * bool(gates)
     assert _no_child_left()
     assert _open_fds() == fds
     zero, huge = _bundle_bytes(tmp_path / "zero_out"), _bundle_bytes(tmp_path / "huge_out")
@@ -395,20 +431,22 @@ def test_scores_that_overflow_only_for_users_left_out_keep_the_bundle(odd_poster
     assert [AD_ID, "ad_account"] in manifests[1]["validity"]["rejected"]
     for table in ("features.csv", "scores.csv"):  # scored, then left out
         ids = {line.split(b",")[0] for line in huge[table].splitlines()[1:]}
-        assert not ids & {b"nobody", AD_ID.encode()}
+        assert not ids & {uid.encode() for uid in ("nobody", AD_ID, *odd_posters)}
 
 
 @FAN_OUTS
 def test_an_accepted_users_overflow_names_the_first_accepted_one(gates, tmp_path, monkeypatch):
     """nobody and the ad account sort first and overflow too, in the parent's
-    share; u00060 and u00119 fall in the second and third of three."""
+    half; u00060 and u00119 fall in the child's. Predict over the accepted
+    users' matrix names the first of them."""
     config = _odd_corpus(tmp_path, ODD_USERS, 1e307)
+    assert [_in_child_half(config, uid) for uid in ODD_USERS] == [False, False, True, True]
     _fan_out(monkeypatch, *gates)
     forks = _count_forks(monkeypatch)
     fds = _open_fds()
     with pytest.raises(BundleError) as err:
         report.build_bundle(config, tmp_path / "out")
-    assert len(forks) == 2 * bool(gates)  # the table share is never reached
+    assert len(forks) == bool(gates)  # the tables' fork is never reached
     assert err.value.stage == "predict"
     assert type(err.value.cause) is PipelineError
     assert str(err.value.cause) == "the scores of user 'u00060' overflow the float range"
@@ -418,7 +456,7 @@ def test_an_accepted_users_overflow_names_the_first_accepted_one(gates, tmp_path
 
 @FAN_OUTS
 def test_malformed_profiles_fail_at_load_while_the_pass_runs(gates, tmp_path, monkeypatch, capsys):
-    """The per-user pass forks before the profiles are read; their failure reaps its workers."""
+    """The per-user pass forks before the profiles are read; their failure reaps its child."""
     config = _edge_corpus(tmp_path)
     lines = (FIXTURE / "profiles.jsonl").read_text(encoding="utf-8").splitlines()
     bad = [line if i % 2 else line[:-1] for i, line in enumerate(lines)] + ["{"]  # 61 of 121 malformed
@@ -430,7 +468,7 @@ def test_malformed_profiles_fail_at_load_while_the_pass_runs(gates, tmp_path, mo
     forks = _count_forks(monkeypatch)
     fds = _open_fds()
     code = cli.main(["report", "--config", str(tmp_path / "run_config.json"), "--out-dir", str(tmp_path / "out")])
-    assert len(forks) == 2 * bool(gates)
+    assert len(forks) == bool(gates)
     assert code == cli.EXIT_FORMAT == 2
     (line,) = capsys.readouterr().err.strip().splitlines()
     message = f"{config.profiles_path}: 61 of 121 lines malformed; wrong file format?"
@@ -439,46 +477,92 @@ def test_malformed_profiles_fail_at_load_while_the_pass_runs(gates, tmp_path, mo
     assert _open_fds() == fds
 
 
-@pytest.mark.parametrize(
-    "module, name, stage",
-    [(segmenter, "segment", "featurize"), (model, "predict", "predict")],
-    ids=["featurize", "predict"],
-)
-def test_worker_error_is_a_bundle_error_naming_the_stage(module, name, stage, tmp_path, monkeypatch):
-    """segment runs in the text pass, predict on the share's feature matrix after it."""
+def test_worker_error_is_a_bundle_error_naming_the_stage(tmp_path, monkeypatch):
+    """segment runs in the text pass, so its failure in the child is one of featurize."""
     _fan_out(monkeypatch, TEXT_GATE)
     parent = os.getpid()
-    real = getattr(module, name)
+    real = segmenter.segment
 
     def in_parent_only(*args):
         if os.getpid() != parent:
-            raise ValueError(f"{name} in a worker")
+            raise ValueError("segment in a worker")
         return real(*args)
 
-    monkeypatch.setattr(module, name, in_parent_only)
+    monkeypatch.setattr(segmenter, "segment", in_parent_only)
     fds = _open_fds()
     with pytest.raises(BundleError) as err:
         report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
-    assert err.value.stage == stage
-    assert type(err.value.cause) is ValueError and str(err.value.cause) == f"{name} in a worker"
+    assert err.value.stage == "featurize"
+    assert type(err.value.cause) is ValueError and str(err.value.cause) == "segment in a worker"
+    assert _no_child_left()
+    assert _open_fds() == fds
+
+
+def test_predict_error_in_the_child_is_predicted_again_in_the_parent(tmp_path, monkeypatch):
+    """A predict failure does not cross the pipe: the child sends no scores,
+    and the parent predicts the accepted users' matrix once more."""
+    config = RunConfig.from_file(FIXTURE / "run_config.json")
+    report.build_bundle(config, tmp_path / "serial")
+    _fan_out(monkeypatch, TEXT_GATE)
+    parent = os.getpid()
+    real = model.predict
+    predicted = []  # the user ids of each matrix the parent predicts
+
+    def in_parent_only(mapping, features):
+        if os.getpid() != parent:
+            raise ValueError("predict in a worker")
+        predicted.append(features.user_ids)
+        return real(mapping, features)
+
+    monkeypatch.setattr(model, "predict", in_parent_only)
+    fds = _open_fds()
+    report.build_bundle(config, tmp_path / "forked")
+    posters = _posters(config)
+    features = (tmp_path / "serial" / "features.csv").read_text(encoding="utf-8").splitlines()[1:]
+    accepted = tuple(line.split(",")[0] for line in features)
+    assert predicted == [tuple(posters[: len(posters) // 2]), accepted]
+    assert _bundle_bytes(tmp_path / "forked") == _bundle_bytes(tmp_path / "serial")
     assert _no_child_left()
     assert _open_fds() == fds
 
 
 @pytest.mark.parametrize(
-    "chars, cpus, workers",
+    "sizes, cpus, forks",
     [
-        (22_621, 64, 1),  # the fixture corpus
-        (482_730, 2, 2),  # the benchmark's user_heavy corpus, seed 1
-        (1_452_460, 2, 2),  # its text_heavy corpus, seed 1
-        (482_730, 64, 2),  # a third worker needs 300k characters each
-        (1_452_460, 64, 4),
+        ([22_621], [1, 2, 64], False),  # the fixture corpus
+        ([482_730, 1_452_460], [2, 64], True),  # the benchmark's user_heavy and text_heavy corpora, seed 1
+        ([0, 22_621, 482_730, 1_452_460, 10**12], [1], False),
     ],
-    ids=["fixture", "user_heavy", "text_heavy", "user_heavy_64", "text_heavy_64"],
+    ids=["fixture", "benchmark", "one_cpu"],
 )
-def test_user_pass_gate(chars, cpus, workers, monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert report.user_pass_workers(chars) == workers
+def test_user_pass_gate(sizes, cpus, forks, monkeypatch):
+    for n in cpus:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        assert [report.fork_workers(chars, report.MIN_CHARS_PER_WORKER) for chars in sizes] == [forks] * len(sizes)
+
+
+def test_the_package_calls_os_fork_in_one_place():
+    """Every fork goes through _pool.forked_shares, so no second fork path comes back unnoticed."""
+    calls = []
+    for path in sorted(Path(report.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork":
+                calls.append(path.name)
+    assert calls == ["_pool.py"]
+
+
+def test_both_fork_sites_on_64_cpus_fork_one_child_each(tmp_path, monkeypatch):
+    config = RunConfig.from_file(FIXTURE / "run_config.json")
+    report.build_bundle(config, tmp_path / "serial")
+    _fan_out(monkeypatch, TEXT_GATE, TABLE_GATE)
+    assert len(os.sched_getaffinity(0)) == 64
+    forks = _count_forks(monkeypatch)
+    fds = _open_fds()
+    report.build_bundle(config, tmp_path / "forked")
+    assert forks == [os.getpid()] * 2
+    assert _bundle_bytes(tmp_path / "forked") == _bundle_bytes(tmp_path / "serial")
+    assert _no_child_left()
+    assert _open_fds() == fds
 
 
 def _write_json_in_parent_only(patch) -> None:
