@@ -153,6 +153,41 @@ def test_textpersona_loads_neither_dataclasses_nor_inspect(tmp_path, report):
     assert done.stdout.strip() == "[]"
 
 
+SETUP_PATH = """
+import sys
+from textpersona import RunConfig, compile_lexicon, load_model, load_word_list, parse_lexicon
+config = RunConfig.from_file(sys.argv[1])
+compile_lexicon(parse_lexicon(config.lexicon_path))
+load_word_list(config.word_list_path)
+load_model(config.model_path)
+print(*sorted(name for name in sys.modules if name.partition(".")[0] == "textpersona"))
+print(*sorted({"hashlib", "pickle"} & set(sys.modules)))
+"""
+
+
+def test_setup_path_loads_only_what_its_loaders_need():
+    """perfbench's set-up probe times this import line and these loads; none needs report or its stages."""
+    done = run_script(SETUP_PATH, FIXTURE / "run_config.json")
+    assert done.returncode == 0, done.stderr
+    modules, heavy = done.stdout.split("\n")[:2]
+    assert modules.split() == sorted(
+        ["textpersona"]
+        + [f"textpersona.{m}" for m in ("config", "errors", "_textio", "_csvio", "_pool", "lexicon", "model", "segmenter")]
+    )
+    assert heavy == ""
+
+
+def test_root_resolves_build_bundle_on_first_access():
+    assert textpersona.build_bundle is build_bundle
+    from textpersona import build_bundle as imported
+
+    assert imported is build_bundle
+    with pytest.raises(AttributeError, match="module 'textpersona' has no attribute 'nope'"):
+        textpersona.nope
+    with pytest.raises(ImportError):
+        from textpersona import nope  # noqa: F401
+
+
 @pytest.mark.parametrize(
     "row, reason",
     [

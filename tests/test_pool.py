@@ -192,6 +192,16 @@ def test_fork_map_reraises_a_worker_error_and_leaves_nothing_behind(bad, exc, ra
 
 def test_fork_map_error_does_not_wait_on_a_worker_blocked_on_a_full_pipe(monkeypatch):
     forks = _count_forks(monkeypatch)
+    children = []
+    counting_fork = os.fork
+
+    def recording_fork():
+        pid = counting_fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
 
     def fn(x):
         if x == 0:
@@ -209,6 +219,14 @@ def test_fork_map_error_does_not_wait_on_a_worker_blocked_on_a_full_pipe(monkeyp
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+        # a child left blocked would hold the run's output pipe open, and the run would never end
+        for pid in children:
+            try:
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # already reaped, so the pid may belong to another process now
+                pass
     assert len(forks) == 1
     assert _no_child_left()
 
