@@ -6,13 +6,14 @@ Big Five trait scores with a fitted linear model, and run the full set
 of correlation / group / trend / emoticon analyses over the result.
 
 Each stage lives in its own module (corpus, cleaner, segmenter,
-lexicon, model, stats, report), and callers import its names from
-there. The root keeps only the names perfbench and tools import from
-it. RunConfig, TRAITS and the loaders that perfbench's set-up probe
-times in a fresh interpreter (parse_lexicon, compile_lexicon,
+lexicon, model, stats, tables, report), and callers import its names
+from there. The root keeps only the names perfbench and tools import
+from it. RunConfig, TRAITS and the loaders that perfbench's set-up
+probe times in a fresh interpreter (parse_lexicon, compile_lexicon,
 load_word_list, load_model) are imported with the package, and they
 load nothing of the bundle pipeline. build_bundle resolves on first
-access, which imports report and every stage it runs.
+access, which imports report and every stage it runs. Every CLI step
+imports this root, and only its report subcommand imports report.
 """
 
 from .config import RunConfig

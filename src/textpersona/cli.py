@@ -22,9 +22,9 @@ from . import cleaner as cleaner_mod
 from . import corpus as corpus_mod
 from . import lexicon as lexicon_mod
 from . import model as model_mod
-from . import report as report_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
+from . import tables
 from ._textio import utf8_lines
 from .config import RunConfig
 from .errors import BundleError, InputFormatError, TextPersonaError
@@ -226,7 +226,7 @@ def cmd_featurize(args) -> int:
     matcher = lexicon_mod.compile_lexicon(lexicon)
     tokens_by_user = _read_tokens(args.tokens)
     features = lexicon_mod.featurize(tokens_by_user, matcher)
-    report_mod.features_table(features, lexicon.category_names).write_csv(args.out)
+    tables.features_table(features, lexicon.category_names).write_csv(args.out)
     log.info("featurize: %d users, %d categories", len(features.user_ids), len(features.names))
     return EXIT_OK
 
@@ -244,12 +244,12 @@ def cmd_predict(args) -> int:
     mapping = model_mod.load_model(args.model)
     features = lexicon_mod.read_features_csv(args.features)
     scores, skipped = model_mod.predict(mapping, features)
-    report_mod.scores_table(scores).write_csv(args.out)
+    tables.scores_table(scores).write_csv(args.out)
     log.info("predict: %d scored, %d degenerate skipped", len(scores), len(skipped))
     return EXIT_OK
 
 
-def _write_table(table: report_mod.Table, args) -> None:
+def _write_table(table: tables.Table, args) -> None:
     """Write an analysis table to --out-csv and, if given, --out-json."""
     table.write_csv(args.out_csv)
     if args.out_json:
@@ -260,7 +260,7 @@ def cmd_correlate(args) -> int:
     features = lexicon_mod.read_features_csv(args.features)
     scores = model_mod.read_scores_csv(args.scores)
     results = stats_mod.correlation_matrix(features, scores, args.alpha)
-    _write_table(report_mod.correlations_table(results), args)
+    _write_table(tables.correlations_table(results), args)
     log.info("correlate: %d pairs", len(results))
     return EXIT_OK
 
@@ -280,7 +280,7 @@ def cmd_contrast(args) -> int:
         trait=args.trait,
     )
     contrast = stats_mod.tag_contrast(split, profiles, args.top_k)
-    _write_table(report_mod.tag_contrast_table([contrast]), args)
+    _write_table(tables.tag_contrast_table([contrast]), args)
     log.info("contrast: trait %s, groups of %d", args.trait, len(split.high_ids))
     return EXIT_OK
 
@@ -288,7 +288,7 @@ def cmd_contrast(args) -> int:
 def cmd_demographics(args) -> int:
     profiles, _ = corpus_mod.load_profiles(args.profiles)
     aged = [corpus_mod.with_credible_age(p, args.reference_date, (args.min_age, args.max_age)) for p in profiles]
-    _write_table(report_mod.demographic_summary(aged), args)
+    _write_table(tables.demographic_summary(aged), args)
     log.info("demographics: %d profiles", len(profiles))
     return EXIT_OK
 
@@ -307,14 +307,16 @@ def cmd_emoticons(args) -> int:
     (contrast,) = stats_mod.emoticon_contrasts([split], usage, args.min_count, args.alpha)
     if contrast.warning:
         log.warning("emoticons: %s", contrast.warning)
-    _write_table(report_mod.emoticons_table([contrast]), args)
+    _write_table(tables.emoticons_table([contrast]), args)
     log.info("emoticons: trait %s, %d qualifying", args.trait, len(contrast.rows))
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
+    from .report import build_bundle  # imported here, so that no other step loads the bundle pipeline
+
     config = RunConfig.from_file(args.config)
-    bundle = report_mod.build_bundle(config, args.out_dir)
+    bundle = build_bundle(config, args.out_dir)
     log.info("report: %d artifacts in %s", len(bundle.artifacts), bundle.out_dir)
     return EXIT_OK
 

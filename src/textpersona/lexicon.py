@@ -302,7 +302,7 @@ _MAX_TOKEN_COUNT = 10**7
 
 
 def read_features_csv(path) -> FeatureMatrix:
-    """Read report.features_table's CSV back into the exact FeatureMatrix.
+    """Read tables.features_table's CSV back into the exact FeatureMatrix.
 
     Rows keep the file's order. Each cell is snapped to the hit count
     k = round(cell * token_count / 100) and rebuilt as k * (100 /

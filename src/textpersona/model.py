@@ -346,7 +346,7 @@ def _finite_rows(rows, n_rows: int, n_cols: int) -> bool:
 
 def write_scores_csv(scores: Sequence[tuple[str, BigFive]], path) -> None:
     """CSV 'user_id,O,C,E,A,N' with 6-decimal scores: report's scores.csv."""
-    from .report import scores_table  # report imports this module
+    from .tables import scores_table  # tables imports this module
 
     scores_table(scores).write_csv(path)
 

@@ -18,8 +18,9 @@ from textpersona.config import RunConfig, builtin_data_path, load_keyword_file
 from textpersona.corpus import load_profiles
 from textpersona.errors import InputFormatError
 from textpersona.model import TRAITS, read_scores_csv
-from textpersona.report import build_bundle, tag_contrast_table
+from textpersona.report import build_bundle
 from textpersona.stats import polarity_split, tag_contrast
+from textpersona.tables import tag_contrast_table
 
 TESTDATA = Path(__file__).parent / "data"
 FIXTURE = builtin_data_path("fixture_corpus")
@@ -132,49 +133,57 @@ def test_report_loads_no_process_pool_machinery(tmp_path):
     assert done.stdout.strip() == "[]"
 
 
-SLOW_IMPORTS = """
+STARTUP_MODULES = """
+import json
 import sys
-import textpersona
-code = 0
-if sys.argv[1:]:
+if sys.argv[1] == "import":
+    import textpersona
+    code = 0
+elif sys.argv[1] == "setup":  # perfbench/setup_probe.py's import line and loads
+    from textpersona import RunConfig, compile_lexicon, load_model, load_word_list, parse_lexicon
+    config = RunConfig.from_file(sys.argv[2])
+    compile_lexicon(parse_lexicon(config.lexicon_path))
+    load_word_list(config.word_list_path)
+    load_model(config.model_path)
+    code = 0
+else:
     from textpersona.cli import main
     code = main(sys.argv[1:])
-print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+watched = {"dataclasses", "inspect", "hashlib", "pickle"}
+print(json.dumps(sorted(name for name in sys.modules if name in watched or name.partition(".")[0] == "textpersona")))
 sys.exit(code)
 """
 
+LOADER_MODULES = ["config", "errors", "_textio", "_csvio", "_pool", "lexicon", "model", "segmenter"]
+CLI_MODULES = [*LOADER_MODULES, "cli", "corpus", "cleaner", "special", "stats", "tables"]
 
-@pytest.mark.parametrize("report", [False, True], ids=["import", "report"])
-def test_textpersona_loads_neither_dataclasses_nor_inspect(tmp_path, report):
-    """Every process pays for what the package imports, and dataclasses brings inspect, ast and dis."""
-    argv = ["report", "--config", FIXTURE / "run_config.json", "--out-dir", tmp_path / "b"] if report else []
-    done = run_script(SLOW_IMPORTS, *argv)
+
+@pytest.mark.parametrize(
+    "invocation, modules, watched",
+    [
+        ("import", LOADER_MODULES, []),
+        ("setup", LOADER_MODULES, []),
+        ("clean", CLI_MODULES, []),
+        ("report", [*CLI_MODULES, "report"], ["hashlib"]),
+    ],
+    ids=["import", "setup", "clean", "report"],
+)
+def test_textpersona_loads_neither_dataclasses_nor_inspect(tmp_path, invocation, modules, watched):
+    """Every process pays for what the package imports, and dataclasses brings inspect, ast and dis.
+
+    The root and the loaders that perfbench's set-up probe runs load none
+    of the bundle pipeline; a CLI step loads all but report (and its
+    hashlib), which only the report subcommand imports.
+    """
+    argv = {
+        "import": ["import"],
+        "setup": ["setup", FIXTURE / "run_config.json"],
+        "clean": ["clean", "--posts", FIXTURE / "posts.jsonl", "--out", tmp_path / "cleaned.jsonl"],
+        "report": ["report", "--config", FIXTURE / "run_config.json", "--out-dir", tmp_path / "b"],
+    }[invocation]
+    done = run_script(STARTUP_MODULES, *argv)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
-
-
-SETUP_PATH = """
-import sys
-from textpersona import RunConfig, compile_lexicon, load_model, load_word_list, parse_lexicon
-config = RunConfig.from_file(sys.argv[1])
-compile_lexicon(parse_lexicon(config.lexicon_path))
-load_word_list(config.word_list_path)
-load_model(config.model_path)
-print(*sorted(name for name in sys.modules if name.partition(".")[0] == "textpersona"))
-print(*sorted({"hashlib", "pickle"} & set(sys.modules)))
-"""
-
-
-def test_setup_path_loads_only_what_its_loaders_need():
-    """perfbench's set-up probe times this import line and these loads; none needs report or its stages."""
-    done = run_script(SETUP_PATH, FIXTURE / "run_config.json")
-    assert done.returncode == 0, done.stderr
-    modules, heavy = done.stdout.split("\n")[:2]
-    assert modules.split() == sorted(
-        ["textpersona"]
-        + [f"textpersona.{m}" for m in ("config", "errors", "_textio", "_csvio", "_pool", "lexicon", "model", "segmenter")]
-    )
-    assert heavy == ""
+    assert set(json.loads(done.stdout)) == {"textpersona", *(f"textpersona.{m}" for m in modules), *watched}
 
 
 def test_root_resolves_build_bundle_on_first_access():

@@ -16,7 +16,7 @@ from textpersona.lexicon import (
     read_features_csv,
 )
 from textpersona.config import builtin_data_path
-from textpersona.report import features_table
+from textpersona.tables import features_table
 
 
 def one_user(features):

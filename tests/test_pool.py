@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from textpersona import cleaner, cli, model, report, segmenter, stats
+from textpersona import cleaner, cli, model, report, segmenter, stats, tables
 from textpersona._pool import forked_shares, parallel_map
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.errors import BundleError, PipelineError
@@ -96,14 +96,17 @@ def _no_child_left() -> bool:
     return False
 
 
-def _count_forks(patch) -> list[int]:
-    """The pids that call os.fork from now on, one per fork."""
+def _count_forks(patch, children: list[int] | None = None) -> list[int]:
+    """The pids that call os.fork from now on, one per fork; children, if given, gets the pid of each child forked."""
     forks = []
     real_fork = os.fork
 
     def counting_fork():
         forks.append(os.getpid())
-        return real_fork()
+        pid = real_fork()
+        if pid and children is not None:
+            children.append(pid)
+        return pid
 
     patch.setattr(os, "fork", counting_fork)
     return forks
@@ -191,17 +194,8 @@ def test_fork_map_reraises_a_worker_error_and_leaves_nothing_behind(bad, exc, ra
 
 
 def test_fork_map_error_does_not_wait_on_a_worker_blocked_on_a_full_pipe(monkeypatch):
-    forks = _count_forks(monkeypatch)
     children = []
-    counting_fork = os.fork
-
-    def recording_fork():
-        pid = counting_fork()
-        if pid:
-            children.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
+    forks = _count_forks(monkeypatch, children)
 
     def fn(x):
         if x == 0:
@@ -586,14 +580,14 @@ def test_both_fork_sites_on_64_cpus_fork_one_child_each(tmp_path, monkeypatch):
 def _write_json_in_parent_only(patch) -> None:
     """features.json, the child's first JSON file, has its own writer."""
     parent = os.getpid()
-    real_write_json = report.FeatureTable.write_json
+    real_write_json = tables.FeatureTable.write_json
 
     def write_json(table, path):
         if os.getpid() != parent:
             raise OSError(errno.ENOSPC, f"no space for {table.name}.json")
         real_write_json(table, path)
 
-    patch.setattr(report.FeatureTable, "write_json", write_json)
+    patch.setattr(tables.FeatureTable, "write_json", write_json)
 
 
 def test_table_writer_error_is_reraised_with_its_type_and_message(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from textpersona import cleaner, corpus, lexicon, model, report, segmenter, stats
+from textpersona import cleaner, corpus, lexicon, model, report, segmenter, stats, tables
 from textpersona.config import RunConfig
 from textpersona.corpus import RejectReason, UserProfile, ValidityReport
 from textpersona.errors import PipelineError
@@ -64,9 +64,9 @@ RECORDS = [
     lexicon.FeatureMatrix(("PosEmo",), (), (), ()),
     model.BigFive(1.0, 2.0, 3.0, 4.0, 5.0),
     model.MappingModel((), (), (0.0,) * 5, 1.0, 0),
-    report.Table("t", ("a",), ()),
-    report.FeatureTable("features", ("user_id", "token_count"), ()),
-    report.ScoreTable("scores", ("user_id", "O"), ()),
+    tables.Table("t", ("a",), ()),
+    tables.FeatureTable("features", ("user_id", "token_count"), ()),
+    tables.ScoreTable("scores", ("user_id", "O"), ()),
     report.ReportBundle(Path("out"), (), Path("out/manifest.json")),
     segmenter.WordList.from_words(["今天"]),
     stats.CorrelationResult("PosEmo", "O", None, None, 3, False),
@@ -81,7 +81,7 @@ RECORDS = [
 
 def test_every_record_class_is_covered():
     """RECORDS holds one instance of each public NamedTuple class of the package."""
-    modules = (cleaner, corpus, lexicon, model, report, segmenter, stats)
+    modules = (cleaner, corpus, lexicon, model, report, segmenter, stats, tables)
     found = {
         obj
         for module in modules

@@ -19,19 +19,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from textpersona import model, report, segmenter
+from textpersona import model, report, segmenter, tables
 from textpersona.config import RunConfig, builtin_data_path
 from textpersona.corpus import UserProfile, load_corpus, validate_users
 from textpersona.errors import BundleError, InputFormatError
 from textpersona.lexicon import FeatureMatrix, parse_lexicon
 from textpersona.model import BigFive
-from textpersona.report import (
-    Table,
-    build_bundle,
-    demographic_summary,
-    features_table,
-    fmt,
-)
+from textpersona.report import build_bundle
+from textpersona.tables import Table, demographic_summary, features_table, fmt
 
 TESTDATA = Path(__file__).parent / "data"
 REPO = Path(__file__).resolve().parent.parent
@@ -203,7 +198,7 @@ def test_scores_writers_equal_the_generic_table_writers(tmp_path_factory, rows):
     -0.0 keeps its sign.
     """
     scores = [(uid, BigFive(*values)) for uid, *values in rows]
-    table = report.scores_table(scores)
+    table = tables.scores_table(scores)
     generic = Table(table.name, table.columns, table.rows)
     base = tmp_path_factory.getbasetemp()
     for suffix in ("csv", "json"):
@@ -215,7 +210,7 @@ def test_scores_writers_equal_the_generic_table_writers(tmp_path_factory, rows):
 
 
 def test_scores_writers_keep_the_sign_of_zero(tmp_path):
-    table = report.scores_table([("u,1", BigFive(-0.0, 0.0, -1e-7, 1e-7, 2.5))])
+    table = tables.scores_table([("u,1", BigFive(-0.0, 0.0, -1e-7, 1e-7, 2.5))])
     table.write_csv(tmp_path / "s.csv")
     table.write_json(tmp_path / "s.json")
     assert (tmp_path / "s.csv").read_text(encoding="utf-8").splitlines()[1] == (

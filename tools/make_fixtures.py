@@ -23,7 +23,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from textpersona import RunConfig, cleaner, corpus, lexicon, model, report, segmenter, synth  # noqa: E402
+from textpersona import RunConfig, cleaner, corpus, lexicon, model, report, segmenter, synth, tables  # noqa: E402
 
 DATA = ROOT / "src" / "textpersona" / "data"
 FIXTURE = DATA / "fixture_corpus"
@@ -117,7 +117,7 @@ def main() -> None:
     ids = [p.user_id for p in corpus_data.profiles]
 
     labeled = ids[:N_LABELED]
-    report.scores_table([(uid, corpus_data.scores[uid]) for uid in labeled]).write_csv(FIXTURE / "labels.csv")
+    tables.scores_table([(uid, corpus_data.scores[uid]) for uid in labeled]).write_csv(FIXTURE / "labels.csv")
 
     # pipeline: clean -> segment -> featurize over the fixture posts
     cleaned, _ = cleaner.clean_corpus(posts, cleaner.DEFAULT_SPAM_KEYWORDS)
@@ -127,7 +127,7 @@ def main() -> None:
     for uid, tokens in tokenized:
         tokens_by_user[uid].append(tokens)
     matcher = lexicon.compile_lexicon(lex)
-    report.features_table(lexicon.featurize(tokens_by_user, matcher), lex.category_names).write_csv(
+    tables.features_table(lexicon.featurize(tokens_by_user, matcher), lex.category_names).write_csv(
         TESTDATA / "features_golden.csv"
     )
 
@@ -153,7 +153,7 @@ def main() -> None:
 
     # frozen goldens for the test suite
     scores, _ = model.predict(mapping, features)
-    report.scores_table(scores).write_csv(TESTDATA / "scores_golden.csv")
+    tables.scores_table(scores).write_csv(TESTDATA / "scores_golden.csv")
 
     validated, _, validity = corpus.validate_users(
         list(corpus_data.profiles),
@@ -162,7 +162,7 @@ def main() -> None:
         ad_url_patterns=defaults.ad_url_patterns,
         reference_date=synth.REFERENCE_DATE,
     )
-    report.demographic_summary(validated).write_csv(TESTDATA / "demographics_golden.csv")
+    tables.demographic_summary(validated).write_csv(TESTDATA / "demographics_golden.csv")
     write_bundle_golden(TESTDATA / "bundle_golden.json")
     # the default emoticon_min_count leaves the fixture's emoticon table empty; 50 gives it 50 rows
     write_bundle_golden(TESTDATA / "bundle_golden_emoticons.json", emoticon_min_count=50)
