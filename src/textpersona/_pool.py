@@ -1,36 +1,35 @@
 """Order-preserving maps that split their items into two halves, one in a forked child.
 
-forked_shares(fn, items, fork=True) cuts the items into two halves of
+forked_shares(fn, items) cuts the items into two halves of
 len(items) // 2 and the rest. On entry it forks one child for the
 second half and yields gather(), which runs fn on the first half in the
 calling process and returns [fn(first half), fn(second half)]; the
 caller may do other work before it calls gather. On exit the child is
 reaped and its pipe closed, whether gather ran, returned or raised.
-parallel_map(fn, items) is the flat list of fn of each item, mapped
-half by half. report.build_bundle forks its per-user pass with
-forked_shares before it reads the profiles: the child cleans, segments
-and featurizes the second half of the users with a post, predicts its
-scores, and sends back tuples and plain dicts, while the parent reads
-and validates the profiles. After predict, parallel_map runs two tasks:
-a child writes the features table and runs and writes the correlations,
-the work that reads the feature matrix, while the parent writes the
-scores table and runs the other analyses. Both fork only on corpora
-large enough to pay for a fork (fork_workers). The threads= keyword of
-clean_corpus, segment_corpus and lexicon.featurize goes through
-parallel_map too.
+parallel_map(fn, items, threads=2) is the flat list of fn of each item,
+mapped half by half; threads=1 maps in process. report.build_bundle
+forks its per-user pass with forked_shares before it reads the
+profiles: the child cleans, segments and featurizes the second half of
+the users with a post, predicts its scores, and sends back tuples and
+plain dicts, while the parent reads and validates the profiles. After
+predict, parallel_map runs two tasks: a child writes the features table
+and runs and writes the correlations, the work that reads the feature
+matrix, while the parent writes the scores table and runs the other
+analyses. The threads= keyword of clean_corpus, segment_corpus and
+lexicon.featurize goes through parallel_map too.
 
-One share (fork false or fewer than two items) runs in-process.
-Otherwise the second half goes to a child made by os.fork. The child
-inherits fn and the items, so nothing is pickled on the way in and
-closures or one-shot generators work as items. It sends back its
-pickled result, or the exception it raised, through a pipe. The halves
-come back in input order, so output is byte-identical forked or not as
-long as fn's results join to the same whole. pickle is imported only
-when a map forks, so a serial run never loads it. Where os.fork does
-not exist, or another thread runs, the map runs in-process as one
-share: callers decide with fork_workers whether a fork pays and leave
-that decision here. More than one child was never measured to pay on
-more than two CPUs, so none is made."""
+One rule decides every fork, whatever the size of the work: the second
+half goes to a child made by os.fork when there are at least two items
+and two usable CPUs, os.fork exists, and no other thread runs (a fork
+would copy the locks it may hold). Otherwise the items run in process
+as one share. The child inherits fn and the items, so nothing is
+pickled on the way in and closures or one-shot generators work as
+items. It sends back its pickled result, or the exception it raised,
+through a pipe. The halves come back in input order, so output is
+byte-identical forked or not as long as fn's results join to the same
+whole. pickle is imported only when a map forks, so a run in process
+never loads it. More than one child was never measured to pay on more
+than two CPUs, so none is made."""
 
 from __future__ import annotations
 
@@ -44,19 +43,16 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def fork_workers(work: int, min_work: int) -> bool:
-    """Whether a task of size work forks: two usable CPUs, and min_work for each half."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return cpus >= 2 and work >= 2 * min_work
-
-
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], *, threads: int = 1) -> list[R]:
-    """fn of each item, in order; threads > 1 maps the second half in one forked child.
+    """fn of each item, in order; threads > 1 maps the second half in one forked child (forked_shares).
 
-    threads only chooses between in process and one child. The kernels
-    (clean_corpus, segment_corpus, lexicon.featurize) keep the keyword
-    only for perfbench's pooled_reruns, which ROADMAP item 2 removes."""
-    with forked_shares(lambda share: [fn(item) for item in share], items, fork=threads > 1) as gather:
+    threads only chooses between in process and forked_shares. The
+    kernels (clean_corpus, segment_corpus, lexicon.featurize) keep the
+    keyword only for perfbench's pooled_reruns, which ROADMAP item 2
+    removes."""
+    if threads < 2:
+        return [fn(item) for item in items]
+    with forked_shares(lambda share: [fn(item) for item in share], items) as gather:
         return [*chain.from_iterable(gather())]
 
 
@@ -67,13 +63,12 @@ def _has_threads() -> bool:
 
 
 @contextmanager
-def forked_shares(
-    fn: Callable[[list[T]], R], items: Iterable[T], *, fork: bool
-) -> Iterator[Callable[[], list[R]]]:
+def forked_shares(fn: Callable[[list[T]], R], items: Iterable[T]) -> Iterator[Callable[[], list[R]]]:
     """Fork the child of the second half; yield gather(), which runs the
     first half here and returns fn of each half in order (module docstring)."""
     items = list(items)
-    if not fork or len(items) < 2 or not hasattr(os, "fork") or _has_threads():
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    if len(items) < 2 or cpus < 2 or not hasattr(os, "fork") or _has_threads():
         yield lambda: [fn(items)]
         return
     import pickle

@@ -1,5 +1,8 @@
 """How every text input is read: UTF-8, a line at a time.
 
+A byte-order mark (BOM) at the start of a file is dropped (utf-8-sig),
+so a file saved with one reads as the file without it. Config and
+model JSON are not read here: json refuses a BOM, and so they exit 2.
 Files are opened with errors="surrogateescape", so a byte sequence that
 is not UTF-8 becomes lone surrogates (U+DC80..U+DCFF) in the line that
 holds it instead of aborting the whole read. check_utf8 then fails for
@@ -15,7 +18,7 @@ from .errors import InputFormatError
 
 
 def open_text(path, newline: str | None = None):
-    return open(path, encoding="utf-8", errors="surrogateescape", newline=newline)
+    return open(path, encoding="utf-8-sig", errors="surrogateescape", newline=newline)
 
 
 def check_utf8(line: str) -> None:

@@ -23,7 +23,7 @@ from . import lexicon as lexicon_mod
 from . import model as model_mod
 from . import segmenter as segmenter_mod
 from . import stats as stats_mod
-from ._pool import fork_workers, forked_shares, parallel_map
+from ._pool import forked_shares, parallel_map
 from .config import RunConfig
 from .errors import BundleError, PipelineError
 from .model import TRAITS, BigFive
@@ -51,34 +51,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-# raw characters (of every user with a post) that each half of user_pass
-# needs before forking the second half pays. Measured on a 2-CPU
-# machine: median ms of 16 alternating in-process runs of the per-user
-# pass over the first users of the benchmark's corpora (seeds 1 and 2),
-# forked minus in process. Long posts (text_heavy) were +3.2 to -3.8
-# from 25k to 49k characters and paid from 65k (-5.1, -7.2); short
-# emoticon-dense posts (user_heavy, about 100 characters a user) were
-# +3.6 to -6.5 from 20k to 49k and paid from 59k (-0.9 to -9.7; -11 to
-# -13 at 78k and 98k). At equal characters the two shapes fell alike
-# (40k: +2.2 and +1.8 on seed 1, -2.0 and -3.3 on seed 2): once a user's
-# results go back as tuples and plain dicts, the number of users moves
-# the break-even by less than the noise. The fork needs 50k characters,
-# so the fixture corpus (22.6k) stays serial.
-MIN_CHARS_PER_WORKER = 25_000
-
-# cells of the per-user tables (features plus scores) per half before
-# running the half that reads the feature matrix (build_bundle) in a
-# forked child, while the parent runs the other half, pays for the fork,
-# so it forks from 20k cells. Measured on a 2-CPU machine once the child
-# also ran the correlations: median ms of 12 alternating in-process runs
-# per user-heavy corpus, forked minus in process, -2.6 at 3.7k cells,
-# -5.4 at 7.5k, -9.1 at 11k, -7.1 at 22k, -3.5 at 37k, -36.4 at 75k and
-# -36.6 at 112k. The break-even fell below 3.7k, but below 20k the gain
-# is a few ms, within the noise of a shared machine, so the gate was
-# kept (the fixture corpus stays serial).
-MIN_TABLE_CELLS_PER_WORKER = 10_000
-
-
 @contextmanager
 def user_pass(
     texts_by_user: Mapping[str, Sequence[str]],
@@ -93,11 +65,11 @@ def user_pass(
 
     Each post is cleaned and its segment() counted by
     lexicon.featurize_user as it is made, and a user's emoticons are
-    counted into a plain dict, in order of first use. On corpora with
-    enough raw characters (MIN_CHARS_PER_WORKER) the second half of the
-    sorted user ids runs in a forked child (_pool.forked_shares), forked
-    on entry, so the caller can work (build_bundle reads and validates
-    the profiles) while it runs; scored runs the first half here. Each
+    counted into a plain dict, in order of first use. With two or more
+    users and two usable CPUs the second half of the sorted user ids
+    runs in a forked child (_pool.forked_shares), forked on entry, so
+    the caller can work (build_bundle reads and validates the profiles)
+    while it runs; scored runs the first half here. Each
     half builds its FeatureMatrix and runs model.predict on it, and
     sends back tuples and plain dicts. The halves are joined in id
     order, so the result does not depend on the fork. Every user is
@@ -145,8 +117,7 @@ def user_pass(
         # plain tuples pickle without BigFive's Python-level reduce and check
         return counts, rows, usage, [(uid, tuple(score)) for uid, score in scores]
 
-    chars = sum(len(text) for texts in texts_by_user.values() for text in texts)
-    with forked_shares(one_share, user_ids, fork=fork_workers(chars, MIN_CHARS_PER_WORKER)) as gather:
+    with forked_shares(one_share, user_ids) as gather:
 
         def scored(keep: Container[str]):
             counts, rows, usage, scores = zip(*gather())
@@ -192,9 +163,9 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
 
     Clean, segment, featurize and predict are one pass per user
     (user_pass) over every user with a post, so no post's cleaned text
-    or token list is kept. On corpora with enough raw characters
-    (MIN_CHARS_PER_WORKER) the second half of its users runs in a forked
-    child, forked before the profiles are read; the parent reads and
+    or token list is kept. On two usable CPUs the second half of its
+    users runs in a forked child, forked before the profiles are read,
+    at any corpus size (_pool.forked_shares); the parent reads and
     validates the profiles (corpus.accept_users) meanwhile, then runs
     the first half and keeps only the accepted users' rows, scores and
     emoticon usage. A featurize failure keeps its stage across the pipe.
@@ -208,13 +179,12 @@ def build_bundle(config: RunConfig, out_dir) -> ReportBundle:
     After predict the work splits into two halves of about equal time:
     one reads the feature matrix (features.*, then correlation_matrix and
     correlations.*), the other writes scores.* and runs and writes the
-    analyses of profiles and scores. On corpora whose per-user tables
-    hold enough cells (MIN_TABLE_CELLS_PER_WORKER) a forked child runs
-    the first while the parent runs the second, and a child's error, a
-    BundleError included, is re-raised here; otherwise the second runs,
-    then the first. Either way a failure in one half may leave the
-    other's tables written, as a write failure midway leaves a partial
-    bundle.
+    analyses of profiles and scores. On two usable CPUs a forked child
+    runs the first while the parent runs the second, and a child's
+    error, a BundleError included, is re-raised here; otherwise the
+    second runs, then the first. Either way a failure in one half may
+    leave the other's tables written, as a write failure midway leaves
+    a partial bundle.
 
     The cyclic garbage collector is paused for the run, forked children
     included, and the caller's setting is restored after it, also when a
@@ -306,16 +276,14 @@ def _build_bundle(config: RunConfig, out_dir) -> ReportBundle:
         table.write_json(out_dir / json_name)
         return table.name, csv_name, json_name, len(table.rows)
 
-    tasks = [  # the first runs here; the second, what reads the feature matrix, in a child when the gate opens
+    tasks = [  # the first runs here; the second, what reads the feature matrix, in a child on two CPUs
         lambda: [write(scores_table(scores)), *map(write, stage("analyses", analyses))],
         lambda: [
             write(features_table(features, lexicon.category_names)),
             write(correlations_table(stage("analyses", stats_mod.correlation_matrix, features, scores, config.alpha))),
         ],
     ]
-    cells = len(features.user_ids) * (len(features.names) + 2) + len(scores) * (len(TRAITS) + 1)
-    threads = 2 if fork_workers(cells, MIN_TABLE_CELLS_PER_WORKER) else 1
-    here, child = parallel_map(lambda task: task(), tasks, threads=threads)
+    here, child = parallel_map(lambda task: task(), tasks, threads=2)
     # the manifest lists features, scores, score_summary, demographics, correlations, then the rest
     artifacts = [child[0], *here[:3], child[1], *here[3:]]
 

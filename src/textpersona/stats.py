@@ -67,7 +67,8 @@ def _centred(values: Sequence[float]) -> tuple[list[float], float]:
     """A column's deviations from its fsum mean, and the fsum of their squares.
 
     A sum of finite values beyond the float range, or one of +inf and
-    -inf, raises PipelineError.
+    -inf, raises PipelineError. A sum of squares beyond the float range
+    is inf, so _centred_r_p takes its rescaled path.
     """
     xs = [float(v) for v in values]
     try:
@@ -77,7 +78,10 @@ def _centred(values: Sequence[float]) -> tuple[list[float], float]:
     except ValueError:  # -inf + inf
         raise PipelineError("correlation undefined for a value that is not finite") from None
     dev = [v - mean for v in xs]
-    return dev, fsum(map(mul, dev, dev))
+    try:
+        return dev, fsum(map(mul, dev, dev))
+    except OverflowError:  # finite squares whose sum is not
+        return dev, inf
 
 
 _MIN_NORMAL, _MAX = float_info.min, float_info.max
@@ -228,7 +232,7 @@ def tag_contrast(
         raise PipelineError(f"split user {missing[0]!r} has no profile")
 
     def ranked(ids: tuple[str, ...]) -> tuple[tuple[str, float], ...]:
-        counts = Counter(tag for uid in ids for tag in by_id[uid].tags)
+        counts = Counter(tag for uid in ids for tag in set(by_id[uid].tags))  # a user counts once per tag
         size = len(ids)
         rows = sorted(
             ((tag, count / size) for tag, count in counts.items()),

@@ -12,7 +12,6 @@ import pytest
 
 import textpersona
 from textpersona import cli
-from textpersona import report as report_mod
 from textpersona.cli import EXIT_FORMAT, EXIT_PIPELINE, EXIT_USAGE, main
 from textpersona.config import RunConfig, builtin_data_path, load_keyword_file
 from textpersona.corpus import load_profiles
@@ -118,7 +117,13 @@ def test_pipeline_runs_without_numpy(tmp_path):
 
 
 POOL_MODULES = """
+import os
 import sys
+cpus = int(sys.argv.pop(1))
+if cpus == 1:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+else:  # faked, so the run forks whatever CPUs the machine has
+    os.sched_getaffinity = lambda pid: set(range(cpus))
 from textpersona.cli import main
 code = main(sys.argv[1:])
 print(sorted({"multiprocessing", "concurrent.futures.process", "pickle"} & set(sys.modules)))
@@ -126,16 +131,21 @@ sys.exit(code)
 """
 
 
-def test_report_loads_no_process_pool_machinery(tmp_path):
-    """A serial run imports neither multiprocessing, a process pool nor the fork map's pickle."""
-    done = run_script(POOL_MODULES, "report", "--config", FIXTURE / "run_config.json", "--out-dir", tmp_path / "b")
+@pytest.mark.parametrize("cpus, loaded", [(1, "[]"), (2, "['pickle']")], ids=["serial", "forked"])
+def test_report_loads_no_process_pool_machinery(tmp_path, cpus, loaded):
+    """A run on one CPU imports neither multiprocessing, a process pool nor the
+    fork map's pickle; a forked run imports pickle alone."""
+    argv = ["report", "--config", FIXTURE / "run_config.json", "--out-dir", tmp_path / "b"]
+    done = run_script(POOL_MODULES, cpus, *argv)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == loaded
 
 
 STARTUP_MODULES = """
 import json
+import os
 import sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})  # one CPU, so report forks nothing and loads no pickle
 if sys.argv[1] == "import":
     import textpersona
     code = 0
@@ -895,9 +905,7 @@ def test_finite_values_whose_sums_overflow_exit_3(staged, tmp_path, capsys, comm
 def test_report_whose_scores_overflow_in_forked_shares_exit_3(tmp_path, capsys, monkeypatch):
     """With the per-user pass split into two halves, both halves' predict
     overflows; predict over the accepted matrix reports the first id."""
-    monkeypatch.setattr(report_mod, "MIN_CHARS_PER_WORKER", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert report_mod.fork_workers(22_621, report_mod.MIN_CHARS_PER_WORKER)
     config = tmp_path / "config.json"
     config.write_text(fixture_config(model_path=str(_model_with_w(1e308, tmp_path / "model.json"))), encoding="utf-8")
     assert run("report", "--config", config, "--out-dir", tmp_path / "bundle") == EXIT_PIPELINE

@@ -3,10 +3,13 @@
 import contextlib
 import datetime as dt
 import json
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from textpersona.config import RunConfig
+from textpersona import cli
+from textpersona.config import RunConfig, builtin_data_path, load_keyword_file
 from textpersona.corpus import (
     Post,
     RejectReason,
@@ -22,6 +25,9 @@ from textpersona.corpus import (
     with_credible_age,
 )
 from textpersona.errors import InputFormatError, PipelineError
+from textpersona.lexicon import parse_lexicon, read_features_csv
+from textpersona.model import read_scores_csv
+from textpersona.segmenter import load_word_list
 
 REF = dt.date(2018, 6, 1)
 
@@ -421,3 +427,27 @@ def test_profile_invariants():
         UserProfile("u", gender="other")
     with pytest.raises(ValueError):
         UserProfile("u", tags=tuple(str(i) for i in range(11)))
+
+
+DATA, TESTDATA = builtin_data_path(), Path(__file__).parent / "data"
+LINE_READERS = {  # every reader of a text input goes through _textio.open_text
+    "posts": (DATA / "fixture_corpus" / "posts.jsonl", load_posts),
+    "profiles": (DATA / "fixture_corpus" / "profiles.jsonl", load_profiles),
+    "word_list": (DATA / "wordlist.txt", load_word_list),
+    "spam_keywords": (DATA / "spam_keywords.txt", load_keyword_file),
+    "system_templates": (DATA / "system_templates.txt", load_keyword_file),
+    "lexicon": (DATA / "sc_liwc_fixture.dic", parse_lexicon),
+    "features_csv": (TESTDATA / "features_golden.csv", read_features_csv),
+    "labels_csv": (DATA / "fixture_corpus" / "labels.csv", read_scores_csv),
+    "interchange": (TESTDATA / "clean_golden.jsonl", partial(cli._read_jsonl, str_keys=("raw",), list_key="emoticons")),
+}
+
+
+@pytest.mark.parametrize("name", LINE_READERS)
+def test_a_file_that_starts_with_a_utf8_bom_reads_as_the_file_without_it(name, tmp_path):
+    """A BOM once stayed in the first line: a malformed first record, a word
+    or keyword that never matched, or a CSV header refused."""
+    path, read = LINE_READERS[name]
+    copy = tmp_path / path.name
+    copy.write_bytes("\ufeff".encode("utf-8") + path.read_bytes())
+    assert read(copy) == read(path)

@@ -96,6 +96,18 @@ def _no_child_left() -> bool:
     return False
 
 
+def _cpus(patch, n: int) -> None:
+    """Fake n usable CPUs: with os.fork and no other thread running, whether n >= 2 decides every fork."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """Every test here starts on two usable CPUs, so what it forks does not
+    depend on the machine; a test that needs another count sets it with _cpus."""
+    _cpus(monkeypatch, 2)
+
+
 def _count_forks(patch, children: list[int] | None = None) -> list[int]:
     """The pids that call os.fork from now on, one per fork; children, if given, gets the pid of each child forked."""
     forks = []
@@ -122,15 +134,17 @@ def test_fork_map_keeps_input_order(threads, n, monkeypatch):
     assert _no_child_left()
 
 
-@pytest.mark.parametrize("fork", [False, True])
-def test_forked_shares_cuts_two_halves(fork, monkeypatch):
-    """The first len // 2 items and the rest, and one share however few items."""
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_forked_shares_cuts_two_halves(cpus, monkeypatch):
+    """The first len // 2 items and the rest on two CPUs, and one share on one CPU or however few items."""
+    _cpus(monkeypatch, cpus)
+    fork = cpus > 1
     forks = _count_forks(monkeypatch)
     for items, halves in [(range(7), [(0, 1, 2), (3, 4, 5, 6)]), (range(2), [(0,), (1,)])]:
-        with forked_shares(tuple, items, fork=fork) as gather:
+        with forked_shares(tuple, items) as gather:
             assert gather() == (halves if fork else [tuple(items)])
     for items in [range(1), []]:
-        with forked_shares(tuple, items, fork=fork) as gather:
+        with forked_shares(tuple, items) as gather:
             assert gather() == [tuple(items)]
     assert len(forks) == 2 * fork
     assert _no_child_left()
@@ -235,18 +249,6 @@ def test_fork_map_leaves_no_child_or_pipe_after_success(monkeypatch):
     assert _open_fds() == fds
 
 
-TEXT_GATE = "MIN_CHARS_PER_WORKER"
-TABLE_GATE = "MIN_TABLE_CELLS_PER_WORKER"
-
-
-def _fan_out(patch, *gates: str) -> None:
-    """Open build_bundle's named fork gates on any corpus, with 64 CPUs: each
-    open site still forks one child, the second half of its work."""
-    for gate in gates:
-        patch.setattr(report, gate, 1)
-    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-
-
 def _bundle_bytes(out_dir: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
 
@@ -278,16 +280,16 @@ def corpus_config(request, tmp_path):
     return _edge_corpus(tmp_path)
 
 
-@pytest.mark.parametrize("gates", [(TEXT_GATE,), (TABLE_GATE,), (TEXT_GATE, TABLE_GATE)], ids=["text", "tables", "both"])
-def test_fanned_out_bundle_equals_serial_and_staged_bundles(corpus_config, gates, tmp_path, monkeypatch):
+def test_forked_bundle_equals_serial_and_staged_bundles(corpus_config, tmp_path, monkeypatch):
+    _cpus(monkeypatch, 1)
     report.build_bundle(corpus_config, tmp_path / "serial")
     traced.compose_bundle(corpus_config, tmp_path / "staged", traced.Tracer())
-    _fan_out(monkeypatch, *gates)
+    _cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     fds = _open_fds()
     report.build_bundle(corpus_config, tmp_path / "forked")
     # one child for the per-user pass's second half, one for the tables' second half
-    assert len(forks) == (TEXT_GATE in gates) + (TABLE_GATE in gates)
+    assert len(forks) == 2
     serial = _bundle_bytes(tmp_path / "serial")
     assert _bundle_bytes(tmp_path / "forked") == serial
     assert _bundle_bytes(tmp_path / "staged") == serial
@@ -299,28 +301,15 @@ def test_fanned_out_bundle_equals_serial_and_staged_bundles(corpus_config, gates
         assert degenerate >= len(rows) // 2  # past the parent's half, so the child skipped it
 
 
-def test_fixture_bundle_forks_no_worker(tmp_path, monkeypatch):
-    """The fixture corpus is below both gates on any CPU count, so the CLI test that
-    a report loads no pickle checks the serial path."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-
-    def no_fork():
-        raise AssertionError("build_bundle forked on the fixture corpus")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "out")
-
-
 def test_text_pass_forks_no_worker_for_a_single_user(monkeypatch):
-    """64 CPUs and the text gate open would fork, but one user is one share."""
-    _fan_out(monkeypatch, TEXT_GATE)
+    """64 CPUs would fork, but one user is one share."""
+    _cpus(monkeypatch, 64)
     forks = _count_forks(monkeypatch)
     clean = partial(cleaner.clean, spam_keywords=())
     words = WordList.from_words(["甲乙"])
     mapping = MappingModel(("A",), ((1.0, 2.0, 0.0, -1.0, 0.5),), (0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 2)
     with report.user_pass({"u0": ["甲乙 [心]"]}, clean, words, _matcher("A", "甲乙"), mapping) as scored:
         features, usage, scores = scored({"u0"})
-    assert report.fork_workers(len("甲乙 [心]"), report.MIN_CHARS_PER_WORKER)
     assert forks == []
     assert (features.user_ids, features.token_counts, features.rows) == (("u0",), (1,), ((100.0,),))
     assert type(usage["u0"]) is dict and usage == {"u0": {"[心]": 1}}
@@ -329,7 +318,6 @@ def test_text_pass_forks_no_worker_for_a_single_user(monkeypatch):
 
 def test_forked_pass_rewraps_each_share_s_scores_as_big_five(monkeypatch):
     """The child sends plain tuples; the parent's scores equal predict's, BigFive included."""
-    _fan_out(monkeypatch, TEXT_GATE)
     forks = _count_forks(monkeypatch)
     clean = partial(cleaner.clean, spam_keywords=())
     mapping = MappingModel(("A",), ((1.0, 2.0, 0.0, -1.0, 0.5),), (0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 2)
@@ -342,8 +330,10 @@ def test_forked_pass_rewraps_each_share_s_scores_as_big_five(monkeypatch):
     assert _no_child_left()
 
 
-def test_user_pass_keeps_one_str_per_emoticon():
-    """Users' usage dicts share each emoticon's key object, which keeps a large corpus's usage small."""
+def test_user_pass_keeps_one_str_per_emoticon(monkeypatch):
+    """Users' usage dicts in one share (here, in process) share each emoticon's
+    key object, which keeps a large corpus's usage small."""
+    _cpus(monkeypatch, 1)
     clean = partial(cleaner.clean, spam_keywords=())
     mapping = MappingModel(("A",), ((1.0, 2.0, 0.0, -1.0, 0.5),), (0.0, 1.0, 2.0, 3.0, 4.0), 1.0, 2)
     texts = {"u0": ["甲乙 [心]"], "u1": ["[心] 甲乙", "[心]"]}
@@ -407,17 +397,17 @@ def _in_child_half(config: RunConfig, uid: str) -> bool:
     return posters.index(uid) >= len(posters) // 2
 
 
-FAN_OUTS = pytest.mark.parametrize("gates", [(), (TEXT_GATE, TABLE_GATE)], ids=["serial", "forked"])
+CPU_COUNTS = pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "forked"])
 
 
-@FAN_OUTS
+@CPU_COUNTS
 @pytest.mark.parametrize(
     "odd_posters, in_child",
     [(("nobody",), False), ((AD_ID,), False), ((LATE_ORPHAN,), True)],
     ids=["orphan", "ad_account", "late_orphan"],
 )
 def test_scores_that_overflow_only_for_users_left_out_keep_the_bundle(
-    odd_posters, in_child, gates, tmp_path, monkeypatch
+    odd_posters, in_child, cpus, tmp_path, monkeypatch
 ):
     """The pass scores every user with a post, the orphans and the ad account
     too; their overflow, in either half, leaves the bundle of a model whose
@@ -425,11 +415,11 @@ def test_scores_that_overflow_only_for_users_left_out_keep_the_bundle(
     report.build_bundle(_odd_corpus(tmp_path / "zero", odd_posters, 0.0), tmp_path / "zero_out")
     overflowing = _odd_corpus(tmp_path / "huge", odd_posters, 1e307)
     assert [_in_child_half(overflowing, uid) for uid in odd_posters] == [in_child]
-    _fan_out(monkeypatch, *gates)
+    _cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
     fds = _open_fds()
     report.build_bundle(overflowing, tmp_path / "huge_out")
-    assert len(forks) == 2 * bool(gates)
+    assert len(forks) == 2 * (cpus > 1)
     assert _no_child_left()
     assert _open_fds() == fds
     zero, huge = _bundle_bytes(tmp_path / "zero_out"), _bundle_bytes(tmp_path / "huge_out")
@@ -446,19 +436,19 @@ def test_scores_that_overflow_only_for_users_left_out_keep_the_bundle(
         assert not ids & {uid.encode() for uid in ("nobody", AD_ID, *odd_posters)}
 
 
-@FAN_OUTS
-def test_an_accepted_users_overflow_names_the_first_accepted_one(gates, tmp_path, monkeypatch):
+@CPU_COUNTS
+def test_an_accepted_users_overflow_names_the_first_accepted_one(cpus, tmp_path, monkeypatch):
     """nobody and the ad account sort first and overflow too, in the parent's
     half; u00060 and u00119 fall in the child's. Predict over the accepted
     users' matrix names the first of them."""
     config = _odd_corpus(tmp_path, ODD_USERS, 1e307)
     assert [_in_child_half(config, uid) for uid in ODD_USERS] == [False, False, True, True]
-    _fan_out(monkeypatch, *gates)
+    _cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
     fds = _open_fds()
     with pytest.raises(BundleError) as err:
         report.build_bundle(config, tmp_path / "out")
-    assert len(forks) == bool(gates)  # the tables' fork is never reached
+    assert len(forks) == (cpus > 1)  # the tables' fork is never reached
     assert err.value.stage == "predict"
     assert type(err.value.cause) is PipelineError
     assert str(err.value.cause) == "the scores of user 'u00060' overflow the float range"
@@ -466,8 +456,8 @@ def test_an_accepted_users_overflow_names_the_first_accepted_one(gates, tmp_path
     assert _open_fds() == fds
 
 
-@FAN_OUTS
-def test_malformed_profiles_fail_at_load_while_the_pass_runs(gates, tmp_path, monkeypatch, capsys):
+@CPU_COUNTS
+def test_malformed_profiles_fail_at_load_while_the_pass_runs(cpus, tmp_path, monkeypatch, capsys):
     """The per-user pass forks before the profiles are read; their failure reaps its child."""
     config = _edge_corpus(tmp_path)
     lines = (FIXTURE / "profiles.jsonl").read_text(encoding="utf-8").splitlines()
@@ -476,11 +466,11 @@ def test_malformed_profiles_fail_at_load_while_the_pass_runs(gates, tmp_path, mo
     config.profiles_path = str(tmp_path / "profiles.jsonl")
     doc = {**config.to_jsonable(), **{key: getattr(config, key) for key in RunConfig.PATH_KEYS}}
     (tmp_path / "run_config.json").write_text(json.dumps(doc), encoding="utf-8")
-    _fan_out(monkeypatch, *gates)
+    _cpus(monkeypatch, cpus)
     forks = _count_forks(monkeypatch)
     fds = _open_fds()
     code = cli.main(["report", "--config", str(tmp_path / "run_config.json"), "--out-dir", str(tmp_path / "out")])
-    assert len(forks) == bool(gates)
+    assert len(forks) == (cpus > 1)
     assert code == cli.EXIT_FORMAT == 2
     (line,) = capsys.readouterr().err.strip().splitlines()
     message = f"{config.profiles_path}: 61 of 121 lines malformed; wrong file format?"
@@ -491,7 +481,6 @@ def test_malformed_profiles_fail_at_load_while_the_pass_runs(gates, tmp_path, mo
 
 def test_worker_error_is_a_bundle_error_naming_the_stage(tmp_path, monkeypatch):
     """segment runs in the text pass, so its failure in the child is one of featurize."""
-    _fan_out(monkeypatch, TEXT_GATE)
     parent = os.getpid()
     real = segmenter.segment
 
@@ -515,7 +504,6 @@ def test_predict_error_in_the_child_is_predicted_again_in_the_parent(tmp_path, m
     and the parent predicts the accepted users' matrix once more."""
     config = RunConfig.from_file(FIXTURE / "run_config.json")
     report.build_bundle(config, tmp_path / "serial")
-    _fan_out(monkeypatch, TEXT_GATE)
     parent = os.getpid()
     real = model.predict
     predicted = []  # the user ids of each matrix the parent predicts
@@ -538,19 +526,21 @@ def test_predict_error_in_the_child_is_predicted_again_in_the_parent(tmp_path, m
     assert _open_fds() == fds
 
 
-@pytest.mark.parametrize(
-    "sizes, cpus, forks",
-    [
-        ([22_621], [1, 2, 64], False),  # the fixture corpus
-        ([482_730, 1_452_460], [2, 64], True),  # the benchmark's user_heavy and text_heavy corpora, seed 1
-        ([0, 22_621, 482_730, 1_452_460, 10**12], [1], False),
-    ],
-    ids=["fixture", "benchmark", "one_cpu"],
-)
-def test_user_pass_gate(sizes, cpus, forks, monkeypatch):
-    for n in cpus:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        assert [report.fork_workers(chars, report.MIN_CHARS_PER_WORKER) for chars in sizes] == [forks] * len(sizes)
+@pytest.mark.parametrize("cpus, children", [(1, 0), (2, 2), (64, 2)])
+def test_fork_sites_depend_only_on_the_cpu_count(cpus, children, tmp_path, monkeypatch):
+    """1 CPU forks at no site; 2 or 64 fork one child at each of build_bundle's
+    two sites, on the fixture corpus too, and the bytes stay the serial ones."""
+    config = RunConfig.from_file(FIXTURE / "run_config.json")
+    _cpus(monkeypatch, 1)
+    report.build_bundle(config, tmp_path / "serial")
+    _cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    fds = _open_fds()
+    report.build_bundle(config, tmp_path / "out")
+    assert forks == [os.getpid()] * children
+    assert _bundle_bytes(tmp_path / "out") == _bundle_bytes(tmp_path / "serial")
+    assert _no_child_left()
+    assert _open_fds() == fds
 
 
 def test_the_package_calls_os_fork_in_one_place():
@@ -561,20 +551,6 @@ def test_the_package_calls_os_fork_in_one_place():
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "os.fork":
                 calls.append(path.name)
     assert calls == ["_pool.py"]
-
-
-def test_both_fork_sites_on_64_cpus_fork_one_child_each(tmp_path, monkeypatch):
-    config = RunConfig.from_file(FIXTURE / "run_config.json")
-    report.build_bundle(config, tmp_path / "serial")
-    _fan_out(monkeypatch, TEXT_GATE, TABLE_GATE)
-    assert len(os.sched_getaffinity(0)) == 64
-    forks = _count_forks(monkeypatch)
-    fds = _open_fds()
-    report.build_bundle(config, tmp_path / "forked")
-    assert forks == [os.getpid()] * 2
-    assert _bundle_bytes(tmp_path / "forked") == _bundle_bytes(tmp_path / "serial")
-    assert _no_child_left()
-    assert _open_fds() == fds
 
 
 def _write_json_in_parent_only(patch) -> None:
@@ -591,7 +567,6 @@ def _write_json_in_parent_only(patch) -> None:
 
 
 def test_table_writer_error_is_reraised_with_its_type_and_message(tmp_path, monkeypatch):
-    _fan_out(monkeypatch, TABLE_GATE)
     _write_json_in_parent_only(monkeypatch)
     fds = _open_fds()
     with pytest.raises(OSError) as err:
@@ -603,7 +578,6 @@ def test_table_writer_error_is_reraised_with_its_type_and_message(tmp_path, monk
 
 
 def test_analyses_error_beside_the_table_writer_is_a_bundle_error(tmp_path, monkeypatch):
-    _fan_out(monkeypatch, TABLE_GATE)
 
     def fail(joined):
         raise PipelineError("no provinces")
@@ -637,7 +611,6 @@ def _fail_correlations_in_the_child(patch) -> None:
 
 
 def test_correlation_error_in_the_table_writer_is_a_bundle_error(tmp_path, monkeypatch):
-    _fan_out(monkeypatch, TABLE_GATE)
     _fail_correlations_in_the_child(monkeypatch)
     fds = _open_fds()
     with pytest.raises(BundleError) as err:
@@ -649,7 +622,6 @@ def test_correlation_error_in_the_table_writer_is_a_bundle_error(tmp_path, monke
 
 
 def test_correlation_error_in_the_table_writer_is_one_json_line_exit_3(tmp_path, monkeypatch, capsys):
-    _fan_out(monkeypatch, TABLE_GATE)
     _fail_correlations_in_the_child(monkeypatch)
     code = cli.main(["report", "--config", str(FIXTURE / "run_config.json"), "--out-dir", str(tmp_path / "out")])
     assert code == cli.EXIT_PIPELINE == 3
@@ -722,11 +694,11 @@ def _without_id_prefix(data: bytes, row_start: bytes, prefix: bytes) -> bytes:
     return data.replace(row_start + prefix, row_start)
 
 
-@pytest.mark.parametrize("gates", [(), (TABLE_GATE,)], ids=["serial", "tables"])
-def test_bundle_does_not_depend_on_input_line_order(gates, tmp_path, monkeypatch):
+@CPU_COUNTS
+def test_bundle_does_not_depend_on_input_line_order(cpus, tmp_path, monkeypatch):
     """Every table keeps its bytes; the manifest, whose artifact list is put
     together from both shares, differs only in the input hashes."""
-    _fan_out(monkeypatch, *gates)
+    _cpus(monkeypatch, cpus)
     ordered = _corpus_copy(tmp_path / "ordered", None)
     shuffled = _corpus_copy(tmp_path / "shuffled", random.Random(7))
     for name in CORPUS_FILES:
@@ -752,28 +724,20 @@ def test_bundle_does_not_depend_on_word_list_line_order(tmp_path):
     ]
 
 
-def test_report_process_above_the_text_gate_writes_the_serial_bundle(tmp_path, monkeypatch):
-    """Each fixture post three times is above 50k raw characters, so a
-    `python -m textpersona report` process forks its per-user pass on 2 or
+def test_report_process_writes_the_serial_bundle(tmp_path, monkeypatch):
+    """A `python -m textpersona report` process forks at both sites on 2 or
     more CPUs; it leaves no process of its session behind."""
-
-    def tripled_posts(name, lines):
-        return lines * 3 if name == "posts.jsonl" else lines
-
-    tripled = _corpus_copy(tmp_path / "corpus", None, edit=tripled_posts)
-    posts = (tmp_path / "corpus" / "posts.jsonl").read_text(encoding="utf-8").splitlines()
-    assert sum(len(json.loads(line)["text"]) for line in posts) > 2 * report.MIN_CHARS_PER_WORKER
     src = str(Path(report.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-m", "textpersona", "report", "--config", str(tmp_path / "corpus" / "run_config.json")]
+    argv = [sys.executable, "-m", "textpersona", "report", "--config", str(FIXTURE / "run_config.json")]
     with subprocess.Popen([*argv, "--out-dir", str(tmp_path / "forked")], env=env, stderr=subprocess.PIPE,
                           text=True, start_new_session=True) as proc:
         _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     with pytest.raises(ProcessLookupError):  # the session's process group is empty
         os.killpg(proc.pid, 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    report.build_bundle(tripled, tmp_path / "serial")
+    _cpus(monkeypatch, 1)
+    report.build_bundle(RunConfig.from_file(FIXTURE / "run_config.json"), tmp_path / "serial")
     assert _bundle_bytes(tmp_path / "forked") == _bundle_bytes(tmp_path / "serial")
 
 
@@ -826,7 +790,6 @@ def test_tables_are_written_in_process_while_another_thread_runs(tmp_path, monke
     """A write in a child would fail; in process the bundle has the serial bytes."""
     config = RunConfig.from_file(FIXTURE / "run_config.json")
     report.build_bundle(config, tmp_path / "serial")
-    _fan_out(monkeypatch, TABLE_GATE)
     _write_json_in_parent_only(monkeypatch)
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)

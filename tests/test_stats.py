@@ -7,7 +7,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textpersona.corpus import UserProfile
@@ -140,25 +140,37 @@ def test_pearson_survives_an_overflowing_variance_product():
     assert pearson(col, [3.0, 1.0, 7.0]) == pearson([1.0, 2.0, 4.0], [3.0, 1.0, 7.0])
     with pytest.raises(PipelineError, match="beyond the float range"):  # the deviations themselves overflow
         pearson([1.7e308, -1.7e308, 1.7e308], [1.0, 2.0, 3.0])
+    # each squared deviation of y is finite, but their sum once overflowed fsum itself
+    x, y = [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 561 * 2.0**503]
+    assert pearson(x, y) == pearson(x, [0, 0, 0, 0, 0, 561]) == (1.0, 0.0, 6)
+    features = matrix(("F",), [(f"u{i}", (v,)) for i, v in enumerate(x)])
+    scores = [(f"u{i}", b5(o=v)) for i, v in enumerate(y)]
+    assert [(res.r, res.p) for res in correlation_matrix(features, scores) if res.trait == "O"] == [(1.0, 0.0)]
 
 
 def _spread(values) -> bool:
     return len(set(values)) > 1
 
 
-_SPREAD = st.lists(st.integers(-1000, 1000), min_size=3, max_size=12).filter(_spread)
+def _spread_column(n: int):
+    return st.lists(st.integers(-1000, 1000), min_size=n, max_size=n).filter(_spread)
 
 
-@given(st.data(), _SPREAD, st.integers(-1000, 1000), st.integers(-1000, 1000))
+_SPREAD_PAIRS = st.integers(3, 12).flatmap(lambda n: st.tuples(_spread_column(n), _spread_column(n)))
+
+
+@given(_SPREAD_PAIRS, st.integers(-1000, 1000), st.integers(-1000, 1000))
+# each square of y's deviations is finite, but their sum once overflowed fsum itself
+@example(([0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 561]), 0, 503)
 @settings(max_examples=200, deadline=None)
-def test_pearson_of_extreme_scale_columns_matches_the_oracle(data, xs, kx, ky):
+def test_pearson_of_extreme_scale_columns_matches_the_oracle(columns, kx, ky):
     """Columns scaled by 2**k from 2**-1000 to 2**1000, so that sxx, syy or their
     product leaves the float range: r and p equal the unscaled columns' bits,
     r is the arbitrary-precision oracle's within 1e-12, and so is p at that r.
 
     p is compared at the program's r, not the oracle's: as |r| nears 1 with
     few points, one ulp of r moves p by far more than 1e-12."""
-    ys = data.draw(st.lists(st.integers(-1000, 1000), min_size=len(xs), max_size=len(xs)).filter(_spread))
+    xs, ys = columns
     x = [math.ldexp(v, kx) for v in xs]
     y = [math.ldexp(v, ky) for v in ys]
     r, p, _ = pearson(x, y)
@@ -428,6 +440,15 @@ def test_tag_contrast_unanimous_tag_ranks_first():
     contrast = tag_contrast(split, profiles, top_k=5)
     assert contrast.high[0] == ("Music", 1.0)
     assert contrast.low == ()  # tag carried by nobody in the low group
+
+
+def test_tag_contrast_counts_a_repeated_tag_once_per_user():
+    """A share of the group carrying a tag; a tag repeated in one profile once read 2.0."""
+    profiles = [prof("u0", tags=("Music", "Music")), prof("u1", tags=("Music", "Sleep", "Sleep")), prof("u2")]
+    split = PolaritySplit("O", high_ids=("u0",), low_ids=("u1", "u2"))
+    contrast = tag_contrast(split, profiles, top_k=5)
+    assert contrast.high == (("Music", 1.0),)
+    assert contrast.low == (("Music", 0.5), ("Sleep", 0.5))
 
 
 def test_tag_contrast_missing_profile_fatal():
